@@ -15,23 +15,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from uhat.rings import (
-    GradedRing,
-    Ideal,
-    PresentedAlgebra,
-    determinant,
-    groebner_basis,
-    normal_form_list,
-)
+from uhat.rings import Ideal, PresentedAlgebra, determinant, normal_form_list
 from uhat.rings import eliminate as ring_eliminate
 from uhat.lie import DerivationAction, pbw_word
-from uhat.infinitesimal import (
-    check_cdrs,
-    fitting_chain,
-    min_nonzero_fitting,
-    relative_map,
-    stabiliser_at_point,
-)
+from uhat.infinitesimal import check_cdrs, level_data, stabiliser_at_point
 from uhat.quotient import BoundExhausted
 
 
@@ -111,27 +98,19 @@ class BElements:
 # the Weak Unipotent Upstairs condition
 
 
-def level_fitting_data(action):
-    """Chains and minimal nonzero indices for every filtration level."""
-    chains = {}
-    ks = []
-    for i in range(1, action.lie.nlevels + 1):
-        chain = fitting_chain(action.algebra, relative_map(action, i))
-        chains[i] = chain
-        ks.append(min_nonzero_fitting(chain))
-    return chains, tuple(ks)
+def k_vector(action):
+    """The minimal nonzero Fitting index k_i of every level."""
+    return tuple(d.k for d in level_data(action).values())
 
 
-def product_fitting_ideal(action, chains=None, ks=None):
-    if chains is None:
-        chains, ks = level_fitting_data(action)
-    ring = action.ring
-    gens = [ring.one()]
-    for i, k in zip(range(1, action.lie.nlevels + 1), ks):
-        level_gens = chains[i].ideal(k).generators
-        gens = [action.algebra.nf(g * h) for g in gens for h in level_gens]
-        gens = [g for g in gens if g]
-    return Ideal(ring, gens)
+def product_fitting_ideal(action, start=1):
+    """Product of the minimal nonzero Fitting ideals of the levels >= start."""
+    gens = [action.ring.one()]
+    for i, d in level_data(action).items():
+        if i >= start:
+            gens = [action.algebra.nf(g * h) for g in gens for h in d.fit_k.generators]
+            gens = [g for g in gens if g]
+    return Ideal(action.ring, gens)
 
 
 def check_wuu(action, reduced=False, rng=None, sample_count=20):
@@ -146,8 +125,8 @@ def check_wuu(action, reduced=False, rng=None, sample_count=20):
     ring = action.ring
     if algebra.is_empty():
         return True, {"empty_chart": True, "k_vector": ()}
-    chains, ks = level_fitting_data(action)
-    prod = product_fitting_ideal(action, chains, ks)
+    ks = k_vector(action)
+    prod = product_fitting_ideal(action)
     stratum = Ideal(
         ring,
         list(algebra.relations.generators) + [ring.var(n) for n in negative_weight_variables(ring)],
@@ -171,13 +150,14 @@ def _witness_point(action, ks, rng, sample_count):
     rng = rng or random.Random(0)
     ring = action.ring
     neg = set(negative_weight_variables(ring))
-    zero_vars = [n for n in ring.names if n not in neg]
     partial = list(ks)
     targets = [sum(partial[: i + 1]) for i in range(len(ks))]
     for trial in range(sample_count):
-        point = {n: Fraction(0) for n in neg}
-        for n in zero_vars:
-            point[n] = Fraction(rng.randint(-3, 3) if trial else 1)
+        # ring-variable order keeps the report independent of set hashing
+        point = {
+            n: Fraction(0) if n in neg else Fraction(rng.randint(-3, 3) if trial else 1)
+            for n in ring.names
+        }
         if any(rel.evaluate(point) != 0 for rel in action.algebra.relations.generators):
             continue
         ok = True
@@ -208,12 +188,11 @@ def centre(action, degree_bound=8):
     cdrs = check_cdrs(action)
     if cdrs["holds"]:
         raise NoBlowupNeeded("constant-rank condition already holds; no blow-up needed")
-    chains, ks = level_fitting_data(action)
     witnesses = []
-    for i in range(1, action.lie.nlevels + 1):
+    for i, d in level_data(action).items():
         w = action.lie.weights[i - 1]
         rows = action.lie.level_indices(i - 1)
-        need = len(rows) - ks[i - 1]
+        need = len(rows) - d.k
         if need == 0:
             witnesses.append(LevelWitness(i, w, (), tuple(rows), (), (ring.one(),)))
             continue
@@ -240,23 +219,19 @@ def centre(action, degree_bound=8):
         split, fns, minor = found
         if minor.weight_decompose().keys() - {0}:
             raise VerificationFailed(f"witness minor at level {i} is not weight zero", str(minor))
-        chain_ideal = Ideal(
-            ring,
-            list(chains[i].ideal(ks[i - 1]).generators) + list(algebra.relations.generators),
-        )
-        if not chain_ideal.contains(minor):
+        if not d.unit_ideal.contains(minor):
             raise VerificationFailed(
                 f"witness minor at level {i} does not lie in its Fitting ideal", str(minor)
             )
         rest = tuple(r for r in rows if r not in split)
         witnesses.append(LevelWitness(i, w, tuple(split), rest, tuple(fns), (minor,)))
-    prod = product_fitting_ideal(action, chains, ks)
+    prod = product_fitting_ideal(action)
     centre_ideal = Ideal(
         ring,
         [g for g in prod.generators]
         + [ring.var(n) for n in negative_weight_variables(ring)],
     )
-    return CentreData(ks, witnesses, prod, centre_ideal)
+    return CentreData(k_vector(action), witnesses, prod, centre_ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +294,6 @@ def uea_letter(i, c=1):
 
 def uea_from_lie(el):
     return {(i,): Fraction(c) for i, c in el.items() if c}
-
-
-def uea_concat(el, word):
-    """Right-multiply a UEA element by a fixed word."""
-    return {w + tuple(word): c for w, c in el.items()}
 
 
 def verify_determinantal_sum(action, witness, h, lie_element):
@@ -404,15 +374,7 @@ def verify_b_properties(action, centre_data, elements, check_j=True, pbw_bound=N
                         "diagonal pairing identity failed",
                         {"level": i, "mu": pos, "nu": nu, "got": str(got), "want": str(want)},
                     )
-        prod_gens = [algebra.ring.one()]
-        for w2 in centre_data.witnesses:
-            if w2.level >= i:
-                chain = fitting_chain(algebra, relative_map(action, w2.level))
-                level_gens = chain.ideal(centre_data.k_vector[w2.level - 1]).generators
-                prod_gens = [algebra.nf(g * h) for g in prod_gens for h in level_gens]
-        membership = Ideal(
-            algebra.ring, [g for g in prod_gens if g] + list(algebra.relations.generators)
-        )
+        membership = product_fitting_ideal(action, start=i) + algebra.relations
         for nu, b in enumerate(bs):
             for p in lie.pbw_monomials_of_weight(w, exact=True):
                 if pbw_bound is not None and sum(p) > pbw_bound:

@@ -94,17 +94,14 @@ def _load(args):
 
 def _analysis(scenario, action):
     report = {"scenario": None, "levels": {}}
-    chains, ks = bl.level_fitting_data(action)
-    for i in range(1, action.lie.nlevels + 1):
-        chain = chains[i]
-        k = ks[i - 1]
+    for i, d in inf.level_data(action).items():
         report["levels"][f"level_{i}"] = {
             "weight": action.lie.weights[i - 1],
-            "rank": chain.target_rank,
-            "k": k,
+            "rank": d.chain.target_rank,
+            "k": d.k,
             "fitting_ideals": {
-                f"fit_{j}": [str(g) for g in chain.ideal(j).generators]
-                for j in range(-1, chain.target_rank + 1)
+                f"fit_{j}": [str(g) for g in d.chain.ideal(j).generators]
+                for j in range(-1, d.chain.target_rank + 1)
             },
         }
     ss, cert = inf.check_ss_eq_s(action)
@@ -116,7 +113,7 @@ def _analysis(scenario, action):
         rng=rng,
         sample_count=scenario.options.sample_count,
     )
-    report["k_vector"] = list(ks)
+    report["k_vector"] = list(bl.k_vector(action))
     report["ss_eq_s"] = {"holds": ss, "certificate": cert}
     report["cdrs"] = cdrs
     report["wuu"] = {"holds": wuu, **winfo}

@@ -10,7 +10,6 @@ stabiliser dimensions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -141,6 +140,46 @@ def fitting_chain(algebra, pmap):
     return fitting_chain_from_matrix(algebra, pmap.pairing, pmap.target_rank)
 
 
+@dataclass(frozen=True)
+class LevelData:
+    """Relative map of one filtration level and what its Fitting chain decides.
+
+    `k` is the minimal index with a nonzero Fitting ideal, and `unit_ideal`
+    is Fit_k plus the relations; it keeps its Groebner basis once computed,
+    for the unit test and for later membership tests.
+    """
+
+    pmap: PresentedModuleMap
+    chain: FittingChain
+    k: int
+    unit_ideal: Ideal
+
+    @property
+    def fit_k(self):
+        return self.chain.ideal(self.k)
+
+
+def level_data(action):
+    """Level -> LevelData for every filtration level, built once per action.
+
+    The result is memoised on the action, so neither the action nor its
+    algebra may be mutated afterwards.
+    """
+    if action._level_data is None:
+        algebra = action.algebra
+        data = {}
+        for i in range(1, action.lie.nlevels + 1):
+            pmap = relative_map(action, i)
+            chain = fitting_chain(algebra, pmap)
+            k = min_nonzero_fitting(chain)
+            unit_ideal = Ideal(
+                algebra.ring, list(chain.ideal(k).generators) + list(algebra.relations.generators)
+            )
+            data[i] = LevelData(pmap, chain, k, unit_ideal)
+        action._level_data = data
+    return action._level_data
+
+
 def min_nonzero_fitting(chain):
     """Smallest k with a nonzero Fitting ideal (modulo the relations)."""
     for k in range(0, chain.target_rank + 1):
@@ -177,7 +216,7 @@ def stabiliser_at_point(action, upto_level, point):
     return len(basis), basis
 
 
-def relative_stabiliser_dim(action, i, point, chain=None):
+def relative_stabiliser_dim(action, i, point):
     """Dimension of the relative stabiliser at a point, with a Fitting check.
 
     The returned value is the corank of the evaluated pairing matrix; as a
@@ -188,15 +227,13 @@ def relative_stabiliser_dim(action, i, point, chain=None):
     bad = validate_point(action.algebra, point)
     if bad:
         raise ValueError(f"point violates relation {bad[0][0]} (value {bad[0][1]})")
-    pmap = relative_map(action, i)
-    if pmap.target_rank == 0:
+    d = level_data(action)[i]
+    if d.pmap.target_rank == 0:
         return 0
-    rows = [[p.evaluate(point) for p in row] for row in pmap.pairing]
-    dim = pmap.target_rank - matrix_rank(rows)
-    if chain is None:
-        chain = fitting_chain(action.algebra, pmap)
-    for k in range(-1, chain.target_rank + 1):
-        vanish = all(g.evaluate(point) == 0 for g in chain.ideal(k).generators)
+    rows = [[p.evaluate(point) for p in row] for row in d.pmap.pairing]
+    dim = d.pmap.target_rank - matrix_rank(rows)
+    for k in range(-1, d.chain.target_rank + 1):
+        vanish = all(g.evaluate(point) == 0 for g in d.chain.ideal(k).generators)
         if (dim > k) != vanish:
             raise RuntimeError(
                 f"Fitting/corank mismatch at level {i}, k={k}: dim={dim}, vanishing={vanish}"
@@ -221,13 +258,14 @@ def check_ss_eq_s(action):
         return True, {"vacuous": True, "detail": "zero-dimensional group"}
     minors = [algebra.nf(m) for m in minors_ideal_generators([list(x) for x in mat.entries], r)]
     minors = [m for m in minors if m]
-    rels = list(algebra.relations.generators)
-    cert = unit_certificate(minors + rels) if minors else None
+    gens = minors + list(algebra.relations.generators)
+    cert = unit_certificate(gens) if minors else None
     if cert is not None:
+        total = sum((c * g for c, g in zip(cert, gens)), algebra.ring.zero())
+        if total != algebra.ring.one():
+            raise RuntimeError(f"ss=s certificate combines to {total}, not 1")
         return True, {
-            "unit_combination": {
-                str(g): str(c) for g, c in zip(minors + rels, cert) if not c.is_zero()
-            }
+            "unit_combination": {str(g): str(c) for g, c in zip(gens, cert) if not c.is_zero()}
         }
     return False, {"fit0_generators": [str(m) for m in minors]}
 
@@ -247,18 +285,16 @@ def check_cdrs(action):
     if action.lie.nlevels == 0:
         report["vacuous"] = True
         return report
-    for i in range(1, action.lie.nlevels + 1):
-        pmap = relative_map(action, i)
-        chain = fitting_chain(algebra, pmap)
-        k = min_nonzero_fitting(chain)
-        below_zero = not chain.ideal(k - 1).generators
-        unit = Ideal(algebra.ring, list(chain.ideal(k).generators) + list(algebra.relations.generators)).is_unit()
+    for i, d in level_data(action).items():
+        below = d.chain.ideal(d.k - 1).generators
+        below_zero = not below
+        unit = d.unit_ideal.is_unit()
         report["levels"][i] = {
-            "k": k,
+            "k": d.k,
             "fit_below_zero": below_zero,
             "fit_unit": unit,
-            "fit_k_generators": [str(g) for g in chain.ideal(k).generators],
-            "fit_below_generators": [str(g) for g in chain.ideal(k - 1).generators],
+            "fit_k_generators": [str(g) for g in d.fit_k.generators],
+            "fit_below_generators": [str(g) for g in below],
         }
         if not (below_zero and unit):
             report["holds"] = False
@@ -330,7 +366,7 @@ def verify_snake_exactness(action, i, degree=2):
     rows_prev = len(lie.filtration_indices(i - 1))
     rows_all = len(mat_i.basis_indices)
     r_i = rows_all - rows_prev
-    pmap = relative_map(action, i)
+    pmap = level_data(action)[i].pmap
 
     # span of the full pairing columns plus relation multiples, in A^{rows_all}
     gens = []

@@ -14,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from uhat.rings import GradedRing, Polynomial, degrevlex_order
+from uhat.rings import GradedRing, Polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +342,9 @@ class DerivationAction:
 
     `table[name][var]` is the image of the ring generator `var` under the
     basis vector `name`; missing entries are zero.  Images are stored as
-    normal forms modulo the relations.
+    normal forms modulo the relations.  The per-level analysis is memoised
+    on the action, so an action and its algebra are not mutated after
+    construction.
     """
 
     def __init__(self, algebra, lie, table):
@@ -359,7 +361,7 @@ class DerivationAction:
                 if img:
                     row[var] = img
             self.table[name] = row
-        self._cache = {}
+        self._level_data = None  # filled once by infinitesimal.level_data
 
     @property
     def ring(self):
@@ -465,9 +467,6 @@ class DerivationAction:
                             }
                         )
         return report
-
-    def is_valid(self):
-        return not self.validate()
 
 
 # ---------------------------------------------------------------------------

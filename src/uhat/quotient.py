@@ -25,7 +25,7 @@ from uhat.rings import (
     solve_linear,
 )
 from uhat.lie import DerivationAction, GradedLieAlgebra
-from uhat.infinitesimal import check_cdrs, fitting_chain, min_nonzero_fitting, relative_map
+from uhat.infinitesimal import check_cdrs, level_data
 
 
 class BoundExhausted(Exception):
@@ -66,7 +66,7 @@ def _compositions(total, parts):
             yield (head,) + rest
 
 
-def find_slices(action, level, degree_bound, k=None):
+def find_slices(action, level, degree_bound):
     """Solve xi_mu . f_nu = delta_{mu nu} inside the weight -w_i slice.
 
     Tries basis splits in a fixed order and degrees from 1 upward, taking the
@@ -79,9 +79,8 @@ def find_slices(action, level, degree_bound, k=None):
     lie = action.lie
     rows = lie.level_indices(level - 1)
     w = lie.weights[level - 1]
-    if k is None:
-        k = min_nonzero_fitting(fitting_chain(algebra, relative_map(action, level)))
-    need = len(rows) - k
+    data = level_data(action)[level]
+    need = len(rows) - data.k
     if need == 0:
         return SliceSet(level, w, (), ())
     for deg in range(1, degree_bound + 1):
@@ -92,15 +91,10 @@ def find_slices(action, level, degree_bound, k=None):
             fns = _solve_slice_system(action, split, monos)
             if fns is not None:
                 return SliceSet(level, w, split, tuple(fns))
-    chain = fitting_chain(algebra, relative_map(action, level))
-    unit = Ideal(
-        algebra.ring,
-        list(chain.ideal(k).generators) + list(algebra.relations.generators),
-    ).is_unit()
     raise BoundExhausted(
         f"no slice functions of degree <= {degree_bound} at level {level}",
         degree_bound,
-        condition_ok=unit,
+        condition_ok=data.unit_ideal.is_unit(),
     )
 
 
@@ -401,8 +395,7 @@ def staged_quotient(action, degree_bound=8):
     """
     if any(w > 0 for w in action.ring.weights):
         raise StageError("chart weights must all be nonpositive")
-    report = check_cdrs(action)
-    if not report["holds"]:
+    if not check_cdrs(action)["holds"]:
         raise StageError("constant-rank condition fails; run the blow-up first")
     chain = QuotientChain(action)
     current = action
@@ -411,8 +404,7 @@ def staged_quotient(action, degree_bound=8):
         if current.algebra.is_empty():
             break
         stage_level = level_offset + 1
-        stage_report = check_cdrs(current)
-        if not stage_report["holds"]:
+        if stage_level > 1 and not check_cdrs(current)["holds"]:
             raise StageError(f"induced action at stage {stage_level} lost the constant-rank condition")
         slices = find_slices(current, 1, degree_bound)
         ctx, inclusion, reconstruction = invariant_presentation(current, slices, degree_bound)

@@ -150,9 +150,6 @@ class GradedRing:
     def monomial_weight(self, exp):
         return sum(w * e for w, e in zip(self.weights, exp))
 
-    def with_order(self, order):
-        return GradedRing(self.names, self.weights, order)
-
     def extended(self, names, weights, order=None):
         """New ring with extra variables appended."""
         return GradedRing(
@@ -309,15 +306,8 @@ class Polynomial:
             parts.setdefault(w, {})[m] = c
         return {w: Polynomial(self.ring, t, False) for w, t in sorted(parts.items())}
 
-    def weight_component(self, w):
-        t = {m: c for m, c in self.terms.items() if self.ring.monomial_weight(m) == w}
-        return Polynomial(self.ring, t, False)
-
     def min_weight(self):
         return min((self.ring.monomial_weight(m) for m in self.terms), default=0)
-
-    def is_weight_homogeneous(self):
-        return len({self.ring.monomial_weight(m) for m in self.terms}) <= 1
 
     # -- maps
 
@@ -661,9 +651,6 @@ class Ideal:
         gens = [f * g for f in self.generators for g in other.generators]
         return Ideal(self.ring, gens)
 
-    def equals(self, other):
-        return self.groebner() == other.groebner()
-
     def __repr__(self):
         inner = ", ".join(str(g) for g in self.generators) or "0"
         return f"Ideal({inner})"
@@ -727,9 +714,6 @@ class PresentedAlgebra:
 
     def ideal(self, gens):
         return Ideal(self.ring, [self.nf(g) for g in gens])
-
-    def ideal_is_zero(self, gens):
-        return all(self.is_zero(g) for g in gens)
 
     def standard_monomials(self, weight=None, max_degree=8):
         """Monomials not divisible by any leading relation monomial.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from uhat.rings import GradedRing, Ideal, PresentedAlgebra, Polynomial
+from uhat.rings import GradedRing, Ideal, PresentedAlgebra
 from uhat.lie import DerivationAction, GradedLieAlgebra
 
 
@@ -128,10 +128,6 @@ def parse_polynomial(text, ring, line=None):
     if toks.peek() is not None:
         toks.error(f"trailing input {toks.text[toks.pos:]!r}")
     return result
-
-
-def format_polynomial(p):
-    return str(p)
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,15 @@ def test_ss_eq_s_certificate_is_exact(ga_free):
     assert ga_free.algebra.equal(total, ga_free.ring.one())
 
 
+def test_ss_eq_s_rejects_a_wrong_certificate(ga_free, monkeypatch):
+    import uhat.infinitesimal as inf
+
+    genuine = inf.unit_certificate
+    monkeypatch.setattr(inf, "unit_certificate", lambda gens: [c * 2 for c in genuine(gens)])
+    with pytest.raises(RuntimeError):
+        check_ss_eq_s(ga_free)
+
+
 def test_ss_eq_s_implies_trivial_stabilisers(ga_free):
     rng = random.Random(5)
     for _ in range(10):

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -15,7 +16,8 @@ from uhat.scenario import (
     serialize_scenario,
 )
 
-SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 # -- polynomial expressions
@@ -157,6 +159,15 @@ def run_cli(*args):
     return main(list(args))
 
 
+def run_cli_process(*args, hash_seed=0):
+    """Run `python -m uhat.cli` in a fresh interpreter with the source tree importable."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(hash_seed))
+    return subprocess.run(
+        [sys.executable, "-m", "uhat.cli", *args], capture_output=True, text=True, env=env
+    )
+
+
 def test_analyze_ok(tmp_path):
     out = tmp_path / "report.json"
     code = run_cli(
@@ -218,6 +229,48 @@ def test_reports_are_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_reports_are_identical_across_hash_seeds(tmp_path):
+    outs = []
+    for hash_seed in (0, 1):
+        out = tmp_path / f"seed{hash_seed}.json"
+        proc = run_cli_process(
+            "analyze",
+            "--scenario",
+            str(SCENARIOS / "heisenberg_free.uhat"),
+            "--json",
+            str(out),
+            hash_seed=hash_seed,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_each_relative_map_is_built_once(tmp_path, monkeypatch):
+    import uhat.infinitesimal as inf
+
+    built = []  # keeps every action alive, so ids stay unique
+    genuine = inf.relative_map
+
+    def counting(action, i):
+        built.append((action, i))
+        return genuine(action, i)
+
+    monkeypatch.setattr(inf, "relative_map", counting)
+    code = run_cli(
+        "blowup",
+        "--scenario",
+        str(SCENARIOS / "two_weight.uhat"),
+        "--with-quotient",
+        "--json",
+        str(tmp_path / "blowup.json"),
+    )
+    assert code == 0
+    keys = [(id(action), i) for action, i in built]
+    assert len({action_id for action_id, _ in keys}) > 1  # base, chart and induced actions
+    assert len(keys) == len(set(keys))
+
+
 def test_quotient_command_reports_chain(tmp_path):
     out = tmp_path / "chain.json"
     code = run_cli(
@@ -252,10 +305,6 @@ def test_identities_command():
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "uhat.cli", "analyze", "--scenario", str(SCENARIOS / "one_weight_free.uhat")],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli_process("analyze", "--scenario", str(SCENARIOS / "one_weight_free.uhat"))
     assert proc.returncode == 0
     assert "ss_eq_s" in proc.stdout
