@@ -9,6 +9,7 @@ rationals.  Values are immutable after construction; operations are pure.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -411,24 +412,47 @@ def _exp_lcm(a, b):
 
 
 def normal_form_list(p, basis):
-    """Unique remainder of p under full reduction by `basis` (list of polys)."""
+    """Unique remainder of p under full reduction by `basis` (list of polys).
+
+    Reduces in place: `work` maps each pending monomial to its coefficient
+    and `todo` holds their (order key, monomial) entries in ascending order,
+    so the lead is popped from the end.  A key is computed once, when its
+    monomial enters `work`; entries of terms that cancelled are skipped.
+    """
     ring = p.ring
     key = ring.order.key
     lead = [(g.lm(), g.lc(), g) for g in basis if g]
-    rem = ring.zero()
-    work = p
-    while work:
-        m = work.lm()
-        c = work.terms[m]
+    work = dict(p.terms)
+    todo = sorted((key(m), m) for m in work)
+    rem = {}
+    while todo:
+        k, m = todo.pop()
+        c = work.pop(m, None)
+        if c is None:
+            continue
         for lmg, lcg, g in lead:
             if _divides(lmg, m):
-                work = work - g.term_mul(c / lcg, _exp_sub(m, lmg))
+                coeff = c / lcg
+                q = _exp_sub(m, lmg)
+                for mg, cg in g.terms.items():
+                    if mg == lmg:
+                        continue
+                    t = tuple(a + b for a, b in zip(mg, q))
+                    if t in work:
+                        s = work[t] - cg * coeff
+                        if s:
+                            work[t] = s
+                        else:
+                            del work[t]
+                    else:
+                        kt = key(t)
+                        assert kt < k
+                        work[t] = -cg * coeff
+                        bisect.insort(todo, (kt, t))
                 break
         else:
-            rem = rem + ring.monomial(m, c)
-            work = work - ring.monomial(m, c)
-        assert not work or key(work.lm()) < key(m)
-    return rem
+            rem[m] = c
+    return Polynomial(ring, rem, False)
 
 
 def s_polynomial(f, g):
@@ -545,70 +569,41 @@ def groebner_basis(gens):
 def unit_certificate(gens):
     """If <gens> is the unit ideal, return cofactors q with sum(q_i*g_i) = 1.
 
-    Runs Buchberger carrying a representation of every basis element in
-    terms of the input generators; stops as soon as a nonzero constant
-    appears.  Returns None when the ideal is proper.
+    Runs Buchberger on the module vectors (g_i, e_{i+1}), so position i+1 of
+    every basis element carries its cofactor of g_i; stops as soon as a
+    basis element has a nonzero constant in position 0.  Returns None when
+    the ideal is proper.
     """
     gens = list(gens)
-    live = [(g, i) for i, g in enumerate(gens) if g]
+    live = [(i, g) for i, g in enumerate(gens) if g]
     if not live:
         return None
-    ring = live[0][0].ring
-    G, reps = [], []
-    for g, i in live:
-        rep = [ring.zero()] * len(gens)
-        rep[i] = ring.const(Fraction(1, 1) / g.lc())
-        G.append(g.monic())
-        reps.append(rep)
+    ring = live[0][1].ring
+    n = ring.nvars
+    rank = len(gens) + 1
+    mring = _position_ring(ring, rank)
+    G = [_encode({0: g, i + 1: ring.one()}, mring, rank).monic() for i, g in live]
 
-    def reduce_traced(p, rep):
-        rem = ring.zero()
-        while p:
-            m = p.lm()
-            c = p.terms[m]
-            for g, grep in zip(G, reps):
-                if _divides(g.lm(), m):
-                    q = _exp_sub(m, g.lm())
-                    p = p - g.term_mul(c, q)
-                    rep = [r - gr.term_mul(c, q) for r, gr in zip(rep, grep)]
-                    break
-            else:
-                rem = rem + ring.monomial(m, c)
-                p = p - ring.monomial(m, c)
-        return rem, rep
+    def cofactors(h):
+        v = _decode(h, ring)
+        return [v.get(i + 1, ring.zero()) for i in range(len(gens))]
 
-    def constant_rep():
-        for g, rep in zip(G, reps):
-            if g and sum(g.lm()) == 0:
-                c = g.lc()
-                return [r * (1 / c) for r in rep]
-        return None
-
-    found = constant_rep()
-    if found:
-        return found
+    for h in G:
+        if not any(h.lm()[:n]):
+            return cofactors(h)
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
-    key = ring.order.key
+    key = mring.order.key
     while pairs:
         pairs.sort(key=lambda ij: key(_exp_lcm(G[ij[0]].lm(), G[ij[1]].lm())), reverse=True)
         i, j = pairs.pop()
-        f, g = G[i], G[j]
-        L = _exp_lcm(f.lm(), g.lm())
-        if L == tuple(a + b for a, b in zip(f.lm(), g.lm())):
+        if _coprime(G[i].lm()[:n], G[j].lm()[:n]):
             continue
-        qf, qg = _exp_sub(L, f.lm()), _exp_sub(L, g.lm())
-        s = f.term_mul(1 / f.lc(), qf) - g.term_mul(1 / g.lc(), qg)
-        srep = [
-            rf.term_mul(1 / f.lc(), qf) - rg.term_mul(1 / g.lc(), qg)
-            for rf, rg in zip(reps[i], reps[j])
-        ]
-        r, rrep = reduce_traced(s, srep)
-        if r:
-            c = r.lc()
+        r = normal_form_list(s_polynomial(G[i], G[j]), G)
+        # every lead sits in position 0; a remainder led elsewhere is a syzygy
+        if r and r.lm()[n]:
             G.append(r.monic())
-            reps.append([x * (1 / c) for x in rrep])
-            if sum(r.lm()) == 0:
-                return constant_rep()
+            if not any(r.lm()[:n]):
+                return cofactors(G[-1])
             pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
     return None
 
@@ -760,85 +755,70 @@ class FreeModuleMap:
         return [self.matrix[i][j] for i in range(self.codomain_rank)]
 
 
-def _mvec_lead(v, ring, rank):
-    key = ring.order.key
-    best = None
+def _position_ring(ring, rank):
+    """`ring` plus one position variable @e0..@e{rank-1} per coordinate.
+
+    A free-module vector {pos: p} is the polynomial sum(p * @e{pos}), so the
+    polynomial S-polynomial and normal form serve modules too (Moeller &
+    Mora).  The order compares the position part first, position 0 highest,
+    and then the base exponents: position over term.
+    """
+    n = ring.nvars
+    base = ring.order.key
+
+    def key(e):
+        return (e[n:], base(e[:n]))
+
+    return GradedRing(
+        ring.names + tuple(f"@e{k}" for k in range(rank)),
+        ring.weights + (0,) * rank,
+        MonomialOrder(f"pot{rank}:{ring.order.tag}", key),
+    )
+
+
+def _encode(v, mring, rank):
+    terms = {}
     for pos, p in v.items():
-        for m in p.terms:
-            cand = (rank - pos, key(m))
-            if best is None or cand > best[0]:
-                best = (cand, pos, m)
-    if best is None:
-        return None
-    _, pos, m = best
-    return pos, m, v[pos].terms[m]
+        unit = (0,) * pos + (1,) + (0,) * (rank - pos - 1)
+        for m, c in p.terms.items():
+            terms[m + unit] = c
+    return Polynomial(mring, terms, False)
 
 
-def _mvec_sub_term(v, w, coeff, exp):
-    # v - coeff * x^exp * w, sparse over positions
-    out = dict(v)
-    for pos, p in w.items():
-        q = p.term_mul(coeff, exp)
-        if pos in out:
-            s = out[pos] - q
-        else:
-            s = -q
-        if s.is_zero():
-            out.pop(pos, None)
-        else:
-            out[pos] = s
-    return out
-
-
-def _mvec_reduce(v, basis, ring, rank):
-    """Full reduction of a module vector by basis (list of (vec, lead))."""
-    rem = {}
-    while v:
-        lead = _mvec_lead(v, ring, rank)
-        if lead is None:
-            break
-        pos, m, c = lead
-        for w, (wpos, wm, wc) in basis:
-            if wpos == pos and _divides(wm, m):
-                v = _mvec_sub_term(v, w, c / wc, _exp_sub(m, wm))
-                break
-        else:
-            rem.setdefault(pos, ring.zero())
-            rem[pos] = rem[pos] + ring.monomial(m, c)
-            v = _mvec_sub_term(v, {pos: ring.monomial(m, c)}, Fraction(1), (0,) * ring.nvars)
-    return rem
+def _decode(p, ring):
+    """{pos: poly over ring} of an encoded vector, without zero entries."""
+    n = ring.nvars
+    parts = {}
+    for e, c in p.terms.items():
+        parts.setdefault(e.index(1, n) - n, {})[e[:n]] = c
+    return {pos: Polynomial(ring, t, False) for pos, t in parts.items()}
 
 
 def module_groebner(gens, ring, rank):
-    """Buchberger for submodules of a free module, position-over-term order."""
-    G = []
-    for v in gens:
-        v = {p: q for p, q in v.items() if q}
-        if v:
-            G.append((v, _mvec_lead(v, ring, rank)))
+    """Buchberger for submodules of a free module, position-over-term order.
+
+    `gens` are vectors {pos: poly}; the basis is returned encoded over the
+    position ring, as `module_normal_form` takes it.  Pairs are taken last
+    in, first out, and this order fixes which syzygy generators
+    `syzygy_kernel` returns.
+    """
+    mring = _position_ring(ring, rank)
+    n = ring.nvars
+    G = [g for g in (_encode(v, mring, rank) for v in gens) if g]
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
     while pairs:
         i, j = pairs.pop()
-        (v, (vpos, vm, vc)) = G[i]
-        (w, (wpos, wm, wc)) = G[j]
-        if vpos != wpos:
+        if G[i].lm()[n:] != G[j].lm()[n:]:
             continue
-        L = _exp_lcm(vm, wm)
-        s = _mvec_sub_term(
-            {p: q.term_mul(1 / vc, _exp_sub(L, vm)) for p, q in v.items()},
-            w,
-            Fraction(1, 1) / wc,
-            _exp_sub(L, wm),
-        )
-        r = _mvec_reduce(s, G, ring, rank)
+        r = normal_form_list(s_polynomial(G[i], G[j]), G)
         if r:
-            G.append((r, _mvec_lead(r, ring, rank)))
+            G.append(r)
             pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
     return G
 
 
 def module_normal_form(v, gb, ring, rank):
-    return _mvec_reduce({p: q for p, q in v.items() if q}, gb, ring, rank)
+    return _decode(normal_form_list(_encode(v, _position_ring(ring, rank), rank), gb), ring)
 
 
 def syzygy_kernel(fmap, relations=None):
@@ -871,10 +851,10 @@ def syzygy_kernel(fmap, relations=None):
                 continue
             for i in range(r):
                 gens.append({i: f})
-    gb = module_groebner(gens, ring, r + s)
     out = []
-    for v, _lead in gb:
-        if all(pos >= r for pos in v):
+    for g in module_groebner(gens, ring, r + s):
+        v = _decode(g, ring)
+        if min(v) >= r:
             out.append([v.get(r + j, ring.zero()) for j in range(s)])
     # deterministic ordering: by leading data of the cofactor vector
     def sortkey(vec):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from uhat.rings import GradedRing, Ideal, PresentedAlgebra
+from uhat.rings import GradedRing, Ideal, PresentedAlgebra, order_from_tag
 from uhat.lie import DerivationAction, GradedLieAlgebra
 
 
@@ -193,7 +193,7 @@ def parse_scenario(text):
     """Parse the sectioned scenario format with positioned diagnostics."""
     section = None
     variables = []
-    order = "degrevlex"
+    order, order_line = "degrevlex", None
     relations = []
     lie_weights = []
     lie_basis = []
@@ -236,9 +236,17 @@ def parse_scenario(text):
                             f"variable {name!r} has positive weight {w}; chart weights must be <= 0",
                             lineno,
                         )
+                    if any(name == n for n, _ in variables):
+                        raise ScenarioError(f"duplicate variable {name!r}", lineno)
+                    if name.startswith("@"):
+                        raise ScenarioError(f"variable name {name!r}: '@' names are reserved", lineno)
                     variables.append((name, w))
             elif line.lower().startswith("order:"):
-                order = line.split(":", 1)[1].strip()
+                order, order_line = line.split(":", 1)[1].strip(), lineno
+                try:
+                    order_from_tag(order)
+                except ValueError as exc:
+                    raise ScenarioError(f"bad monomial order {order!r}: {exc}", lineno)
             else:
                 raise ScenarioError(f"unexpected ring entry {line!r}", lineno)
         elif section == "relations":
@@ -305,6 +313,10 @@ def parse_scenario(text):
 
     if not variables:
         raise ScenarioError("missing [ring] variables")
+    if order.startswith("weighted:") and len(order.split(",")) != len(variables):
+        raise ScenarioError(
+            f"order {order!r} needs one weight per variable ({len(variables)})", order_line
+        )
 
     ring = GradedRing([n for n, _ in variables], [w for _, w in variables], order)
     parsed_relations = []

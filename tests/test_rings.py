@@ -16,6 +16,7 @@ from uhat.rings import (
     minors_ideal_generators,
     module_groebner,
     module_normal_form,
+    normal_form_list,
     right_nullspace,
     solve_linear,
     syzygy_kernel,
@@ -83,6 +84,41 @@ def test_unit_certificate_is_exact():
         total = total + c * g
     assert total == R2.one()
     assert unit_certificate([X * Y, Y]) is None
+
+
+@pytest.mark.parametrize("order", ["degrevlex", "lex"])
+def test_groebner_and_normal_form_match_sympy(order):
+    sympy = pytest.importorskip("sympy")
+    import random
+
+    ring = GradedRing(["x", "y", "z"], [0, 0, 0], order)
+    syms = sympy.symbols("x y z")
+    sorder = {"degrevlex": "grevlex", "lex": "lex"}[order]
+    monos = [m for d in range(3) for m in ring.monomials_of_degree(d)]
+
+    def rand_poly(rng, nterms):
+        return sum(
+            (ring.monomial(m, rng.choice([-3, -2, -1, 1, 2, 3])) for m in rng.sample(monos, nterms)),
+            ring.zero(),
+        )
+
+    def to_sympy(p):
+        coeffs = {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()}
+        return sympy.Poly.from_dict(coeffs, *syms, domain="QQ").as_expr()
+
+    def from_sympy(expr):
+        terms = sympy.Poly(expr, *syms, domain="QQ").terms()
+        return sum((ring.monomial(m, Fraction(int(c.p), int(c.q))) for m, c in terms), ring.zero())
+
+    rng = random.Random(11)
+    for _ in range(39):
+        gens = [rand_poly(rng, rng.randint(2, 3)) for _ in range(rng.randint(2, 3))]
+        gb = groebner_basis(gens)
+        oracle = sympy.groebner([to_sympy(g) for g in gens], *syms, order=sorder, domain="QQ")
+        assert gb == [from_sympy(e) for e in oracle.exprs], gens
+        p = rand_poly(rng, 4)
+        _, rem = sympy.reduced(to_sympy(p), oracle.exprs, *syms, order=sorder, domain="QQ")
+        assert normal_form_list(p, gb) == from_sympy(rem), (gens, p)
 
 
 @settings(max_examples=40, deadline=None)

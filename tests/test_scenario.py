@@ -198,10 +198,25 @@ def test_missing_file_is_input_error():
     assert run_cli("analyze", "--scenario", "/nonexistent/file") == 2
 
 
-def test_bad_scenario_is_input_error(tmp_path):
+def test_bad_scenario_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.uhat"
     bad.write_text("[ring]\nvariables: x:0\n\n[lie]\nweight 1: xi\n\n[action]\nxi.x = x\n")
     assert run_cli("analyze", "--scenario", str(bad)) == 2
+    # malformed [ring] entries are reported with their line, not a traceback
+    tail = "\n[lie]\nweight 1: xi\n\n[action]\nxi.x = y\n"
+    for ring in [
+        "order: foo\nvariables: x:0, y:-1, z:-2\n",
+        "order: weighted:\nvariables: x:0, y:-1, z:-2\n",
+        "order: weighted:1,-2,0\nvariables: x:0, y:-1, z:-2\n",
+        "order: weighted:1\nvariables: x:0, y:-1, z:-2\n",
+        "variables: x:0, y:-1, y:-2\n",
+        "variables: x:0, y:-1, @e0:-2\n",
+    ]:
+        bad.write_text("[ring]\n" + ring + tail)
+        capsys.readouterr()
+        assert run_cli("analyze", "--scenario", str(bad)) == 2, ring
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and "(line 2)" in err, err
 
 
 def test_bound_exhaustion_exit_code(tmp_path):
