@@ -323,23 +323,23 @@ def test_chart_two_weight_kernel_generators_are_pinned(chain3):
     chart = build_chart(chain3, cd, construct_b(chain3, cd))
     got = [tuple(str(p) for p in v) for v in kernel_generators(chart.action, 1)]
     assert got == [
-        ('1', '0', '0', '0', '0', '0'),
-        ('0', '1', '0', '0', '0', '0'),
-        ('0', '0', '1', '0', '-1/2*x', '0'),
-        ('0', '0', '-t2', '0', '1/2*y*t0', '0'),
-        ('0', '0', '-t1', '0', '-1/2*y*t0*t2 + z*t0', '0'),
-        ('0', '0', 't0 - 1', '0', '0', '0'),
-        ('0', '0', '0', '1', '0', '0'),
-        ('0', '0', '0', '0', '1/2*t0 - 1/2', '0'),
-        ('0', '0', '0', '0', '1/2*x*t2 - 1/2*y', '0'),
-        ('0', '0', '0', '0', '1/2*x*t1 + 1/2*y*t2 - z', '0'),
-        ('0', '0', '0', '0', '-1/2*y*t2^2 - 1/2*y*t1 + z*t2', '0'),
-        ('0', '0', '0', '0', '-1/2*y*t0*t1 + z*t0*t2 + 1/2*y*t1 - z*t2', '0'),
-        ('0', '0', '0', '0', 'x*y*t1 + y^2*t2 - 2*y*z', '0'),
-        ('0', '0', '0', '0', '-1/2*y*t0*t2^2 - 1/2*y*t0*t1 + z*t0*t2', '0'),
-        ('0', '0', '0', '0', '1/2*y^2*t0*t2 - 1/2*y^2*t2', '0'),
-        ('0', '0', '0', '0', '2*z*t0*t2^3 - 2*z*t2^3', '0'),
-        ('0', '0', '0', '0', '0', '1'),
+        ("1", "0", "0", "0", "0", "0"),
+        ("0", "1", "0", "0", "0", "0"),
+        ("0", "0", "1", "0", "-1/2*x", "0"),
+        ("0", "0", "-t2", "0", "1/2*y*t0", "0"),
+        ("0", "0", "-t1", "0", "-1/2*y*t0*t2 + z*t0", "0"),
+        ("0", "0", "t0 - 1", "0", "0", "0"),
+        ("0", "0", "0", "1", "0", "0"),
+        ("0", "0", "0", "0", "1/2*t0 - 1/2", "0"),
+        ("0", "0", "0", "0", "1/2*x*t2 - 1/2*y", "0"),
+        ("0", "0", "0", "0", "1/2*x*t1 + 1/2*y*t2 - z", "0"),
+        ("0", "0", "0", "0", "-1/2*y*t2^2 - 1/2*y*t1 + z*t2", "0"),
+        ("0", "0", "0", "0", "-1/2*y*t0*t1 + z*t0*t2 + 1/2*y*t1 - z*t2", "0"),
+        ("0", "0", "0", "0", "x*y*t1 + y^2*t2 - 2*y*z", "0"),
+        ("0", "0", "0", "0", "-1/2*y*t0*t2^2 - 1/2*y*t0*t1 + z*t0*t2", "0"),
+        ("0", "0", "0", "0", "1/2*y^2*t0*t2 - 1/2*y^2*t2", "0"),
+        ("0", "0", "0", "0", "2*z*t0*t2^3 - 2*z*t2^3", "0"),
+        ("0", "0", "0", "0", "0", "1"),
     ]
 
 
