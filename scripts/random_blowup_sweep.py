@@ -5,6 +5,9 @@ coordinate, so the constant-rank condition fails along its zero locus; the
 sweep builds the centre, the recursive elements and the chart, and verifies
 the repaired condition plus all exact certificates.
 
+Each trial prints its wall time; the last line names the slowest instance
+next to the total, as the worst instance counts as much as the total.
+
 Usage: python scripts/random_blowup_sweep.py [count] [seed]
 """
 
@@ -51,7 +54,9 @@ def main():
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 10
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1
     t0 = time.time()
+    walls = []
     for trial in range(count):
+        t_trial = time.time()
         action, seed = sample(seed)
         cd = bl.centre(action)
         els = bl.construct_b(action, cd)
@@ -64,13 +69,19 @@ def main():
             for mu in range(len(bs)):
                 for p in action.lie.pbw_monomials_of_weight(w, exact=True):
                     beta_ok = beta_ok and bl.beta_check(action, cd, els, level, mu, p)
+        wall = time.time() - t_trial
+        walls.append((wall, trial, action.ring.names))
         print(
             f"trial {trial:>3}: vars={action.ring.names} k={cd.k_vector} a={cd.a} "
-            f"chart_ok={ok} beta_ok={beta_ok}"
+            f"chart_ok={ok} beta_ok={beta_ok} wall={wall:.2f}s"
         )
         if not (ok and beta_ok):
             sys.exit(1)
-    print(f"{count} instances verified in {time.time() - t0:.1f}s")
+    summary = f"{count} instances verified in {time.time() - t0:.1f}s"
+    if walls:
+        wall, trial, names = max(walls)
+        summary += f"; slowest: trial {trial} vars={names} in {wall:.2f}s"
+    print(summary)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
+from operator import add, le, sub
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +85,15 @@ def order_from_tag(tag):
     raise ValueError(f"unknown monomial order {tag!r}")
 
 
+def _check_order_fits(order, nvars):
+    """Reject a weight vector or an eliminated block that misfits `nvars`."""
+    kind, _, arg = order.tag.partition(":")
+    if kind == "weighted" and len(arg.split(",") if arg else ()) != nvars:
+        raise ValueError(f"order {order.tag!r} needs one weight per variable ({nvars})")
+    if kind == "elim" and not 0 <= int(arg) <= nvars:
+        raise ValueError(f"order {order.tag!r} needs a block within the {nvars} variables")
+
+
 # ---------------------------------------------------------------------------
 # graded rings and polynomials
 
@@ -101,6 +111,7 @@ class GradedRing:
         self.names = names
         self.weights = weights
         self.order = order_from_tag(order) if isinstance(order, str) else order
+        _check_order_fits(self.order, len(names))
         self._index = {n: i for i, n in enumerate(names)}
 
     @property
@@ -152,11 +163,19 @@ class GradedRing:
         return sum(w * e for w, e in zip(self.weights, exp))
 
     def extended(self, names, weights, order=None):
-        """New ring with extra variables appended."""
+        """New ring with extra variables appended.
+
+        By default it keeps this ring's order, a weighted order giving the
+        new variables weight 0.
+        """
+        if order is None:
+            order = self.order.tag
+            if order.startswith("weighted:"):
+                order += ",0" * len(names)
         return GradedRing(
             self.names + tuple(names),
             self.weights + tuple(int(w) for w in weights),
-            order if order is not None else self.order.tag,
+            order,
         )
 
     def subring(self, names, order="degrevlex"):
@@ -179,7 +198,7 @@ class GradedRing:
 class Polynomial:
     """Sparse polynomial: map from exponent tuple to nonzero Fraction."""
 
-    __slots__ = ("ring", "terms", "_lm")
+    __slots__ = ("ring", "terms", "_lm", "_lms")
 
     def __init__(self, ring, terms, prune=True):
         self.ring = ring
@@ -188,6 +207,7 @@ class Polynomial:
         else:
             self.terms = terms
         self._lm = None
+        self._lms = None
 
     # -- basic structure
 
@@ -211,6 +231,12 @@ class Polynomial:
             key = self.ring.order.key
             self._lm = max(self.terms, key=key)
         return self._lm
+
+    def lead_support(self):
+        """Support mask `_support(self.lm())` (None for zero)."""
+        if self._lms is None and self.terms:
+            self._lms = _support(self.lm())
+        return self._lms
 
     def lc(self):
         m = self.lm()
@@ -399,16 +425,29 @@ class Polynomial:
 # division and Buchberger
 
 
+def _support(e):
+    """Bit i set iff e[i] > 0.
+
+    a divides b only if _support(a) & ~_support(b) == 0, so one integer test
+    rejects most non-divisors (Bachmann & Schoenemann's short divisor mask).
+    """
+    s = 0
+    for i, x in enumerate(e):
+        if x:
+            s |= 1 << i
+    return s
+
+
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _exp_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _exp_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def normal_form_list(p, basis):
@@ -418,10 +457,12 @@ def normal_form_list(p, basis):
     and `todo` holds their (order key, monomial) entries in ascending order,
     so the lead is popped from the end.  A key is computed once, when its
     monomial enters `work`; entries of terms that cancelled are skipped.
+    The reducer is the first element of `basis` whose lead divides the
+    popped monomial; lead support masks skip most of the others unread.
     """
     ring = p.ring
     key = ring.order.key
-    lead = [(g.lm(), g.lc(), g) for g in basis if g]
+    lead = [(g.lead_support(), g.lm(), g.lc(), g) for g in basis if g]
     work = dict(p.terms)
     todo = sorted((key(m), m) for m in work)
     rem = {}
@@ -430,14 +471,15 @@ def normal_form_list(p, basis):
         c = work.pop(m, None)
         if c is None:
             continue
-        for lmg, lcg, g in lead:
-            if _divides(lmg, m):
+        outside = ~_support(m)
+        for sg, lmg, lcg, g in lead:
+            if not sg & outside and _divides(lmg, m):
                 coeff = c / lcg
                 q = _exp_sub(m, lmg)
                 for mg, cg in g.terms.items():
                     if mg == lmg:
                         continue
-                    t = tuple(a + b for a, b in zip(mg, q))
+                    t = tuple(map(add, mg, q))
                     if t in work:
                         s = work[t] - cg * coeff
                         if s:
@@ -463,8 +505,6 @@ def s_polynomial(f, g):
 
 def _primitive(p):
     """Scale to integer coefficients with positive leading sign and content 1."""
-    from math import gcd
-
     if not p:
         return p
     num = 0
@@ -485,36 +525,43 @@ def _coprime(a, b):
 
 
 def _update_pairs(G, pairs, t):
-    """Gebauer-Moeller pair update after appending generator index t."""
-    lt = G[t].lm()
-    cand = []
-    for i in range(t):
-        cand.append((i, _exp_lcm(G[i].lm(), lt)))
+    """Gebauer-Moeller pair update after appending generator index t.
+
+    A new pair (i, t) is kept unless lm_i and lm_t are coprime, an earlier
+    i has the same lcm, or another new lcm properly divides it (chain
+    criterion).  An old pair (i, j) with lcm L goes when lm_t divides L and
+    neither lcm(lm_i, lm_t) nor lcm(lm_j, lm_t) equals L.  The support of
+    lcm(a, b) is the union of the supports of a and b, so the lead masks
+    prefilter every divisibility test.
+    """
+    lt, st = G[t].lm(), G[t].lead_support()
+    lcms = [_exp_lcm(G[i].lm(), lt) for i in range(t)]
+    first = {}
+    for i, L in enumerate(lcms):
+        if L not in first:
+            first[L] = (i, G[i].lead_support() | st)
     kept = []
-    for pos, (i, L) in enumerate(cand):
-        if _coprime(G[i].lm(), lt):
+    for L, (i, s) in first.items():
+        if not G[i].lead_support() & st:
             continue
-        drop = False
-        for pos2, (j, L2) in enumerate(cand):
-            if pos2 == pos:
-                continue
-            if L2 == L and pos2 < pos:
-                drop = True
-                break
-            if L2 != L and _divides(L2, L):
-                drop = True
-                break
-        if not drop:
+        outside = ~s
+        if not any(
+            not s2 & outside and L2 != L and _divides(L2, L) for L2, (_, s2) in first.items()
+        ):
             kept.append((i, t, L))
-    out = []
-    for (i, j, L) in pairs:
-        if not _divides(lt, L) or _exp_lcm(G[i].lm(), lt) == L or _exp_lcm(G[j].lm(), lt) == L:
-            out.append((i, j, L))
+    out = [
+        (i, j, L)
+        for i, j, L in pairs
+        if st & ~(G[i].lead_support() | G[j].lead_support())
+        or not _divides(lt, L)
+        or lcms[i] == L
+        or lcms[j] == L
+    ]
     out.extend(kept)
     return out
 
 
-def buchberger(gens, ring=None):
+def buchberger(gens):
     """Groebner basis via Buchberger with Gebauer-Moeller pair pruning.
 
     Basis elements are kept primitive over the integers so coefficient

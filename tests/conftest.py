@@ -1,5 +1,6 @@
-import random
-from fractions import Fraction
+import functools
+import importlib.util
+import pathlib
 
 import pytest
 
@@ -70,48 +71,19 @@ def rank_drop_pair():
     return DerivationAction(A, L, {"xi1": {"y": R.var("x")}})
 
 
+@functools.cache
+def sweep_script():
+    """`scripts/random_blowup_sweep.py`, loaded as a module."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "random_blowup_sweep.py"
+    spec = importlib.util.spec_from_file_location("random_blowup_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def random_two_level_action(seed):
-    """Random valid two-weight abelian scenario ready for the blow-up.
-
-    One weight-2 vector and one weight-1 vector act by random linear maps
-    scaled by the weight-zero coordinate, so the rank drops along its zero
-    locus; commutation is automatic because images of the weight-(-1) block
-    live in the weight-zero subring.  Resamples until the action validates,
-    the constant-rank condition fails and the weight-zero stratum meets the
-    minimal-rank locus.
-    """
-    from uhat.blowup import check_wuu
-    from uhat.infinitesimal import check_cdrs
-
-    while True:
-        rng = random.Random(seed)
-        ny = rng.randint(1, 2)
-        nz = rng.randint(1, 2)
-        names = ["x"] + [f"y{i}" for i in range(ny)] + [f"z{i}" for i in range(nz)]
-        weights = [0] + [-1] * ny + [-2] * nz
-        R = GradedRing(names, weights)
-        A = PresentedAlgebra(R)
-        L = GradedLieAlgebra([2, 1], [["a1"], ["b1"]])
-        x = R.var("x")
-
-        def rnd():
-            return rng.choice([1, -1, 2]) * rng.randint(0, 1)
-
-        t1 = {f"z{i}": x * rnd() for i in range(nz)}
-        t2 = {f"y{i}": x * rnd() for i in range(ny)}
-        for i in range(nz):
-            t2[f"z{i}"] = sum((R.var(f"y{j}") * rnd() for j in range(ny)), R.zero())
-        seed += 1
-        if not (any(p for p in t1.values()) and any(t2[f"y{i}"] for i in range(ny))):
-            continue
-        action = DerivationAction(A, L, {"a1": t1, "b1": t2})
-        if action.validate():
-            continue
-        if check_cdrs(action)["holds"]:
-            continue
-        if not check_wuu(action)[0]:
-            continue
-        return action
+    """The sweep script's random rank-dropping two-weight action at `seed`."""
+    return sweep_script().sample(seed)[0]
 
 
 @pytest.fixture

@@ -1,5 +1,3 @@
-import importlib.util
-import pathlib
 import random
 from fractions import Fraction
 
@@ -32,6 +30,7 @@ from conftest import (
     one_weight_jump,
     random_two_level_action,
     rank_drop_pair,
+    sweep_script,
     two_weight_chain,
 )
 
@@ -428,13 +427,9 @@ def test_blowup_repairs_every_failing_fixture():
 def test_random_sweep_slice_blows_up_and_verifies():
     # the first six instances of the sweep script from seed 1; the seventh
     # (four variables, most of a minute) is left to the benchmark
-    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "random_blowup_sweep.py"
-    spec = importlib.util.spec_from_file_location("random_blowup_sweep", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
     seed = 1
     for _ in range(6):
-        action, seed = script.sample(seed)
+        action, seed = sweep_script().sample(seed)
         cd = centre(action)
         els = construct_b(action, cd)
         rep = verify_chart_cdrs(build_chart(action, cd, els))

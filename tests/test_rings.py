@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,12 @@ from uhat.rings import (
     FreeModuleMap,
     GradedRing,
     Ideal,
+    Polynomial,
     PresentedAlgebra,
+    _encode,
+    _exp_lcm,
+    _position_ring,
+    _update_pairs,
     determinant,
     eliminate,
     groebner_basis,
@@ -89,7 +95,6 @@ def test_unit_certificate_is_exact():
 @pytest.mark.parametrize("order", ["degrevlex", "lex"])
 def test_groebner_and_normal_form_match_sympy(order):
     sympy = pytest.importorskip("sympy")
-    import random
 
     ring = GradedRing(["x", "y", "z"], [0, 0, 0], order)
     syms = sympy.symbols("x y z")
@@ -119,6 +124,102 @@ def test_groebner_and_normal_form_match_sympy(order):
         p = rand_poly(rng, 4)
         _, rem = sympy.reduced(to_sympy(p), oracle.exprs, *syms, order=sorder, domain="QQ")
         assert normal_form_list(p, gb) == from_sympy(rem), (gens, p)
+
+
+def plain_normal_form(p, basis):
+    """Reference reduction: the first basis element whose lead divides wins."""
+    rem = p.ring.zero()
+    while p:
+        m, c = p.lm(), p.lc()
+        g = next((g for g in basis if g and all(a <= b for a, b in zip(g.lm(), m))), None)
+        if g is None:
+            rem = rem + p.ring.monomial(m, c)
+            p = p - p.ring.monomial(m, c)
+        else:
+            p = p - g.term_mul(c / g.lc(), tuple(b - a for a, b in zip(g.lm(), m)))
+    return rem
+
+
+@pytest.mark.parametrize("order", ["degrevlex", "lex"])
+def test_normal_form_list_matches_plain_reduction(order):
+    # random generator lists are not Groebner bases, so the remainder depends
+    # on which divisor reduces each term; module vectors are encoded over
+    # the position ring, where a lead in another position never divides
+    ring = GradedRing(["x", "y", "z", "w"], [0, -1, -1, -2], order)
+    monos = [m for d in range(4) for m in ring.monomials_of_degree(d)]
+    rng = random.Random(5)
+
+    def rand_poly(nterms):
+        terms = {m: Fraction(rng.choice([-3, -1, 1, 2])) for m in rng.sample(monos, nterms)}
+        return Polynomial(ring, terms)
+
+    rank = 3
+    mring = _position_ring(ring, rank)
+
+    def rand_vector():
+        return _encode({pos: rand_poly(2) for pos in rng.sample(range(rank), 2)}, mring, rank)
+
+    order_matters = 0
+    for _ in range(60):
+        basis = [rand_poly(rng.randint(1, 3)) for _ in range(rng.randint(2, 4))]
+        p = rand_poly(6) * rand_poly(2)
+        got = normal_form_list(p, basis)
+        assert got == plain_normal_form(p, basis), (basis, p)
+        order_matters += got != plain_normal_form(p, basis[::-1])
+        vbasis = [rand_vector() for _ in range(rng.randint(2, 4))]
+        v = rand_vector() * rand_poly(2).map_ring(mring)
+        got = normal_form_list(v, vbasis)
+        assert got == plain_normal_form(v, vbasis), (vbasis, v)
+        order_matters += got != plain_normal_form(v, vbasis[::-1])
+    assert order_matters > 20
+
+
+def quadratic_update_pairs(G, pairs, t):
+    """The Gebauer-Moeller update with the pairwise rescan, as a reference."""
+    lt = G[t].lm()
+    cand = [(i, _exp_lcm(G[i].lm(), lt)) for i in range(t)]
+    kept = []
+    for pos, (i, L) in enumerate(cand):
+        if all(x == 0 or y == 0 for x, y in zip(G[i].lm(), lt)):
+            continue
+        drop = False
+        for pos2, (j, L2) in enumerate(cand):
+            if pos2 == pos:
+                continue
+            if L2 == L and pos2 < pos:
+                drop = True
+                break
+            if L2 != L and all(a <= b for a, b in zip(L2, L)):
+                drop = True
+                break
+        if not drop:
+            kept.append((i, t, L))
+    out = []
+    for i, j, L in pairs:
+        divides = all(a <= b for a, b in zip(lt, L))
+        if not divides or _exp_lcm(G[i].lm(), lt) == L or _exp_lcm(G[j].lm(), lt) == L:
+            out.append((i, j, L))
+    out.extend(kept)
+    return out
+
+
+def test_update_pairs_matches_quadratic_rescan():
+    # small exponents on four variables repeat lcms and give coprime leads
+    ring = GradedRing(["x", "y", "z", "w"], [0, 0, 0, 0])
+    rng = random.Random(3)
+    repeats = coprime = 0
+    for _ in range(40):
+        G, pairs, ref = [], [], []
+        for t in range(rng.randint(4, 14)):
+            exp = tuple(rng.choice([0, 0, 1, 2]) for _ in range(4))
+            G.append(ring.monomial(exp))
+            lcms = [_exp_lcm(g.lm(), exp) for g in G[:t]]
+            repeats += len(lcms) - len(set(lcms))
+            coprime += sum(all(a == 0 or b == 0 for a, b in zip(g.lm(), exp)) for g in G[:t])
+            pairs = _update_pairs(G, pairs, t)
+            ref = quadratic_update_pairs(G, ref, t)
+            assert pairs == ref, [g.lm() for g in G]
+    assert repeats > 100 and coprime > 100
 
 
 @settings(max_examples=40, deadline=None)
@@ -210,8 +311,6 @@ def test_syzygy_zero_and_identity_maps():
 
 
 def test_syzygy_soundness_random():
-    import random
-
     rng = random.Random(7)
     for _ in range(6):
         rows = 2
@@ -327,6 +426,26 @@ def test_lex_and_weighted_orders():
 def test_weighted_order_rejects_negative_weights():
     with pytest.raises(ValueError):
         GradedRing(["x"], [0], "weighted:-1")
+
+
+@pytest.mark.parametrize(
+    "names, order",
+    [
+        (["x", "y", "z"], "weighted:1"),
+        (["x"], "weighted:1,2"),
+        (["x", "y"], "elim:5"),
+        (["x", "y"], "elim:-1"),
+    ],
+)
+def test_ring_rejects_an_order_that_misfits_its_variables(names, order):
+    with pytest.raises(ValueError):
+        GradedRing(names, [0] * len(names), order)
+
+
+def test_extended_weighted_ring_gives_new_variables_weight_zero():
+    R = GradedRing(["x", "y"], [0, -1], "weighted:1,3")
+    assert R.extended(["t"], [0]).order.tag == "weighted:1,3,0"
+    assert GradedRing(["x", "y"], [0, 0], "elim:2").nvars == 2
 
 
 # -- fitting chain helper sanity (increasing chain)
