@@ -520,10 +520,6 @@ def _primitive(p):
     return Polynomial(p.ring, {m: c * factor for m, c in p.terms.items()}, False)
 
 
-def _coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 def _update_pairs(G, pairs, t):
     """Gebauer-Moeller pair update after appending generator index t.
 
@@ -640,11 +636,12 @@ def unit_certificate(gens):
             return cofactors(h)
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
     key = mring.order.key
+    base = (1 << n) - 1  # support bits of the base variables
     while pairs:
         pairs.sort(key=lambda ij: key(_exp_lcm(G[ij[0]].lm(), G[ij[1]].lm())), reverse=True)
         i, j = pairs.pop()
-        if _coprime(G[i].lm()[:n], G[j].lm()[:n]):
-            continue
+        if not G[i].lead_support() & G[j].lead_support() & base:
+            continue  # coprime base leads: product criterion
         r = normal_form_list(s_polynomial(G[i], G[j]), G)
         # every lead sits in position 0; a remainder led elsewhere is a syzygy
         if r and r.lm()[n]:

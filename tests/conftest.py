@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from uhat.rings import GradedRing, Ideal, PresentedAlgebra
+from uhat.rings import GradedRing, PresentedAlgebra
 from uhat.lie import DerivationAction, GradedLieAlgebra
 
 

@@ -426,7 +426,8 @@ def test_blowup_repairs_every_failing_fixture():
 
 def test_random_sweep_slice_blows_up_and_verifies():
     # the first six instances of the sweep script from seed 1; the seventh
-    # (four variables, most of a minute) is left to the benchmark
+    # (four variables, one long module syzygy computation) is left to the
+    # benchmark
     seed = 1
     for _ in range(6):
         action, seed = sweep_script().sample(seed)
