@@ -445,7 +445,6 @@ def test_ring_rejects_an_order_that_misfits_its_variables(names, order):
 def test_extended_weighted_ring_gives_new_variables_weight_zero():
     R = GradedRing(["x", "y"], [0, -1], "weighted:1,3")
     assert R.extended(["t"], [0]).order.tag == "weighted:1,3,0"
-    assert GradedRing(["x", "y"], [0, 0], "elim:2").nvars == 2
 
 
 # -- fitting chain helper sanity (increasing chain)
