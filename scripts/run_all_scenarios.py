@@ -1,54 +1,78 @@
-"""Run the full analyze/quotient-or-blowup pipeline over every scenario.
+"""Run every scenario through `uhat analyze` and then its route.
+
+The route follows the analysis: `uhat quotient` when the constant-rank
+condition holds, `uhat blowup --with-quotient` otherwise.  Each scenario
+gets a one-line summary read from the JSON reports.  The exit code is 1 when
+a route fails to verify; a blow-up blocked by the stratum condition is
+reported but is not a failure.
 
 Usage: python scripts/run_all_scenarios.py [scenario-dir]
 """
 
+import contextlib
+import io
+import json
 import pathlib
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from uhat import blowup as bl
-from uhat import infinitesimal as inf
-from uhat import quotient as qt
-from uhat.scenario import load_scenario
+from uhat.cli import main as uhat
 
 
-def run(path):
+def report(argv, out):
+    """Run one `uhat` command, its printed tree discarded: (exit code, JSON report)."""
+    out.unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = uhat(argv + ["--json", str(out)])
+    return code, json.loads(out.read_text()) if out.exists() else {}
+
+
+def failure(code, rep):
+    return rep.get("bound_exhausted") or rep.get("refused") or f"exit code {code}"
+
+
+def run(path, tmp):
     t0 = time.time()
-    scenario = load_scenario(path)
-    action = scenario.build()
-    row = {"scenario": path.name}
-    ss, _ = inf.check_ss_eq_s(action)
-    cdrs = inf.check_cdrs(action)
-    wuu, winfo = bl.check_wuu(action)
-    row["ss=s"] = ss
-    row["constant_rank"] = cdrs["holds"]
-    row["stratum_ok"] = wuu
-    row["k"] = winfo.get("k_vector")
-    if cdrs["holds"]:
-        chain = qt.staged_quotient(action, scenario.options.degree_bound)
-        ok = qt.verify_quotient(chain)["ok"]
+    scenario = ["--scenario", str(path)]
+    code, analysis = report(["analyze", *scenario], tmp / "analyze.json")
+    row = {"scenario": path.name, "k": tuple(analysis.get("k_vector", ()))}
+    if code:
+        row.update(route="analyze", verified=False, result=failure(code, analysis))
+    elif analysis["cdrs"]["holds"]:
+        code, rep = report(["quotient", *scenario], tmp / "route.json")
         row["route"] = "quotient"
-        row["result"] = f"A^U on {chain.final_algebra.ring.names}, fibre dim {chain.affine_dimension}"
-        row["verified"] = ok
-    elif wuu:
-        cd = bl.centre(action, scenario.options.degree_bound)
-        els = bl.construct_b(action, cd, pbw_bound=scenario.options.pbw_bound)
-        chart = bl.build_chart(action, cd, els)
-        rep = bl.verify_chart_cdrs(chart)
-        chain = qt.staged_quotient(chart.action, scenario.options.degree_bound)
-        row["route"] = "blowup+quotient"
-        row["result"] = (
-            f"a = {cd.a}; chart A^U on {chain.final_algebra.ring.names}, "
-            f"fibre dim {chain.affine_dimension}"
-        )
-        row["verified"] = rep["holds"] and rep["certificate_ok"] and qt.verify_quotient(chain)["ok"]
+        if "verification" in rep:
+            row["verified"] = rep["verification"]["ok"]
+            row["result"] = (
+                f"A^U on {tuple(rep['final_generators'])}, fibre dim {rep['affine_dimension']}"
+            )
+        else:
+            row.update(verified=False, result=failure(code, rep))
     else:
-        row["route"] = "blocked"
-        row["result"] = "weight-zero stratum misses the minimal-rank locus"
-        row["verified"] = None
+        code, rep = report(["blowup", *scenario, "--with-quotient"], tmp / "route.json")
+        row["route"] = "blowup+quotient"
+        if "wuu" in rep:
+            row.update(
+                route="blocked",
+                verified=None,
+                result="weight-zero stratum misses the minimal-rank locus",
+            )
+        elif "chart_quotient" in rep:
+            quotient = rep["chart_quotient"]
+            row["verified"] = (
+                rep["chart_cdrs"]["holds"]
+                and rep["chart_cdrs"]["certificate_ok"]
+                and quotient["verification_ok"]
+            )
+            row["result"] = (
+                f"a = {rep['distinguished_element']}; chart A^U on "
+                f"{tuple(quotient['final_generators'])}, fibre dim {quotient['affine_dimension']}"
+            )
+        else:
+            row.update(verified=False, result=failure(code, rep))
     row["seconds"] = round(time.time() - t0, 2)
     return row
 
@@ -57,7 +81,8 @@ def main():
     where = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else (
         pathlib.Path(__file__).resolve().parent.parent / "scenarios"
     )
-    rows = [run(p) for p in sorted(where.glob("*.uhat"))]
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = [run(p, pathlib.Path(tmp)) for p in sorted(where.glob("*.uhat"))]
     width = max(len(r["scenario"]) for r in rows)
     for r in rows:
         print(

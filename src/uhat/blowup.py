@@ -11,13 +11,20 @@ constant-rank condition.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from uhat.rings import Ideal, PresentedAlgebra, determinant, normal_form_list
+from uhat.rings import (
+    Ideal,
+    Polynomial,
+    PresentedAlgebra,
+    determinant,
+    normal_form_list,
+    right_nullspace,
+    sparse_system,
+)
 from uhat.rings import eliminate as ring_eliminate
-from uhat.lie import DerivationAction, pbw_word
+from uhat.lie import DerivationAction, binom_multi, multi_range, pbw_word
 from uhat.infinitesimal import check_cdrs, level_data, stabiliser_at_point
 from uhat.quotient import BoundExhausted
 
@@ -65,26 +72,13 @@ class CentreData:
 
     @property
     def a(self):
-        out = None
-        for w in self.witnesses:
-            out = w.a if out is None else out * w.a
-        return out
+        return self.a_product(1)
 
-    def a_prefix(self, i):
-        """Product of the witness minors of levels strictly below i."""
-        ring = self.witnesses[0].a.ring
-        out = ring.one()
+    def a_product(self, lo, hi=None):
+        """Product of the witness minors of the levels lo <= level < hi."""
+        out = self.product_ideal.ring.one()
         for w in self.witnesses:
-            if w.level < i:
-                out = out * w.a
-        return out
-
-    def a_suffix(self, i):
-        """Product of the witness minors of levels >= i."""
-        ring = self.witnesses[0].a.ring
-        out = ring.one()
-        for w in self.witnesses:
-            if w.level >= i:
+            if lo <= w.level and (hi is None or w.level < hi):
                 out = out * w.a
         return out
 
@@ -238,7 +232,7 @@ def centre(action, degree_bound=8):
 # the sweep ideal membership oracle
 
 
-def j_membership(action, ideal, g, include_relations=True):
+def j_membership(action, ideal, g):
     """Whether every iterated derivative of g lies in the ideal.
 
     The test set is the finite family of PBW monomials whose weight does not
@@ -247,10 +241,7 @@ def j_membership(action, ideal, g, include_relations=True):
     and value on the negative side.
     """
     algebra = action.algebra
-    gens = list(ideal.generators)
-    if include_relations:
-        gens += list(algebra.relations.generators)
-    test = Ideal(action.ring, gens)
+    test = Ideal(action.ring, list(ideal.generators) + list(algebra.relations.generators))
     g = algebra.nf(g)
     bound = max(0, -g.min_weight())
     for p in action.lie.pbw_monomials_of_weight(bound, exact=False):
@@ -288,8 +279,8 @@ def uea_scalar(c):
     return {(): Fraction(c)}
 
 
-def uea_letter(i, c=1):
-    return {(i,): Fraction(c)}
+def uea_letter(i):
+    return {(i,): Fraction(1)}
 
 
 def uea_from_lie(el):
@@ -313,7 +304,7 @@ def verify_determinantal_sum(action, witness, h, lie_element):
 # the recursive elements and their certificates
 
 
-def construct_b(action, centre_data, verify=True, check_j=True, pbw_bound=None):
+def construct_b(action, centre_data, pbw_bound=None):
     """Build the level elements by the top-down determinantal recursion.
 
     For the lowest weight the element is the scalar-row determinant; higher
@@ -333,25 +324,21 @@ def construct_b(action, centre_data, verify=True, check_j=True, pbw_bound=None):
         out = []
         for mu in range(wit.need):
             total = E_operator(action, wit, mu, uea_scalar(lie.weights[i - 1]))
-            total = total * centre_data.a_suffix(i + 1)
+            total = total * centre_data.a_product(i + 1)
             for ip in range(i + 1, n + 1):
                 wip = witnesses[ip]
-                between = algebra.ring.one()
-                for w2 in centre_data.witnesses:
-                    if i < w2.level < ip:
-                        between = between * w2.a
+                between = centre_data.a_product(i + 1, ip)
                 for mup in range(wip.need):
                     coeff = E_operator(action, wit, mu, uea_letter(wip.split_rows[mup]))
                     total = total - coeff * between * per_level[ip][mup]
             out.append(algebra.nf(total))
         per_level[i] = out
     elements = BElements(per_level)
-    if verify:
-        verify_b_properties(action, centre_data, elements, check_j=check_j, pbw_bound=pbw_bound)
+    verify_b_properties(action, centre_data, elements, pbw_bound=pbw_bound)
     return elements
 
 
-def verify_b_properties(action, centre_data, elements, check_j=True, pbw_bound=None):
+def verify_b_properties(action, centre_data, elements, pbw_bound=None):
     """The three exact certificates behind the chart unit block."""
     algebra = action.algebra
     lie = action.lie
@@ -359,7 +346,7 @@ def verify_b_properties(action, centre_data, elements, check_j=True, pbw_bound=N
     for i, bs in elements.per_level.items():
         wit = witnesses[i]
         w = lie.weights[i - 1]
-        suffix = centre_data.a_suffix(i)
+        suffix = centre_data.a_product(i)
         for nu, b in enumerate(bs):
             comps = b.weight_decompose()
             if set(comps) - {-w}:
@@ -385,15 +372,14 @@ def verify_b_properties(action, centre_data, elements, check_j=True, pbw_bound=N
                         "derivative left the suffix Fitting product",
                         {"level": i, "nu": nu, "pbw": p, "value": str(val)},
                     )
-        if check_j:
-            prefix = centre_data.a_prefix(i)
-            for nu, b in enumerate(bs):
-                ok, witn = j_membership(action, centre_data.centre_ideal, prefix * b)
-                if not ok:
-                    raise VerificationFailed(
-                        "scaled element fails the sweep membership",
-                        {"level": i, "nu": nu, "witness": witn},
-                    )
+        prefix = centre_data.a_product(1, i)
+        for nu, b in enumerate(bs):
+            ok, witn = j_membership(action, centre_data.centre_ideal, prefix * b)
+            if not ok:
+                raise VerificationFailed(
+                    "scaled element fails the sweep membership",
+                    {"level": i, "nu": nu, "witness": witn},
+                )
 
 
 def beta_values(action, centre_data, level, mu, p, _witnesses=None):
@@ -413,18 +399,15 @@ def beta_values(action, centre_data, level, mu, p, _witnesses=None):
     total = E_operator(action, wit, mu, uea_from_lie(bracket)) * w_last
     if level == n:
         return action.algebra.nf(total)
-    total = total * centre_data.a_suffix(level + 1)
+    total = total * centre_data.a_product(level + 1)
     for ip in range(level + 1, n + 1):
         wip = witnesses[ip]
-        between = action.ring.one()
-        for w2 in centre_data.witnesses:
-            if level < w2.level < ip:
-                between = between * w2.a
+        between = centre_data.a_product(level + 1, ip)
         target = lie.weights[ip - 1]
-        for q in _submonomials(p):
+        for q in multi_range(p):
             if lie.pbw_weight(q) != target:
                 continue
-            binom = math.prod(math.comb(pe, qe) for pe, qe in zip(p, q))
+            binom = binom_multi(p, q)
             pq = tuple(pe - qe for pe, qe in zip(p, q))
             for mup in range(wip.need):
                 word = pbw_word(pq) + (wip.split_rows[mup],)
@@ -435,10 +418,6 @@ def beta_values(action, centre_data, level, mu, p, _witnesses=None):
                 beta_sub = beta_values(action, centre_data, ip, mup, q, witnesses)
                 total = total - coeff * between * beta_sub * binom
     return action.algebra.nf(total)
-
-
-def _submonomials(p):
-    return itertools.product(*(range(e + 1) for e in p))
 
 
 def beta_check(action, centre_data, elements, level, mu, p):
@@ -472,50 +451,31 @@ def find_j_members(action, ideal, weight, degree):
     Unknown coefficients over the standard monomials of the given weight are
     constrained by membership of every iterated derivative in the ideal.
     """
-    from uhat.rings import right_nullspace
-
     algebra = action.algebra
     ring = action.ring
     monos = algebra.standard_monomials(weight=weight, max_degree=degree)
     if not monos:
         return []
-    test = Ideal(ring, list(ideal.generators) + list(algebra.relations.generators))
-    gb = test.groebner()
-    support = {}
-    cols = []
-    bound = max(0, -weight)
-    pbws = action.lie.pbw_monomials_of_weight(bound, exact=False)
-    for m in monos:
-        residues = {}
-        for p in pbws:
-            val = normal_form_list(action.apply_pbw(p, ring.monomial(m)), gb)
-            for mm, c in val.terms.items():
-                residues[(p, mm)] = c
-                support.setdefault((p, mm), len(support))
-        cols.append(residues)
-    if not support:
-        return [ring.monomial(m) for m in monos]
-    rows = [[Fraction(0)] * len(monos) for _ in range(len(support))]
-    for j, residues in enumerate(cols):
-        for key, c in residues.items():
-            rows[support[key]][j] = c
-    out = []
-    for vec in right_nullspace(rows):
-        g = ring.zero()
-        for m, c in zip(monos, vec):
-            if c:
-                g = g + ring.monomial(m, c)
-        if not g.is_zero():
-            out.append(algebra.nf(g))
-    return out
+    gb = Ideal(ring, list(ideal.generators) + list(algebra.relations.generators)).groebner()
+    pbws = action.lie.pbw_monomials_of_weight(max(0, -weight), exact=False)
+    columns = [
+        [
+            ((p, mm), c)
+            for p in pbws
+            for mm, c in normal_form_list(action.apply_pbw(p, ring.monomial(m)), gb).terms.items()
+        ]
+        for m in monos
+    ]
+    rows, _ = sparse_system(columns)
+    return [algebra.nf(Polynomial(ring, dict(zip(monos, vec)))) for vec in right_nullspace(rows)]
 
 
-def build_chart(action, centre_data, elements, extra_generators=(), j_search_degree=0):
+def build_chart(action, centre_data, elements, j_search_degree=0):
     """Present the affine blow-up chart at the witness product.
 
     Chart generators are fractions g/a for the canonical sweep members (the
-    witness product itself and the prefix-scaled level elements), any extra
-    certified members, closed under the basis derivations.  Relations come
+    witness product itself and the prefix-scaled level elements), the sweep
+    members found up to `j_search_degree`, closed under the basis derivations.  Relations come
     from saturating the graph ideal by `a` through an adjoined inverse.
     """
     algebra = action.algebra
@@ -524,6 +484,7 @@ def build_chart(action, centre_data, elements, extra_generators=(), j_search_deg
     a = centre_data.a
 
     members = []
+    lookup = {}  # monic numerator -> (member name, leading coefficient)
 
     def push(g):
         """Register g/a as a chart generator; returns (name, scale) with
@@ -532,26 +493,22 @@ def build_chart(action, centre_data, elements, extra_generators=(), j_search_deg
         if g.is_zero():
             return None
         key = g.monic()
-        for name, h in members:
-            if h.monic() == key:
-                return name, g.lc() / h.lc()
+        if key in lookup:
+            name, lc = lookup[key]
+            return name, g.lc() / lc
         name = f"t{len(members)}"
         members.append((name, g))
+        lookup[key] = (name, g.lc())
         return name, Fraction(1)
 
     push(a)
     scaled_names = {}
     for i, bs in sorted(elements.per_level.items()):
-        prefix = centre_data.a_prefix(i)
+        prefix = centre_data.a_product(1, i)
         names = []
         for b in bs:
             names.append(push(prefix * b))
         scaled_names[i] = names
-    for g in extra_generators:
-        ok, witn = j_membership(action, centre_data.centre_ideal, g)
-        if not ok:
-            raise VerificationFailed("extra generator fails sweep membership", witn)
-        push(g)
     if j_search_degree:
         weights_seen = sorted({w for w in ring.weights if w < 0} | {0})
         for w in weights_seen:
@@ -612,17 +569,12 @@ def build_chart(action, centre_data, elements, extra_generators=(), j_search_deg
             img = action.apply_basis(bi, g)
             if img.is_zero():
                 continue
-            match = None
-            for name2, h in members:
-                if img.monic() == h.monic():
-                    scale = img.lc() / h.lc()
-                    match = chart_ring.var(name2) * scale
-                    break
+            match = lookup.get(img.monic())
             if match is None:
                 raise VerificationFailed(
                     f"derivative of chart member {name} left the member list", str(img)
                 )
-            row[name] = match
+            row[name] = chart_ring.var(match[0]) * (img.lc() / match[1])
         table[bname] = row
     chart_action = DerivationAction(chart_algebra, lie, table)
 

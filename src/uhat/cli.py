@@ -19,6 +19,7 @@ from uhat import quotient as qt
 from uhat.lie import (
     GradedLieAlgebra,
     comult_coefficients,
+    multi_range,
     verify_commutator_identity,
     verify_weighted_bracket_identity,
 )
@@ -280,7 +281,9 @@ def cmd_identities(args):
             tuples.append(tuple(rng.randint(1, 9) for _ in range(n)))
         checked = 0
         failed = []
-        for k in _multi_indices(n, args.max_total):
+        for k in multi_range((args.max_total,) * n):
+            if not 0 < sum(k) <= args.max_total:
+                continue
             for w in tuples:
                 ok, info = verify_weighted_bracket_identity(n, w, k, args.max_total)
                 checked += 1
@@ -310,16 +313,6 @@ def cmd_identities(args):
     report["ok"] = ok_all
     emit(report, args.json)
     return EXIT_OK if ok_all else EXIT_REFUSED
-
-
-def _multi_indices(n, total):
-    import itertools
-
-    out = []
-    for k in itertools.product(*(range(total + 1) for _ in range(n))):
-        if 0 < sum(k) <= total:
-            out.append(k)
-    return out
 
 
 def _comult_lemma_failures(table, n, degree):

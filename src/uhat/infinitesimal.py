@@ -16,10 +16,12 @@ from fractions import Fraction
 from uhat.rings import (
     FreeModuleMap,
     Ideal,
+    Polynomial,
     left_nullspace,
     matrix_rank,
     minors_ideal_generators,
     right_nullspace,
+    sparse_system,
     syzygy_kernel,
     unit_certificate,
 )
@@ -312,41 +314,24 @@ def enumerate_kernel_linear(action, upto_level, degree):
     ring = action.ring
     mat = infinitesimal_matrix(action, upto_level)
     ncols = len(mat.generators)
-    monos = []
-    for d in range(degree + 1):
-        monos.extend(ring.monomials_of_degree(d))
-    unknowns = [(j, m) for j in range(ncols) for m in monos]
-    # value monomial basis: collect support of all products NF(m * entry)
-    rows_eqs = []
-    support = {}
-    products = {}
-    for ri in range(len(mat.basis_indices)):
-        for j, m in unknowns:
-            p = algebra.nf(mat.entries[ri][j].term_mul(Fraction(1), m))
-            products[(ri, j, m)] = p
-            for mm in p.terms:
-                support.setdefault((ri, mm), len(support))
-    unknown_col = {u: t for t, u in enumerate(unknowns)}
-    if not support:
-        eqs = []
-    else:
-        eqs = [[Fraction(0)] * len(unknowns) for _ in range(len(support))]
-        for (ri, j, m), p in products.items():
-            col = unknown_col[(j, m)]
-            for mm, c in p.terms.items():
-                eqs[support[(ri, mm)]][col] += c
-    basis = right_nullspace(eqs) if eqs else [
-        [Fraction(1) if t == s else Fraction(0) for t in range(len(unknowns))]
-        for s in range(len(unknowns))
+    monos = [m for d in range(degree + 1) for m in ring.monomials_of_degree(d)]
+    # unknown (j, m) is the coefficient of m in coordinate j; equation
+    # (ri, mm) is the coefficient of mm in the pairing with row ri
+    columns = [
+        [
+            ((ri, mm), c)
+            for ri, row in enumerate(mat.entries)
+            for mm, c in algebra.nf(row[j].term_mul(Fraction(1), m)).terms.items()
+        ]
+        for j in range(ncols)
+        for m in monos
     ]
-    out = []
-    for vec in basis:
-        coords = [ring.zero() for _ in range(ncols)]
-        for (j, m), c in zip(unknowns, vec):
-            if c:
-                coords[j] = coords[j] + ring.monomial(m, c)
-        out.append(tuple(coords))
-    return out
+    rows, _ = sparse_system(columns)
+    n = len(monos)
+    return [
+        tuple(Polynomial(ring, dict(zip(monos, vec[j * n : (j + 1) * n]))) for j in range(ncols))
+        for vec in right_nullspace(rows)
+    ]
 
 
 def verify_snake_exactness(action, i, degree=2):

@@ -98,19 +98,14 @@ def free_complete_bracket(word):
     return el
 
 
-def _multi_range(k):
+def multi_range(k):
+    """Every multi-index s with 0 <= s <= k componentwise, in product order."""
     return itertools.product(*(range(ki + 1) for ki in k))
 
 
-def _binom_multi(k, s):
+def binom_multi(k, s):
+    """The multi-binomial C(k, s) = prod C(k_i, s_i)."""
     return math.prod(math.comb(ki, si) for ki, si in zip(k, s))
-
-
-def _expand_word(k):
-    out = []
-    for i, ki in enumerate(k):
-        out.extend([i] * ki)
-    return tuple(out)
 
 
 def verify_weighted_bracket_identity(n, weights, k, degree_cap=8):
@@ -123,17 +118,17 @@ def verify_weighted_bracket_identity(n, weights, k, degree_cap=8):
     if sum(k) > degree_cap:
         raise ValueError("degree cap exceeded")
     weights = [Fraction(w) for w in weights]
-    yk = FreeElement({_expand_word(k): Fraction(1)})
+    yk = FreeElement({pbw_word(k): Fraction(1)})
     lhs = yk * sum((ki * wi for ki, wi in zip(k, weights)), Fraction(0))
     rhs = FreeElement()
-    for s in _multi_range(k):
+    for s in multi_range(k):
         if sum(s) == 0:
             continue
         wmax = weights[max(i for i in range(n) if s[i])]
-        piece = free_complete_bracket(_expand_word(s)) * FreeElement(
-            {_expand_word(tuple(ki - si for ki, si in zip(k, s))): Fraction(1)}
+        piece = free_complete_bracket(pbw_word(s)) * FreeElement(
+            {pbw_word(tuple(ki - si for ki, si in zip(k, s))): Fraction(1)}
         )
-        rhs = rhs + piece * (_binom_multi(k, s) * wmax)
+        rhs = rhs + piece * (binom_multi(k, s) * wmax)
     ok = lhs == rhs
     return ok, None if ok else {"k": k, "weights": weights, "lhs": lhs, "rhs": rhs}
 
@@ -147,12 +142,12 @@ def verify_commutator_identity(n, k, degree_cap=8):
     if sum(k) > degree_cap:
         raise ValueError("degree cap exceeded")
     y = n
-    lhs = FreeElement({_expand_word(k) + (y,): Fraction(1)})
+    lhs = FreeElement({pbw_word(k) + (y,): Fraction(1)})
     rhs = FreeElement()
-    for s in _multi_range(k):
-        bracket_word = _expand_word(tuple(ki - si for ki, si in zip(k, s))) + (y,)
-        piece = free_complete_bracket(bracket_word) * FreeElement({_expand_word(s): Fraction(1)})
-        rhs = rhs + piece * _binom_multi(k, s)
+    for s in multi_range(k):
+        bracket_word = pbw_word(tuple(ki - si for ki, si in zip(k, s))) + (y,)
+        piece = free_complete_bracket(bracket_word) * FreeElement({pbw_word(s): Fraction(1)})
+        rhs = rhs + piece * binom_multi(k, s)
     ok = lhs == rhs
     return ok, None if ok else {"k": k, "lhs": lhs, "rhs": rhs}
 

@@ -17,12 +17,14 @@ from fractions import Fraction
 from uhat.rings import (
     GradedRing,
     Ideal,
+    Polynomial,
     PresentedAlgebra,
     determinant,
     elimination_order,
     groebner_basis,
     normal_form_list,
     solve_linear,
+    sparse_system,
 )
 from uhat.lie import DerivationAction, GradedLieAlgebra
 from uhat.infinitesimal import check_cdrs, level_data
@@ -99,38 +101,31 @@ def find_slices(action, level, degree_bound):
 
 
 def _solve_slice_system(action, split, monos):
-    """Exact linear solve for all slice functions over the given monomials."""
+    """Exact linear solve for all slice functions over the given monomials.
+
+    Equation (mi, mm) reads off the coefficient of mm in xi_mu . f for
+    mu = split[mi]; f_nu asks for 1 at (nu, constant) and 0 elsewhere.
+    """
     algebra = action.algebra
     ring = action.ring
-    images = [[algebra.nf(action.apply_basis(mu, ring.monomial(m))) for m in monos] for mu in split]
-    support = {}
-    for row in images:
-        for p in row:
-            for mm in p.terms:
-                support.setdefault(mm, len(support))
     one = (0,) * ring.nvars
-    support.setdefault(one, len(support))
+    columns = [
+        [
+            ((mi, mm), c)
+            for mi, mu in enumerate(split)
+            for mm, c in algebra.nf(action.apply_basis(mu, ring.monomial(m))).terms.items()
+        ]
+        for m in monos
+    ]
+    rows, index = sparse_system(columns, [(nu, one) for nu in range(len(split))])
     fns = []
     for nu in range(len(split)):
-        # one block of equations per mu, stacked into a single exact system
-        rows_eq = []
-        rhs = []
-        for mi, mu in enumerate(split):
-            block = {mm: [Fraction(0)] * len(monos) for mm in support}
-            for ci, p in enumerate(images[mi]):
-                for mm, c in p.terms.items():
-                    block[mm][ci] += c
-            for mm, row in sorted(block.items(), key=lambda kv: support[kv[0]]):
-                rows_eq.append(row)
-                rhs.append(Fraction(1) if (mi == nu and mm == one) else Fraction(0))
-        sol = solve_linear(rows_eq, rhs)
+        rhs = [Fraction(0)] * len(rows)
+        rhs[index[(nu, one)]] = Fraction(1)
+        sol = solve_linear(rows, rhs)
         if sol is None:
             return None
-        f = ring.zero()
-        for m, c in zip(monos, sol):
-            if c:
-                f = f + ring.monomial(m, c)
-        fns.append(algebra.nf(f))
+        fns.append(algebra.nf(Polynomial(ring, dict(zip(monos, sol)))))
     return fns
 
 
@@ -154,14 +149,12 @@ def _check_projection_preconditions(action, split, functions):
     return problems
 
 
-def _derivative_table(action, split, g, max_total=None):
+def _derivative_table(action, split, g):
     """All iterated derivatives xi^n . g over the split, indexed by n."""
     table = {(0,) * len(split): action.algebra.nf(g)}
     d = 0
     while True:
         d += 1
-        if max_total is not None and d > max_total:
-            break
         alive = False
         for n in _compositions(d, len(split)):
             j = next(i for i, e in enumerate(n) if e)
@@ -438,7 +431,7 @@ def staged_quotient(action, degree_bound=8):
     return chain
 
 
-def verify_quotient(chain, recheck_reconstruction=True):
+def verify_quotient(chain):
     """Independent checks of a computed quotient chain.
 
     Confirms that every invariant generator is killed by the whole level
@@ -470,11 +463,8 @@ def verify_quotient(chain, recheck_reconstruction=True):
             det = algebra.nf(determinant(rows))
             if det != algebra.ring.one():
                 failures.append({"stage": stage.level, "kind": "slice-determinant", "det": str(det)})
-        if recheck_reconstruction:
-            for name in action.ring.names:
-                got = _reconstructed(action, stage.slices, stage.reconstruction[name], stage.inclusion)
-                if not algebra.equal(got, action.ring.var(name)):
-                    failures.append(
-                        {"stage": stage.level, "kind": "reconstruction", "generator": name}
-                    )
+        for name in action.ring.names:
+            got = _reconstructed(action, stage.slices, stage.reconstruction[name], stage.inclusion)
+            if not algebra.equal(got, action.ring.var(name)):
+                failures.append({"stage": stage.level, "kind": "reconstruction", "generator": name})
     return {"ok": not failures, "failures": failures, "affine_dimension": chain.affine_dimension}

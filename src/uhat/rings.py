@@ -162,25 +162,25 @@ class GradedRing:
     def monomial_weight(self, exp):
         return sum(w * e for w, e in zip(self.weights, exp))
 
-    def extended(self, names, weights, order=None):
+    def extended(self, names, weights):
         """New ring with extra variables appended.
 
-        By default it keeps this ring's order, a weighted order giving the
-        new variables weight 0.
+        It keeps this ring's order, a weighted order giving the new
+        variables weight 0.
         """
-        if order is None:
-            order = self.order.tag
-            if order.startswith("weighted:"):
-                order += ",0" * len(names)
+        order = self.order.tag
+        if order.startswith("weighted:"):
+            order += ",0" * len(names)
         return GradedRing(
             self.names + tuple(names),
             self.weights + tuple(int(w) for w in weights),
             order,
         )
 
-    def subring(self, names, order="degrevlex"):
+    def subring(self, names):
+        """Ring on the given variables, with their weights, under degrevlex."""
         keep = tuple(names)
-        return GradedRing(keep, tuple(self.weights[self.index(n)] for n in keep), order)
+        return GradedRing(keep, tuple(self.weights[self.index(n)] for n in keep))
 
     def monomials_of_degree(self, deg):
         """All exponent tuples of total degree exactly deg."""
@@ -1013,6 +1013,27 @@ def left_nullspace(rows):
         return []
     t = [list(col) for col in zip(*rows)]
     return right_nullspace(t)
+
+
+def sparse_system(columns, keys=()):
+    """Dense rows of the linear system with the given sparse columns.
+
+    `columns[j]` lists the (equation key, coefficient) pairs of unknown j,
+    such as a dict's items(); repeated keys sum.  `keys` are indexed first,
+    so a right-hand side may name a key that no column has.  Returns
+    (rows, index), index mapping each key to its row.  Without any equation
+    there is one zero row, so `right_nullspace` leaves every unknown free.
+    """
+    index = {}
+    for key in keys:
+        index.setdefault(key, len(index))
+    entries = [
+        (index.setdefault(key, len(index)), j, c) for j, col in enumerate(columns) for key, c in col
+    ]
+    rows = [[Fraction(0)] * len(columns) for _ in range(max(len(index), 1))]
+    for i, j, c in entries:
+        rows[i][j] += c
+    return rows, index
 
 
 def solve_linear(rows, rhs):

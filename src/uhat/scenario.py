@@ -272,8 +272,9 @@ def parse_scenario(text):
                 names = [n.strip() for n in pair[1:-1].split(",")]
                 if len(names) != 2:
                     raise ScenarioError("brackets take exactly two arguments", lineno)
-                combo = _parse_combination(combo_text.strip(), lineno)
-                brackets[(names[0], names[1])] = combo
+                if (names[0], names[1]) in brackets:
+                    raise ScenarioError(f"duplicate bracket [{names[0]}, {names[1]}]", lineno)
+                brackets[(names[0], names[1])] = _parse_combination(combo_text.strip(), lineno)
             else:
                 raise ScenarioError(f"unexpected lie entry {line!r}", lineno)
         elif section == "action":
@@ -313,24 +314,23 @@ def parse_scenario(text):
 
     if not variables:
         raise ScenarioError("missing [ring] variables")
-    if order.startswith("weighted:") and len(order.split(",")) != len(variables):
-        raise ScenarioError(
-            f"order {order!r} needs one weight per variable ({len(variables)})", order_line
-        )
-
-    ring = GradedRing([n for n, _ in variables], [w for _, w in variables], order)
+    try:
+        ring = GradedRing([n for n, _ in variables], [w for _, w in variables], order)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), order_line)
     parsed_relations = []
     for src, lineno in relations:
         parse_polynomial(src, ring, lineno)
         parsed_relations.append(src)
-    try:
-        lie = GradedLieAlgebra(lie_weights, lie_basis, {})
-    except ValueError as exc:
-        raise ScenarioError(f"bad lie block: {exc}")
+    basis_names = {n for block in lie_basis for n in block}
     for (a, b), combo in brackets.items():
         for name in (a, b, *combo):
-            if name not in lie._index:
+            if name not in basis_names:
                 raise ScenarioError(f"unknown basis vector {name!r} in bracket")
+    try:
+        lie = GradedLieAlgebra(lie_weights, lie_basis, brackets)
+    except ValueError as exc:
+        raise ScenarioError(f"bad lie block: {exc}")
     table = {}
     for vec, row in action_table.items():
         if vec not in lie._index:

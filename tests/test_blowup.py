@@ -131,6 +131,18 @@ def test_j_search_linear_algebra(chain3):
     assert [str(g) for g in found] == ["x*y"]
 
 
+def test_j_search_members_are_pinned(chain3):
+    cd = centre(chain3)
+    pinned = {
+        0: ["x^2", "x^3"],
+        -1: ["x*y", "x^2*y"],
+        -2: ["x*z", "y^2", "x^2*z", "x*y^2"],
+        -3: ["y*z", "x*y*z", "y^3"],
+    }
+    for w, want in pinned.items():
+        assert [str(g) for g in find_j_members(chain3, cd.centre_ideal, w, 3)] == want, w
+
+
 # -- determinantal operators
 
 

@@ -328,3 +328,18 @@ def test_kernel_enumeration_matches_syzygies(chain3):
     strs = {tuple(str(p) for p in v) for v in vecs}
     assert ("1", "0", "0") in strs and ("0", "1", "0") in strs
     assert all(v[2].is_zero() for v in vecs)
+
+
+def test_kernel_enumeration_is_pinned(chain3):
+    # degree <= 1 coefficients of dx and dy, in unknown order
+    vecs = [tuple(str(p) for p in v) for v in enumerate_kernel_linear(chain3, 1, 1)]
+    assert vecs == [
+        ("1", "0", "0"),
+        ("x", "0", "0"),
+        ("y", "0", "0"),
+        ("z", "0", "0"),
+        ("0", "1", "0"),
+        ("0", "x", "0"),
+        ("0", "y", "0"),
+        ("0", "z", "0"),
+    ]

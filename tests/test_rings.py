@@ -25,6 +25,7 @@ from uhat.rings import (
     normal_form_list,
     right_nullspace,
     solve_linear,
+    sparse_system,
     syzygy_kernel,
     unit_certificate,
 )
@@ -409,6 +410,24 @@ def test_rank_nullspaces_solve():
     sol = solve_linear([[Fraction(1), Fraction(1)]], [Fraction(3)])
     assert sol == [Fraction(3), Fraction(0)]
     assert solve_linear([[Fraction(0)]], [Fraction(1)]) is None
+
+
+def test_sparse_system_rows_and_index():
+    # repeated keys within one column sum; keys are indexed in first-seen order
+    rows, index = sparse_system([[("a", 1), ("b", 2), ("a", 3)], {"b": Fraction(1, 2)}.items()])
+    assert index == {"a": 0, "b": 1}
+    assert rows == [[4, 0], [2, Fraction(1, 2)]]
+    assert solve_linear(rows, [Fraction(4), Fraction(3)]) == [1, 2]
+    # a right-hand-side key that no column has is a zero row: 1 there has no solution
+    rows, index = sparse_system([[("a", 1)], [("a", 1)]], ["c"])
+    assert index == {"c": 0, "a": 1}
+    assert rows == [[0, 0], [1, 1]]
+    assert solve_linear(rows, [Fraction(1), Fraction(0)]) is None
+    assert solve_linear(rows, [Fraction(0), Fraction(2)]) == [2, 0]
+    # no equation at all: one zero row, so every unknown is free
+    rows, index = sparse_system([[], []])
+    assert index == {} and rows == [[0, 0]]
+    assert right_nullspace(rows) == [[1, 0], [0, 1]]
 
 
 # -- monomial orders

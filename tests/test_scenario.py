@@ -211,12 +211,24 @@ def test_bad_scenario_is_input_error(tmp_path, capsys):
         "order: weighted:1\nvariables: x:0, y:-1, z:-2\n",
         "variables: x:0, y:-1, y:-2\n",
         "variables: x:0, y:-1, @e0:-2\n",
+        "order: elim:7\nvariables: x:0, y:-1, z:-2\n",
     ]:
         bad.write_text("[ring]\n" + ring + tail)
         capsys.readouterr()
         assert run_cli("analyze", "--scenario", str(bad)) == 2, ring
         err = capsys.readouterr().err
         assert err.startswith("input error") and "(line 2)" in err, err
+    # so are brackets the Lie algebra rejects, and a bracket given twice
+    head = "[ring]\nvariables: x:0, y:-1, z:-2\n\n[lie]\nweight 2: xi1\nweight 1: xi2\n"
+    for lie in [
+        "bracket [xi2, xi2] = xi1\n",
+        "bracket [xi1, xi2] = 0\nbracket [xi2, xi1] = xi1\n",
+        "bracket [xi1, xi2] = 0\nbracket [xi1, xi2] = 0\n",
+    ]:
+        bad.write_text(head + lie + "\n[action]\nxi2.y = x\n")
+        capsys.readouterr()
+        assert run_cli("analyze", "--scenario", str(bad)) == 2, lie
+        assert capsys.readouterr().err.startswith("input error")
 
 
 def test_bound_exhaustion_exit_code(tmp_path):
