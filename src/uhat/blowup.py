@@ -121,10 +121,7 @@ def check_wuu(action, reduced=False, rng=None, sample_count=20):
         return True, {"empty_chart": True, "k_vector": ()}
     ks = k_vector(action)
     prod = product_fitting_ideal(action)
-    stratum = Ideal(
-        ring,
-        list(algebra.relations.generators) + [ring.var(n) for n in negative_weight_variables(ring)],
-    )
+    stratum = algebra.ideal(ring.var(n) for n in negative_weight_variables(ring))
     nonzero = [g for g in prod.generators if not stratum.contains(g)]
     info = {"k_vector": ks, "product_generators": [str(g) for g in prod.generators]}
     if not nonzero:
@@ -241,7 +238,7 @@ def j_membership(action, ideal, g):
     and value on the negative side.
     """
     algebra = action.algebra
-    test = Ideal(action.ring, list(ideal.generators) + list(algebra.relations.generators))
+    test = algebra.ideal(ideal.generators)
     g = algebra.nf(g)
     bound = max(0, -g.min_weight())
     for p in action.lie.pbw_monomials_of_weight(bound, exact=False):
@@ -361,7 +358,7 @@ def verify_b_properties(action, centre_data, elements, pbw_bound=None):
                         "diagonal pairing identity failed",
                         {"level": i, "mu": pos, "nu": nu, "got": str(got), "want": str(want)},
                     )
-        membership = product_fitting_ideal(action, start=i) + algebra.relations
+        membership = algebra.ideal(product_fitting_ideal(action, start=i).generators)
         for nu, b in enumerate(bs):
             for p in lie.pbw_monomials_of_weight(w, exact=True):
                 if pbw_bound is not None and sum(p) > pbw_bound:
@@ -456,7 +453,7 @@ def find_j_members(action, ideal, weight, degree):
     monos = algebra.standard_monomials(weight=weight, max_degree=degree)
     if not monos:
         return []
-    gb = Ideal(ring, list(ideal.generators) + list(algebra.relations.generators)).groebner()
+    gb = algebra.ideal(ideal.generators).groebner()
     pbws = action.lie.pbw_monomials_of_weight(max(0, -weight), exact=False)
     columns = [
         [

@@ -93,6 +93,41 @@ def _load(args):
     return scenario, action
 
 
+def _check_wuu(scenario, action):
+    """The stratum condition, sampled with the scenario's options."""
+    opts = scenario.options
+    return bl.check_wuu(
+        action,
+        reduced=opts.reduced,
+        rng=random.Random(opts.seed),
+        sample_count=opts.sample_count,
+    )
+
+
+def _report(args, **fields):
+    """A scenario subcommand's report: its command and scenario, then `fields`."""
+    return {"command": args.command, "scenario": args.scenario, **fields}
+
+
+def _refuse(args, reason, **details):
+    emit(_report(args, refused=reason, **details), args.json)
+    return EXIT_REFUSED
+
+
+def _exhausted(args, exc, **details):
+    emit(_report(args, bound_exhausted=str(exc), bound=exc.bound, **details), args.json)
+    return EXIT_BOUND
+
+
+def _chain_summary(chain):
+    """The quotient a staged chain ends in."""
+    return {
+        "affine_dimension": chain.affine_dimension,
+        "final_generators": list(chain.final_algebra.ring.names),
+        "final_relations": [str(g) for g in chain.final_algebra.relations.generators],
+    }
+
+
 def _analysis(scenario, action):
     report = {"scenario": None, "levels": {}}
     for i, d in inf.level_data(action).items():
@@ -107,13 +142,7 @@ def _analysis(scenario, action):
         }
     ss, cert = inf.check_ss_eq_s(action)
     cdrs = inf.check_cdrs(action)
-    rng = random.Random(scenario.options.seed)
-    wuu, winfo = bl.check_wuu(
-        action,
-        reduced=scenario.options.reduced,
-        rng=rng,
-        sample_count=scenario.options.sample_count,
-    )
+    wuu, winfo = _check_wuu(scenario, action)
     report["k_vector"] = list(bl.k_vector(action))
     report["ss_eq_s"] = {"holds": ss, "certificate": cert}
     report["cdrs"] = cdrs
@@ -134,88 +163,44 @@ def cmd_quotient(args):
     scenario, action = _load(args)
     cdrs = inf.check_cdrs(action)
     if not cdrs["holds"]:
-        emit(
-            {
-                "command": "quotient",
-                "scenario": args.scenario,
-                "refused": "the constant-rank condition fails on this chart",
-                "hint": "run `uhat blowup` to produce a chart where it holds",
-                "cdrs": cdrs,
-            },
-            args.json,
+        return _refuse(
+            args,
+            "the constant-rank condition fails on this chart",
+            hint="run `uhat blowup` to produce a chart where it holds",
+            cdrs=cdrs,
         )
-        return EXIT_REFUSED
     try:
         chain = qt.staged_quotient(action, scenario.options.degree_bound)
     except qt.BoundExhausted as exc:
-        emit(
-            {
-                "command": "quotient",
-                "scenario": args.scenario,
-                "bound_exhausted": str(exc),
-                "bound": exc.bound,
-                "condition_ok": exc.condition_ok,
-            },
-            args.json,
-        )
-        return EXIT_BOUND
+        return _exhausted(args, exc, condition_ok=exc.condition_ok)
     verification = qt.verify_quotient(chain)
-    report = {
-        "command": "quotient",
-        "scenario": args.scenario,
-        "stages": [],
-        "affine_dimension": chain.affine_dimension,
-        "final_generators": list(chain.final_algebra.ring.names),
-        "final_relations": [str(g) for g in chain.final_algebra.relations.generators],
-        "verification": verification,
-    }
-    for stage in chain.stages:
-        report["stages"].append(
-            {
-                "level": stage.level,
-                "weight": stage.weight,
-                "split": [stage.action_in.lie.basis_names[i] for i in stage.slices.split],
-                "slices": [str(f) for f in stage.slices.functions],
-                "invariant_generators": {k: str(v) for k, v in stage.inclusion.items()},
-                "relations": [str(g) for g in stage.algebra_out.relations.generators],
-            }
-        )
+    stages = [
+        {
+            "level": stage.level,
+            "weight": stage.weight,
+            "split": [stage.action_in.lie.basis_names[i] for i in stage.slices.split],
+            "slices": [str(f) for f in stage.slices.functions],
+            "invariant_generators": {k: str(v) for k, v in stage.inclusion.items()},
+            "relations": [str(g) for g in stage.algebra_out.relations.generators],
+        }
+        for stage in chain.stages
+    ]
+    report = _report(args, stages=stages, **_chain_summary(chain), verification=verification)
     emit(report, args.json)
     return EXIT_OK if verification["ok"] else EXIT_REFUSED
 
 
 def cmd_blowup(args):
     scenario, action = _load(args)
-    cdrs = inf.check_cdrs(action)
-    if cdrs["holds"]:
-        emit(
-            {
-                "command": "blowup",
-                "scenario": args.scenario,
-                "refused": "no blow-up needed: the constant-rank condition already holds",
-                "hint": "run `uhat quotient` directly",
-            },
-            args.json,
+    if inf.check_cdrs(action)["holds"]:
+        return _refuse(
+            args,
+            "no blow-up needed: the constant-rank condition already holds",
+            hint="run `uhat quotient` directly",
         )
-        return EXIT_REFUSED
-    rng = random.Random(scenario.options.seed)
-    wuu, winfo = bl.check_wuu(
-        action,
-        reduced=scenario.options.reduced,
-        rng=rng,
-        sample_count=scenario.options.sample_count,
-    )
+    wuu, winfo = _check_wuu(scenario, action)
     if not wuu:
-        emit(
-            {
-                "command": "blowup",
-                "scenario": args.scenario,
-                "refused": "the weight-zero stratum misses the minimal-rank locus",
-                "wuu": winfo,
-            },
-            args.json,
-        )
-        return EXIT_REFUSED
+        return _refuse(args, "the weight-zero stratum misses the minimal-rank locus", wuu=winfo)
     try:
         cd = bl.centre(action, scenario.options.degree_bound)
         elements = bl.construct_b(action, cd, pbw_bound=scenario.options.pbw_bound)
@@ -223,22 +208,12 @@ def cmd_blowup(args):
             action, cd, elements, j_search_degree=scenario.options.j_search_degree
         )
     except qt.BoundExhausted as exc:
-        emit(
-            {
-                "command": "blowup",
-                "scenario": args.scenario,
-                "bound_exhausted": str(exc),
-                "bound": exc.bound,
-            },
-            args.json,
-        )
-        return EXIT_BOUND
+        return _exhausted(args, exc)
     chart_report = bl.verify_chart_cdrs(chart)
-    report = {
-        "command": "blowup",
-        "scenario": args.scenario,
-        "k_vector": list(cd.k_vector),
-        "witnesses": [
+    report = _report(
+        args,
+        k_vector=list(cd.k_vector),
+        witnesses=[
             {
                 "level": w.level,
                 "weight": w.weight,
@@ -248,27 +223,22 @@ def cmd_blowup(args):
             }
             for w in cd.witnesses
         ],
-        "distinguished_element": str(cd.a),
-        "centre_ideal": [str(g) for g in cd.centre_ideal.generators],
-        "elements": {
+        distinguished_element=str(cd.a),
+        centre_ideal=[str(g) for g in cd.centre_ideal.generators],
+        elements={
             f"level_{i}": [str(b) for b in bs] for i, bs in sorted(elements.per_level.items())
         },
-        "chart_generators": [{"name": n, "numerator": str(g)} for n, g in chart.generators],
-        "chart_relations": [str(g) for g in chart.algebra.relations.generators],
-        "chart_cdrs": chart_report,
-    }
-    code = EXIT_OK if chart_report["holds"] and chart_report["certificate_ok"] else EXIT_REFUSED
-    if args.with_quotient and code == EXIT_OK:
+        chart_generators=[{"name": n, "numerator": str(g)} for n, g in chart.generators],
+        chart_relations=[str(g) for g in chart.algebra.relations.generators],
+        chart_cdrs=chart_report,
+    )
+    ok = chart_report["holds"] and chart_report["certificate_ok"]
+    if args.with_quotient and ok:
         chain = qt.staged_quotient(chart.action, scenario.options.degree_bound)
-        verification = qt.verify_quotient(chain)
-        report["chart_quotient"] = {
-            "affine_dimension": chain.affine_dimension,
-            "final_generators": list(chain.final_algebra.ring.names),
-            "final_relations": [str(g) for g in chain.final_algebra.relations.generators],
-            "verification_ok": verification["ok"],
-        }
+        ok = qt.verify_quotient(chain)["ok"]
+        report["chart_quotient"] = {**_chain_summary(chain), "verification_ok": ok}
     emit(report, args.json)
-    return code
+    return EXIT_OK if ok else EXIT_REFUSED
 
 
 def cmd_identities(args):
@@ -370,8 +340,8 @@ def main(argv=None):
     def common(p, needs_scenario=True):
         if needs_scenario:
             p.add_argument("--scenario", required=True, help="scenario file path")
-        p.add_argument("--degree-bound", type=int, default=None)
-        p.add_argument("--pbw-bound", type=int, default=None)
+            p.add_argument("--degree-bound", type=int, default=None)
+            p.add_argument("--pbw-bound", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--json", default=None, help="also write the report as JSON")
 

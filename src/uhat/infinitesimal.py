@@ -17,9 +17,12 @@ from uhat.rings import (
     FreeModuleMap,
     Ideal,
     Polynomial,
+    column_span,
     left_nullspace,
     matrix_rank,
     minors_ideal_generators,
+    module_groebner,
+    module_normal_form,
     right_nullspace,
     sparse_system,
     syzygy_kernel,
@@ -38,9 +41,6 @@ class InfinitesimalMatrix:
     basis_indices: tuple  # lie basis indices, weight order
     generators: tuple  # ring generator names
     entries: tuple  # rows of Polynomial
-
-    def row(self, k):
-        return list(self.entries[k])
 
     def evaluate(self, point):
         return [[p.evaluate(point) for p in row] for row in self.entries]
@@ -174,10 +174,7 @@ def level_data(action):
             pmap = relative_map(action, i)
             chain = fitting_chain(algebra, pmap)
             k = min_nonzero_fitting(chain)
-            unit_ideal = Ideal(
-                algebra.ring, list(chain.ideal(k).generators) + list(algebra.relations.generators)
-            )
-            data[i] = LevelData(pmap, chain, k, unit_ideal)
+            data[i] = LevelData(pmap, chain, k, algebra.ideal(chain.ideal(k).generators))
         action._level_data = data
     return action._level_data
 
@@ -342,8 +339,6 @@ def verify_snake_exactness(action, i, degree=2):
     relative cokernel, i.e. that the computed kernel generators are
     complete up to the degree bound.
     """
-    from uhat.rings import module_groebner, module_normal_form
-
     algebra = action.algebra
     ring = action.ring
     lie = action.lie
@@ -352,28 +347,10 @@ def verify_snake_exactness(action, i, degree=2):
     rows_all = len(mat_i.basis_indices)
     r_i = rows_all - rows_prev
     pmap = level_data(action)[i].pmap
-
-    # span of the full pairing columns plus relation multiples, in A^{rows_all}
-    gens = []
-    for j in range(len(mat_i.generators)):
-        v = {k: mat_i.entries[k][j] for k in range(rows_all) if mat_i.entries[k][j]}
-        if v:
-            gens.append(v)
-    for f in algebra.relations.groebner():
-        for k in range(rows_all):
-            gens.append({k: f})
-    gb_big = module_groebner(gens, ring, rows_all)
-
-    # span of the relative pairing columns plus relations, in A^{r_i}
-    gens_n = []
-    for col in range(len(pmap.domain_generators)):
-        v = {mu: pmap.pairing[mu][col] for mu in range(r_i) if pmap.pairing[mu][col]}
-        if v:
-            gens_n.append(v)
-    for f in algebra.relations.groebner():
-        for mu in range(r_i):
-            gens_n.append({mu: f})
-    gb_small = module_groebner(gens_n, ring, r_i)
+    rels = algebra.relations.groebner()
+    # spans of the full pairing in A^{rows_all} and of the relative pairing in A^{r_i}
+    gb_big = module_groebner(column_span(mat_i.entries, rels), ring, rows_all)
+    gb_small = module_groebner(column_span(pmap.pairing, rels), ring, r_i)
 
     # image of the relative cokernel lies in the kernel of the projection
     for col in range(len(pmap.domain_generators)):

@@ -682,14 +682,6 @@ class Ideal:
         gb = self.groebner()
         return len(gb) == 1 and sum(gb[0].lm()) == 0
 
-    def __add__(self, other):
-        gens = self.generators + tuple(other.generators if isinstance(other, Ideal) else other)
-        return Ideal(self.ring, gens)
-
-    def product(self, other):
-        gens = [f * g for f in self.generators for g in other.generators]
-        return Ideal(self.ring, gens)
-
     def __repr__(self):
         inner = ", ".join(str(g) for g in self.generators) or "0"
         return f"Ideal({inner})"
@@ -752,7 +744,11 @@ class PresentedAlgebra:
         return self.relations.is_unit()
 
     def ideal(self, gens):
-        return Ideal(self.ring, [self.nf(g) for g in gens])
+        """The ideal that `gens` generate in the algebra, as an ideal of the ring.
+
+        Its generators are `gens` followed by the relations.
+        """
+        return Ideal(self.ring, list(gens) + list(self.relations.generators))
 
     def standard_monomials(self, weight=None, max_degree=8):
         """Monomials not divisible by any leading relation monomial.
@@ -865,6 +861,19 @@ def module_normal_form(v, gb, ring, rank):
     return _decode(normal_form_list(_encode(v, _position_ring(ring, rank), rank), gb), ring)
 
 
+def column_span(rows, relations):
+    """Vectors spanning the column span of a matrix modulo the relations.
+
+    Vector j is column j of `rows` ({row: entry}, empty for a zero column),
+    and then come f*e_i for each nonzero relation f and each row i, in that
+    order; `module_groebner` takes them as they are and drops zero vectors.
+    """
+    ncols = len(rows[0]) if rows else 0
+    out = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
+    out.extend({i: f} for f in relations if f for i in range(len(rows)))
+    return out
+
+
 def syzygy_kernel(fmap, relations=None):
     """Generators of the kernel of a free-module map over R or R/relations.
 
@@ -884,17 +893,9 @@ def syzygy_kernel(fmap, relations=None):
             break
     if ring is None:
         raise ValueError("empty map needs at least one entry to fix the ring")
-    gens = []
+    gens = column_span(fmap.matrix, relations or ())
     for j in range(s):
-        v = {i: fmap.matrix[i][j] for i in range(r) if fmap.matrix[i][j]}
-        v[r + j] = ring.one()
-        gens.append(v)
-    if relations:
-        for f in relations:
-            if not f:
-                continue
-            for i in range(r):
-                gens.append({i: f})
+        gens[j][r + j] = ring.one()
     out = []
     for g in module_groebner(gens, ring, r + s):
         v = _decode(g, ring)

@@ -153,17 +153,14 @@ class Scenario:
     lie_basis: list  # list of name lists per weight
     brackets: dict  # (a, b) -> {name: Fraction}
     action_table: dict  # vector name -> {generator: source string}
+    # what the parser built from the fields above: (ring, relation
+    # polynomials, Lie algebra, {vector: {generator: polynomial}})
+    parsed: tuple = field(compare=False, repr=False)
     options: Options = field(default_factory=Options)
-
-    def ring(self):
-        return GradedRing(
-            [n for n, _ in self.variables], [w for _, w in self.variables], self.order
-        )
 
     def build(self):
         """Construct and validate the derivation action; raise on violations."""
-        ring = self.ring()
-        rels = [parse_polynomial(s, ring) for s in self.relations]
+        ring, rels, lie, table = self.parsed
         algebra = PresentedAlgebra(ring, Ideal(ring, rels))
         if self.lie_weights:
             # a graded action needs weight-homogeneous relations: every
@@ -175,12 +172,6 @@ class Scenario:
                             f"relation {src!r} is not weight-homogeneous: its "
                             f"weight {w} component is not in the ideal"
                         )
-        lie = GradedLieAlgebra(self.lie_weights, self.lie_basis, self.brackets)
-        table = {}
-        for name, row in self.action_table.items():
-            if name not in lie._index:
-                raise ScenarioError(f"unknown basis vector {name!r} in action table")
-            table[name] = {g: parse_polynomial(s, ring) for g, s in row.items()}
         action = DerivationAction(algebra, lie, table)
         violations = action.validate()
         if violations:
@@ -318,10 +309,7 @@ def parse_scenario(text):
         ring = GradedRing([n for n, _ in variables], [w for _, w in variables], order)
     except ValueError as exc:
         raise ScenarioError(str(exc), order_line)
-    parsed_relations = []
-    for src, lineno in relations:
-        parse_polynomial(src, ring, lineno)
-        parsed_relations.append(src)
+    rels = [parse_polynomial(src, ring, lineno) for src, lineno in relations]
     basis_names = {n for block in lie_basis for n in block}
     for (a, b), combo in brackets.items():
         for name in (a, b, *combo):
@@ -331,24 +319,25 @@ def parse_scenario(text):
         lie = GradedLieAlgebra(lie_weights, lie_basis, brackets)
     except ValueError as exc:
         raise ScenarioError(f"bad lie block: {exc}")
-    table = {}
+    sources, table = {}, {}
     for vec, row in action_table.items():
         if vec not in lie._index:
             raise ScenarioError(f"unknown basis vector {vec!r} in action table")
+        sources[vec] = {gen: src for gen, (src, _) in row.items()}
         table[vec] = {}
         for gen, (src, lineno) in row.items():
             if gen not in ring._index:
                 raise ScenarioError(f"unknown ring generator {gen!r}", lineno)
-            parse_polynomial(src, ring, lineno)
-            table[vec][gen] = src
+            table[vec][gen] = parse_polynomial(src, ring, lineno)
     return Scenario(
         variables=variables,
         order=order,
-        relations=parsed_relations,
+        relations=[src for src, _ in relations],
         lie_weights=lie_weights,
         lie_basis=lie_basis,
         brackets=brackets,
-        action_table=table,
+        action_table=sources,
+        parsed=(ring, rels, lie, table),
         options=options,
     )
 

@@ -14,6 +14,7 @@ from uhat.rings import (
     _exp_lcm,
     _position_ring,
     _update_pairs,
+    column_span,
     determinant,
     eliminate,
     groebner_basis,
@@ -303,6 +304,13 @@ def test_syzygy_scaled_projection():
     assert vectors == {("1", "0", "0"), ("0", "1", "0")}
 
 
+def test_column_span_lists_columns_then_relation_multiples():
+    zero = R2.zero()
+    span = column_span(((X, zero), (Y, zero)), [zero, Y])
+    # the zero column stays in place; zero relations are skipped
+    assert span == [{0: X, 1: Y}, {}, {0: Y}, {1: Y}]
+
+
 def test_syzygy_zero_and_identity_maps():
     zero = R2.zero()
     one = R2.one()
@@ -388,6 +396,16 @@ def test_presented_algebra_normal_forms():
     assert A.equal(X**2, Y)
     assert not A.is_empty()
     assert PresentedAlgebra(R2, Ideal(R2, [R2.one()])).is_empty()
+
+
+def test_algebra_ideal_carries_the_relations():
+    R = GradedRing(["x"], [0])
+    x = R.var("x")
+    A = PresentedAlgebra(R, [x * x - x])
+    assert A.ideal([]).contains(x * x - x)
+    assert A.ideal([x - 1, x]).is_unit()
+    # x is a zero divisor, not a unit, in Q[x]/(x^2 - x)
+    assert not A.ideal([x]).is_unit()
 
 
 def test_standard_monomials_by_weight():

@@ -67,6 +67,23 @@ def test_scenario_round_trip():
     assert serialize_scenario(again) == text
 
 
+def test_scenario_sources_are_parsed_once(monkeypatch):
+    import uhat.scenario as sc
+
+    parsed = []
+    genuine = sc.parse_polynomial
+
+    def counting(text, ring, line=None):
+        parsed.append(text)
+        return genuine(text, ring, line)
+
+    monkeypatch.setattr(sc, "parse_polynomial", counting)
+    scenario = load_scenario(SCENARIOS / "heisenberg_scaled.uhat")
+    scenario.build()
+    sources = len(scenario.relations) + sum(len(row) for row in scenario.action_table.values())
+    assert len(parsed) == sources
+
+
 def test_semantic_error_names_the_vector():
     bad = """
 [ring]
@@ -243,6 +260,47 @@ def test_bound_exhaustion_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "command, name, extra, code, keys",
+    [
+        ("quotient", "one_weight", [], 1, ["refused", "hint", "cdrs"]),
+        ("blowup", "one_weight_free", [], 1, ["refused", "hint"]),
+        (
+            "quotient",
+            "one_weight_free",
+            ["--degree-bound", "0"],
+            3,
+            ["bound_exhausted", "bound", "condition_ok"],
+        ),
+        ("blowup", "one_weight", ["--degree-bound", "0"], 3, ["bound_exhausted", "bound"]),
+    ],
+)
+def test_refusal_and_bound_reports_keep_their_keys(tmp_path, command, name, extra, code, keys):
+    out = tmp_path / "report.json"
+    path = str(SCENARIOS / f"{name}.uhat")
+    assert run_cli(command, "--scenario", path, *extra, "--json", str(out)) == code
+    data = json.loads(out.read_text())
+    assert list(data) == ["command", "scenario", *keys]
+    assert data["command"] == command and data["scenario"] == path
+
+
+def test_blowup_exits_1_when_the_chart_quotient_fails_verification(tmp_path, monkeypatch):
+    import uhat.quotient as qt
+
+    monkeypatch.setattr(qt, "verify_quotient", lambda chain: {"ok": False})
+    out = tmp_path / "blow.json"
+    code = run_cli(
+        "blowup",
+        "--scenario",
+        str(SCENARIOS / "two_weight.uhat"),
+        "--with-quotient",
+        "--json",
+        str(out),
+    )
+    assert code == 1
+    assert json.loads(out.read_text())["chart_quotient"]["verification_ok"] is False
+
+
 def test_reports_are_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
@@ -329,6 +387,14 @@ def test_blowup_with_quotient_chains(tmp_path):
 
 def test_identities_command():
     assert run_cli("identities", "--max-total", "2", "--letters", "2", "--comult-degree", "2") == 0
+
+
+@pytest.mark.parametrize("flag", ["--degree-bound", "--pbw-bound"])
+def test_identities_rejects_scenario_bounds(flag):
+    # the bounds configure scenario computations; identities has none to bound
+    with pytest.raises(SystemExit) as exc:
+        main(["identities", flag, "1"])
+    assert exc.value.code == 2
 
 
 def test_console_entry_point_runs():
