@@ -193,7 +193,7 @@ def centre(action, degree_bound=8):
             cands = [ring.monomial(m) for m in monos]
             for fns in itertools.combinations(cands, need):
                 for split in itertools.combinations(rows, need):
-                    mat = [[algebra.nf(action.apply_basis(mu, f)) for f in fns] for mu in split]
+                    mat = [[action.apply_basis(mu, f) for f in fns] for mu in split]
                     minor = algebra.nf(determinant(mat))
                     if minor:
                         found = (split, fns, minor)
@@ -265,10 +265,10 @@ def E_operator(action, witness, mu, uea_element):
     rows = []
     for nu in range(witness.need):
         if nu == mu:
-            rows.append([algebra.nf(action.apply_uea(uea_element, f)) for f in fns])
+            rows.append([action.apply_uea(uea_element, f) for f in fns])
         else:
             r = witness.split_rows[nu]
-            rows.append([algebra.nf(action.apply_basis(r, f)) for f in fns])
+            rows.append([action.apply_basis(r, f) for f in fns])
     return algebra.nf(determinant(rows))
 
 
@@ -301,15 +301,13 @@ def verify_determinantal_sum(action, witness, h, lie_element):
 # the recursive elements and their certificates
 
 
-def construct_b(action, centre_data, pbw_bound=None):
+def construct_b(action, centre_data):
     """Build the level elements by the top-down determinantal recursion.
 
     For the lowest weight the element is the scalar-row determinant; higher
     levels correct by the lower elements so that the split pairing stays
     diagonal.  All three certificate properties are verified exactly and a
-    failure aborts with the failing instance.  `pbw_bound` caps the total
-    exponent of the enumerated monomials; the intrinsic weight bound already
-    makes the set finite, so the cap only matters for very flat gradings.
+    failure aborts with the failing instance.
     """
     algebra = action.algebra
     lie = action.lie
@@ -331,12 +329,15 @@ def construct_b(action, centre_data, pbw_bound=None):
             out.append(algebra.nf(total))
         per_level[i] = out
     elements = BElements(per_level)
-    verify_b_properties(action, centre_data, elements, pbw_bound=pbw_bound)
+    verify_b_properties(action, centre_data, elements)
     return elements
 
 
-def verify_b_properties(action, centre_data, elements, pbw_bound=None):
-    """The three exact certificates behind the chart unit block."""
+def verify_b_properties(action, centre_data, elements):
+    """The three exact certificates behind the chart unit block.
+
+    The derivative certificate checks every PBW monomial of the level weight.
+    """
     algebra = action.algebra
     lie = action.lie
     witnesses = {w.level: w for w in centre_data.witnesses}
@@ -361,8 +362,6 @@ def verify_b_properties(action, centre_data, elements, pbw_bound=None):
         membership = algebra.ideal(product_fitting_ideal(action, start=i).generators)
         for nu, b in enumerate(bs):
             for p in lie.pbw_monomials_of_weight(w, exact=True):
-                if pbw_bound is not None and sum(p) > pbw_bound:
-                    continue
                 val = action.apply_pbw(p, b)
                 if not membership.contains(val):
                     raise VerificationFailed(
@@ -464,7 +463,7 @@ def find_j_members(action, ideal, weight, degree):
         for m in monos
     ]
     rows, _ = sparse_system(columns)
-    return [algebra.nf(Polynomial(ring, dict(zip(monos, vec)))) for vec in right_nullspace(rows)]
+    return [Polynomial(ring, dict(zip(monos, vec))) for vec in right_nullspace(rows)]
 
 
 def build_chart(action, centre_data, elements, j_search_degree=0):
@@ -612,7 +611,7 @@ def verify_chart_cdrs(chart):
         for pos, mu in enumerate(wit.split_rows):
             row = []
             for nu, (name, scale) in enumerate(names):
-                val = algebra.nf(chart.action.apply_basis(mu, ring.var(name)) * scale)
+                val = chart.action.apply_basis(mu, ring.var(name)) * scale
                 row.append(str(val))
                 want = ring.const(w) if pos == nu else ring.zero()
                 if not algebra.equal(val, want):

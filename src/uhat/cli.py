@@ -85,8 +85,6 @@ def _load(args):
     scenario = load_scenario(args.scenario)
     if args.degree_bound is not None:
         scenario.options.degree_bound = args.degree_bound
-    if args.pbw_bound is not None:
-        scenario.options.pbw_bound = args.pbw_bound
     if args.seed is not None:
         scenario.options.seed = args.seed
     action = scenario.build()
@@ -203,7 +201,7 @@ def cmd_blowup(args):
         return _refuse(args, "the weight-zero stratum misses the minimal-rank locus", wuu=winfo)
     try:
         cd = bl.centre(action, scenario.options.degree_bound)
-        elements = bl.construct_b(action, cd, pbw_bound=scenario.options.pbw_bound)
+        elements = bl.construct_b(action, cd)
         chart = bl.build_chart(
             action, cd, elements, j_search_degree=scenario.options.j_search_degree
         )
@@ -309,23 +307,17 @@ def _comult_lemma_failures(table, n, degree):
                     failures.append(
                         {"kind": "e_j-trichotomy", "alpha": alpha, "beta": beta, "j": j}
                     )
-                if c:
-                    kmax = 0
-                    while all(
-                        (kmax + 1) * e <= b for b, e in zip(beta, ej)
-                    ) and any(e for e in ej):
-                        kmax += 1
-                    if c != 1 + kmax:
-                        failures.append(
-                            {
-                                "kind": "e_j-value",
-                                "alpha": alpha,
-                                "beta": beta,
-                                "j": j,
-                                "value": str(c),
-                                "expected": 1 + kmax,
-                            }
-                        )
+                if c and c != 1 + beta[j]:
+                    failures.append(
+                        {
+                            "kind": "e_j-value",
+                            "alpha": alpha,
+                            "beta": beta,
+                            "j": j,
+                            "value": str(c),
+                            "expected": 1 + beta[j],
+                        }
+                    )
     return failures
 
 
@@ -341,7 +333,6 @@ def main(argv=None):
         if needs_scenario:
             p.add_argument("--scenario", required=True, help="scenario file path")
             p.add_argument("--degree-bound", type=int, default=None)
-            p.add_argument("--pbw-bound", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--json", default=None, help="also write the report as JSON")
 

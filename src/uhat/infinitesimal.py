@@ -77,7 +77,7 @@ def infinitesimal_matrix(action, upto_level=None):
     rows = lie.filtration_indices(upto_level)
     names = action.ring.names
     entries = tuple(
-        tuple(action.algebra.nf(action.image_of_generator(i, g)) for g in names) for i in rows
+        tuple(action.image_of_generator(i, g) for g in names) for i in rows
     )
     return InfinitesimalMatrix(tuple(rows), tuple(names), entries)
 

@@ -337,7 +337,9 @@ class DerivationAction:
 
     `table[name][var]` is the image of the ring generator `var` under the
     basis vector `name`; missing entries are zero.  Images are stored as
-    normal forms modulo the relations.  The per-level analysis is memoised
+    normal forms modulo the relations, and everything the action returns is
+    reduced, so callers need not reduce it again (only the empty word hands
+    its input back as given).  The per-level analysis is memoised
     on the action, so an action and its algebra are not mutated after
     construction.
     """
@@ -458,7 +460,7 @@ class DerivationAction:
                                 "kind": "bracket-compatibility",
                                 "pair": (lie.basis_names[a], lie.basis_names[b]),
                                 "generator": var,
-                                "difference": str(self.algebra.nf(lhs - rhs)),
+                                "difference": str(lhs - rhs),
                             }
                         )
         return report

@@ -20,13 +20,11 @@ from uhat.rings import (
     Polynomial,
     PresentedAlgebra,
     determinant,
-    elimination_order,
-    groebner_basis,
-    normal_form_list,
+    eliminate,
     solve_linear,
     sparse_system,
 )
-from uhat.lie import DerivationAction, GradedLieAlgebra
+from uhat.lie import DerivationAction, GradedLieAlgebra, multi_range
 from uhat.infinitesimal import check_cdrs, level_data
 
 
@@ -56,16 +54,6 @@ class SliceSet:
     weight: int
     split: tuple
     functions: tuple
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 def find_slices(action, level, degree_bound):
@@ -106,14 +94,13 @@ def _solve_slice_system(action, split, monos):
     Equation (mi, mm) reads off the coefficient of mm in xi_mu . f for
     mu = split[mi]; f_nu asks for 1 at (nu, constant) and 0 elsewhere.
     """
-    algebra = action.algebra
     ring = action.ring
     one = (0,) * ring.nvars
     columns = [
         [
             ((mi, mm), c)
             for mi, mu in enumerate(split)
-            for mm, c in algebra.nf(action.apply_basis(mu, ring.monomial(m))).terms.items()
+            for mm, c in action.apply_basis(mu, ring.monomial(m)).terms.items()
         ]
         for m in monos
     ]
@@ -125,7 +112,7 @@ def _solve_slice_system(action, split, monos):
         sol = solve_linear(rows, rhs)
         if sol is None:
             return None
-        fns.append(algebra.nf(Polynomial(ring, dict(zip(monos, sol)))))
+        fns.append(Polynomial(ring, dict(zip(monos, sol))))
     return fns
 
 
@@ -156,7 +143,9 @@ def _derivative_table(action, split, g):
     while True:
         d += 1
         alive = False
-        for n in _compositions(d, len(split)):
+        for n in multi_range((d,) * len(split)):
+            if sum(n) != d:
+                continue
             j = next(i for i, e in enumerate(n) if e)
             prev = tuple(e - (1 if i == j else 0) for i, e in enumerate(n))
             if table.get(prev) is None or table[prev].is_zero():
@@ -171,17 +160,13 @@ def _derivative_table(action, split, g):
     return table
 
 
-def dixmier_project(action, split, functions, g, check=False):
+def dixmier_project(action, split, functions, g):
     """Retraction onto the joint kernel of the split derivations.
 
     pi(g) = sum_n ((-1)^{|n|}/n!) (xi^n . g) f^n, a finite sum by graded
     nilpotency.  With commuting derivations and exact slice identities this
     is a ring homomorphism fixing invariants and killing the slices.
     """
-    if check:
-        problems = _check_projection_preconditions(action, split, functions)
-        if problems:
-            raise StageError(f"projection preconditions violated: {problems}")
     algebra = action.algebra
     table = _derivative_table(action, split, g)
     out = action.ring.zero()
@@ -227,49 +212,44 @@ class QuotientChain:
 
 
 class _StageContext:
-    """Graph-ideal elimination used to present an invariant subring.
+    """An invariant subring presented by the projections of the generators.
 
-    Old variables are placed in the eliminated block, so normal forms of
-    invariant elements rewrite them over the new generators.
+    `values` gives, for each input generator, what its projection equals:
+    the name of a new generator (its own or an earlier duplicate's) or a
+    constant.  The projection is a ring homomorphism fixing the invariants,
+    so an invariant p equals p evaluated at those values.
     """
 
-    def __init__(self, algebra, images):
-        ring = algebra.ring
+    def __init__(self, algebra, images, values):
         self.algebra = algebra
-        self.names_new = [name for name, _ in images]
+        self.images = dict(images)
+        names_new = [name for name, _ in images]
+        weights_new = [next(iter(rep.weight_decompose()), 0) for _, rep in images]
+        self.out_ring = GradedRing(names_new, weights_new)
         # the invariant images may reuse input generator names, so the
-        # elimination ring carries reserved internal names for the new block
+        # graph ideal carries reserved internal names for the new block
         internal = [f"@{t}" for t in range(len(images))]
-        self._to_public = dict(zip(internal, self.names_new))
-        weights_new = []
-        for _, rep in images:
-            comps = rep.weight_decompose()
-            weights_new.append(next(iter(comps)) if comps else 0)
-        self.big = GradedRing(
-            ring.names + tuple(internal),
-            ring.weights + tuple(weights_new),
-            elimination_order(ring.nvars),
-        )
-        gens = [g.map_ring(self.big) for g in algebra.relations.generators]
+        big = algebra.ring.extended(internal, weights_new)
+        graph = [g.map_ring(big) for g in algebra.relations.generators]
         for iname, (_, rep) in zip(internal, images):
-            gens.append(self.big.var(iname) - rep.map_ring(self.big))
-        self.gb = groebner_basis(gens)
-        self.out_ring = GradedRing(self.names_new, weights_new)
-        rels = []
-        for g in self.gb:
-            if all(all(m[i] == 0 for i in range(ring.nvars)) for m in g.terms):
-                rels.append(g.map_ring(self.out_ring, self._to_public))
+            graph.append(big.var(iname) - rep.map_ring(big))
+        to_public = dict(zip(internal, names_new))
+        kept = eliminate(Ideal(big, graph), internal).generators
+        rels = [g.map_ring(self.out_ring, to_public) for g in kept]
         self.out_algebra = PresentedAlgebra(self.out_ring, Ideal(self.out_ring, rels))
+        self.values = {
+            name: self.out_ring.var(v) if isinstance(v, str) else v for name, v in values.items()
+        }
 
     def rewrite(self, p):
-        """Express an element of the subring over the new generators, or None."""
-        nf = normal_form_list(p.map_ring(self.big), self.gb)
-        if all(all(m[i] == 0 for i in range(self.algebra.ring.nvars)) for m in nf.terms):
-            return nf.map_ring(self.out_ring, self._to_public)
+        """p over the new generators if substituting back gives p (p is invariant), else None."""
+        expr = p.substitute(self.values, self.out_ring)
+        if self.algebra.equal(expr.substitute(self.images, self.algebra.ring), p):
+            return expr
         return None
 
 
-def invariant_presentation(action, slices, degree_bound=8):
+def invariant_presentation(action, slices):
     """Present the invariant ring of one level and set up reconstruction.
 
     Generators are the projections of the ring generators (the projection is
@@ -286,16 +266,17 @@ def invariant_presentation(action, slices, degree_bound=8):
         raise StageError(f"projection preconditions violated: {problems}")
 
     images = []
-    seen = []
+    values = {}  # generator -> name of the generator of its projection, or a constant
     for name in ring.names:
         p = dixmier_project(action, split, functions, ring.var(name))
-        if p.is_zero() or not any(sum(m) for m in p.terms):
+        if not any(sum(m) for m in p.terms):
+            values[name] = p.terms.get((0,) * ring.nvars, 0)
             continue
-        if any(algebra.equal(p, q) for _, q in images):
-            continue
-        images.append((name, p))
-        seen.append(name)
-    ctx = _StageContext(algebra, images)
+        dup = next((q_name for q_name, q in images if algebra.equal(p, q)), None)
+        if dup is None:
+            images.append((name, p))
+        values[name] = dup or name
+    ctx = _StageContext(algebra, images, values)
 
     reconstruction = {}
     for name in ring.names:
@@ -309,11 +290,9 @@ def invariant_presentation(action, slices, degree_bound=8):
                 continue
             expr = ctx.rewrite(proj)
             if expr is None:
-                raise BoundExhausted(
+                raise StageError(
                     f"projection of a derivative of {name} is not expressible "
-                    f"in the invariant generators",
-                    degree_bound,
-                    condition_ok=True,
+                    f"in the invariant generators"
                 )
             pieces.append((n, expr))
         reconstruction[name] = pieces
@@ -324,18 +303,13 @@ def _reconstructed(action, slices, pieces, inclusion):
     """Evaluate reconstruction data back in the input algebra."""
     ring = action.ring
     total = ring.zero()
-    subs = {name: rep for name, rep in inclusion.items()}
     for n, expr in pieces:
         coeff = Fraction(1, math.prod(math.factorial(e) for e in n))
         fn = ring.one()
         for f, e in zip(slices.functions, n):
             if e:
                 fn = fn * f**e
-        if expr.total_degree() == 0:
-            back = ring.const(expr.terms.get((0,) * expr.ring.nvars, 0))
-        else:
-            back = expr.substitute({**subs, **{nm: ring.zero() for nm in expr.ring.names if nm not in subs}})
-        total = total + back * fn * coeff
+        total = total + expr.substitute(inclusion, ring) * fn * coeff
     return action.algebra.nf(total)
 
 
@@ -400,7 +374,7 @@ def staged_quotient(action, degree_bound=8):
         if stage_level > 1 and not check_cdrs(current)["holds"]:
             raise StageError(f"induced action at stage {stage_level} lost the constant-rank condition")
         slices = find_slices(current, 1, degree_bound)
-        ctx, inclusion, reconstruction = invariant_presentation(current, slices, degree_bound)
+        ctx, inclusion, reconstruction = invariant_presentation(current, slices)
         violations = []
         for name in current.ring.names:
             got = _reconstructed(current, slices, reconstruction[name], inclusion)

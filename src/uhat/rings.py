@@ -364,15 +364,11 @@ class Polynomial:
             out[me] = out.get(me, 0) + c
         return Polynomial(ring, out)
 
-    def substitute(self, values):
-        """Substitute polynomials (or constants) for variables, by name."""
-        ring = None
-        for v in values.values():
-            if isinstance(v, Polynomial):
-                ring = v.ring
-                break
-        if ring is None:
-            raise ValueError("need at least one polynomial value to fix the ring")
+    def substitute(self, values, ring):
+        """Substitute values for variables, by name, into `ring`.
+
+        Each value is a polynomial over `ring` or a constant.
+        """
         total = ring.zero()
         for m, c in self.terms.items():
             part = ring.const(c)

@@ -137,7 +137,6 @@ def parse_polynomial(text, ring, line=None):
 @dataclass
 class Options:
     degree_bound: int = 8
-    pbw_bound: int = 6
     reduced: bool = True
     sample_count: int = 20
     seed: int = 1
@@ -286,8 +285,6 @@ def parse_scenario(text):
             try:
                 if key == "degree_bound":
                     options.degree_bound = int(val)
-                elif key == "pbw_bound":
-                    options.pbw_bound = int(val)
                 elif key == "sample_count":
                     options.sample_count = int(val)
                 elif key == "seed":
@@ -415,7 +412,6 @@ def serialize_scenario(s):
     out.append("[options]")
     o = s.options
     out.append(f"degree_bound = {o.degree_bound}")
-    out.append(f"pbw_bound = {o.pbw_bound}")
     out.append(f"reduced = {'true' if o.reduced else 'false'}")
     out.append(f"sample_count = {o.sample_count}")
     out.append(f"seed = {o.seed}")

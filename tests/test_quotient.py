@@ -8,6 +8,7 @@ from uhat.lie import DerivationAction, GradedLieAlgebra
 from uhat.infinitesimal import check_cdrs
 from uhat.quotient import (
     BoundExhausted,
+    SliceSet,
     StageError,
     dixmier_project,
     find_slices,
@@ -90,7 +91,7 @@ def test_projection_is_multiplicative(ga_free):
 def test_projection_precondition_violation_reported(ga_jump):
     R = ga_jump.ring
     with pytest.raises(StageError):
-        dixmier_project(ga_jump, (0,), (R.var("y"),), R.var("y"), check=True)
+        invariant_presentation(ga_jump, SliceSet(1, 1, (0,), (R.var("y"),)))
 
 
 # -- random commuting-slice instances via triangular automorphisms
@@ -113,7 +114,8 @@ class TriangularInstance:
         for idx, shift in self.moves:
             name = self.ring.names[idx]
             p = p.substitute(
-                {n: (self.ring.var(n) + shift if n == name else self.ring.var(n)) for n in self.ring.names}
+                {n: (self.ring.var(n) + shift if n == name else self.ring.var(n)) for n in self.ring.names},
+                self.ring,
             )
         return p
 
@@ -121,7 +123,8 @@ class TriangularInstance:
         for idx, shift in reversed(self.moves):
             name = self.ring.names[idx]
             p = p.substitute(
-                {n: (self.ring.var(n) - shift if n == name else self.ring.var(n)) for n in self.ring.names}
+                {n: (self.ring.var(n) - shift if n == name else self.ring.var(n)) for n in self.ring.names},
+                self.ring,
             )
         return p
 
@@ -230,6 +233,10 @@ def test_invariant_presentation_free_translation(ga_free):
     # reconstruction of y: only the first derivative survives, y = f1
     pieces = recon["y"]
     assert len(pieces) == 1 and pieces[0][0] == (1,)
+    # x is invariant and y is not, so only x rewrites over the invariants
+    R = ga_free.ring
+    assert str(ctx.rewrite(R.var("x") ** 2 - 3)) == "x^2 - 3"
+    assert ctx.rewrite(R.var("y")) is None
 
 
 def test_staged_quotient_free_translation(ga_free):

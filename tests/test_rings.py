@@ -263,6 +263,16 @@ def test_eliminate_trivial_cases():
     assert E.is_unit()
 
 
+def test_substitute_into_another_ring_with_constant_values():
+    S = GradedRing(["u"], [-1])
+    u = S.var("u")
+    p = X**2 * Y - 3 * Y + 2
+    assert p.substitute({"x": Fraction(1, 2), "y": u + 1}, S) == (u + 1) * Fraction(-11, 4) + 2
+    # a constant polynomial lands in the target ring even when nothing is substituted
+    assert R2.const(5).substitute({}, S) == S.const(5)
+    assert (X * Y).substitute({"x": 0, "y": u}, S).is_zero()
+
+
 # -- weight decomposition
 
 

@@ -246,6 +246,12 @@ def test_bad_scenario_is_input_error(tmp_path, capsys):
         capsys.readouterr()
         assert run_cli("analyze", "--scenario", str(bad)) == 2, lie
         assert capsys.readouterr().err.startswith("input error")
+    # an option the format does not have is reported with its line
+    bad.write_text(head + "\n[options]\npbw_bound = 6\n")
+    capsys.readouterr()
+    assert run_cli("analyze", "--scenario", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and "pbw_bound" in err and "(line 9)" in err, err
 
 
 def test_bound_exhaustion_exit_code(tmp_path):
@@ -299,6 +305,15 @@ def test_blowup_exits_1_when_the_chart_quotient_fails_verification(tmp_path, mon
     )
     assert code == 1
     assert json.loads(out.read_text())["chart_quotient"]["verification_ok"] is False
+
+
+def test_non_invariant_projection_exits_1(monkeypatch):
+    # a projected derivative that does not rewrite over the invariants is a
+    # failed check, not an exhausted search bound
+    import uhat.quotient as qt
+
+    monkeypatch.setattr(qt._StageContext, "rewrite", lambda self, p: None)
+    assert run_cli("quotient", "--scenario", str(SCENARIOS / "heisenberg_free.uhat")) == 1
 
 
 def test_reports_are_deterministic(tmp_path):
