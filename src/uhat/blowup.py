@@ -19,7 +19,6 @@ from uhat.rings import (
     Polynomial,
     PresentedAlgebra,
     determinant,
-    normal_form_list,
     right_nullspace,
     sparse_system,
 )
@@ -452,13 +451,13 @@ def find_j_members(action, ideal, weight, degree):
     monos = algebra.standard_monomials(weight=weight, max_degree=degree)
     if not monos:
         return []
-    gb = algebra.ideal(ideal.generators).groebner()
+    nf = algebra.ideal(ideal.generators).normal_form
     pbws = action.lie.pbw_monomials_of_weight(max(0, -weight), exact=False)
     columns = [
         [
             ((p, mm), c)
             for p in pbws
-            for mm, c in normal_form_list(action.apply_pbw(p, ring.monomial(m)), gb).terms.items()
+            for mm, c in nf(action.apply_pbw(p, ring.monomial(m))).terms.items()
         ]
         for m in monos
     ]

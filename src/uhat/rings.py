@@ -446,19 +446,30 @@ def _exp_lcm(a, b):
     return tuple(map(max, a, b))
 
 
-def normal_form_list(p, basis):
-    """Unique remainder of p under full reduction by `basis` (list of polys).
+def lead_entry(g):
+    """One entry of a lead index: (lead support mask, lm, lc, g)."""
+    return (g.lead_support(), g.lm(), g.lc(), g)
 
+
+def lead_index(basis):
+    """Lead index of `basis` for `normal_form_list`: its nonzero elements in list order."""
+    return [lead_entry(g) for g in basis if g]
+
+
+def normal_form_list(p, lead):
+    """Unique remainder of p under full reduction by a lead index.
+
+    `lead` holds one `lead_entry` per basis element; a Buchberger loop
+    appends to it whenever it appends to its basis, so no call rebuilds it.
     Reduces in place: `work` maps each pending monomial to its coefficient
     and `todo` holds their (order key, monomial) entries in ascending order,
     so the lead is popped from the end.  A key is computed once, when its
     monomial enters `work`; entries of terms that cancelled are skipped.
-    The reducer is the first element of `basis` whose lead divides the
-    popped monomial; lead support masks skip most of the others unread.
+    The reducer is the first entry whose lead divides the popped monomial;
+    lead support masks skip most of the others unread.
     """
     ring = p.ring
     key = ring.order.key
-    lead = [(g.lead_support(), g.lm(), g.lc(), g) for g in basis if g]
     work = dict(p.terms)
     todo = sorted((key(m), m) for m in work)
     rem = {}
@@ -521,10 +532,11 @@ def _update_pairs(G, pairs, t):
 
     A new pair (i, t) is kept unless lm_i and lm_t are coprime, an earlier
     i has the same lcm, or another new lcm properly divides it (chain
-    criterion).  An old pair (i, j) with lcm L goes when lm_t divides L and
-    neither lcm(lm_i, lm_t) nor lcm(lm_j, lm_t) equals L.  The support of
-    lcm(a, b) is the union of the supports of a and b, so the lead masks
-    prefilter every divisibility test.
+    criterion).  A proper divisor has lower total degree, so each lcm is
+    tested only against the lcms below its degree.  An old pair (i, j) with
+    lcm L goes when lm_t divides L and neither lcm(lm_i, lm_t) nor
+    lcm(lm_j, lm_t) equals L.  The support of lcm(a, b) is the union of the
+    supports of a and b, so the lead masks prefilter every divisibility test.
     """
     lt, st = G[t].lm(), G[t].lead_support()
     lcms = [_exp_lcm(G[i].lm(), lt) for i in range(t)]
@@ -532,14 +544,15 @@ def _update_pairs(G, pairs, t):
     for i, L in enumerate(lcms):
         if L not in first:
             first[L] = (i, G[i].lead_support() | st)
+    ranked = sorted(first.items(), key=lambda item: sum(item[0]))
+    degrees = [sum(L) for L, _ in ranked]
     kept = []
     for L, (i, s) in first.items():
         if not G[i].lead_support() & st:
             continue
         outside = ~s
-        if not any(
-            not s2 & outside and L2 != L and _divides(L2, L) for L2, (_, s2) in first.items()
-        ):
+        lower = itertools.islice(ranked, bisect.bisect_left(degrees, sum(L)))
+        if not any(not s2 & outside and _divides(L2, L) for L2, (_, s2) in lower):
             kept.append((i, t, L))
     out = [
         (i, j, L)
@@ -557,25 +570,39 @@ def buchberger(gens):
     """Groebner basis via Buchberger with Gebauer-Moeller pair pruning.
 
     Basis elements are kept primitive over the integers so coefficient
-    growth stays bounded; pairs are processed in normal (smallest-lcm)
-    order.
+    growth stays bounded.  Pairs are selected by sugar (Giovini, Mora,
+    Niesi, Robbiano & Traverso, "One sugar cube, please", 1991), ties
+    broken by the smallest lcm; a pair's (sugar, lcm key) is computed once,
+    when the pair is formed.  The selection order changes which basis comes
+    out but not its reduced form, which is canonical.
     """
-    G = []
+    G, lead, excess, rank = [], [], [], {}
     pairs = []
+
+    def add(g, sugar):
+        nonlocal pairs
+        t = len(G)
+        G.append(g)
+        lead.append(lead_entry(g))
+        excess.append(sugar - sum(g.lm()))  # sugar above the lead's degree
+        pairs = _update_pairs(G, pairs, t)
+        key = g.ring.order.key
+        for pair in reversed(pairs):  # the new pairs (i, t, L) come last
+            i, j, L = pair
+            if j != t:
+                break
+            rank[pair] = (sum(L) + max(excess[i], excess[t]), key(L))
+
     for g in gens:
         if g:
-            G.append(_primitive(g))
-            pairs = _update_pairs(G, pairs, len(G) - 1)
-    if not G:
-        return []
-    key = G[0].ring.order.key
+            add(_primitive(g), g.total_degree())
     while pairs:
-        best = min(range(len(pairs)), key=lambda t: key(pairs[t][2]))
-        i, j, _ = pairs.pop(best)
-        r = normal_form_list(s_polynomial(G[i], G[j]), G)
+        pair = min(pairs, key=rank.__getitem__)
+        pairs.remove(pair)
+        i, j, _ = pair
+        r = normal_form_list(s_polynomial(G[i], G[j]), lead)
         if r:
-            G.append(_primitive(r))
-            pairs = _update_pairs(G, pairs, len(G) - 1)
+            add(_primitive(r), rank[pair][0])
     return G
 
 
@@ -592,10 +619,10 @@ def reduce_groebner(G):
         if not any(_divides(h.lm(), g.lm()) for h in minimal):
             minimal.append(g)
     # reduced: fully reduce each tail against the others
+    lead = lead_index(minimal)
     reduced = []
     for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        r = normal_form_list(g, others)
+        r = normal_form_list(g, lead[:i] + lead[i + 1 :])
         if r:
             reduced.append(r.monic())
     return sorted(reduced, key=lambda g: key(g.lm()), reverse=True)
@@ -622,6 +649,7 @@ def unit_certificate(gens):
     rank = len(gens) + 1
     mring = _position_ring(ring, rank)
     G = [_encode({0: g, i + 1: ring.one()}, mring, rank).monic() for i, g in live]
+    lead = lead_index(G)
 
     def cofactors(h):
         v = _decode(h, ring)
@@ -638,10 +666,11 @@ def unit_certificate(gens):
         i, j = pairs.pop()
         if not G[i].lead_support() & G[j].lead_support() & base:
             continue  # coprime base leads: product criterion
-        r = normal_form_list(s_polynomial(G[i], G[j]), G)
+        r = normal_form_list(s_polynomial(G[i], G[j]), lead)
         # every lead sits in position 0; a remainder led elsewhere is a syzygy
         if r and r.lm()[n]:
             G.append(r.monic())
+            lead.append(lead_entry(G[-1]))
             if not any(r.lm()[:n]):
                 return cofactors(G[-1])
             pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
@@ -653,20 +682,23 @@ def unit_certificate(gens):
 
 
 class Ideal:
-    """Ideal with a lazily computed reduced Groebner basis."""
+    """Ideal with a lazily computed reduced Groebner basis and its lead index."""
 
     def __init__(self, ring, generators):
         self.ring = ring
         self.generators = tuple(g for g in generators)
         self._gb = None
+        self._lead = None
 
     def groebner(self):
         if self._gb is None:
             self._gb = groebner_basis(self.generators)
+            self._lead = lead_index(self._gb)
         return self._gb
 
     def normal_form(self, p):
-        return normal_form_list(p, self.groebner())
+        self.groebner()
+        return normal_form_list(p, self._lead)
 
     def contains(self, p):
         return self.normal_form(p).is_zero()
@@ -841,20 +873,24 @@ def module_groebner(gens, ring, rank):
     mring = _position_ring(ring, rank)
     n = ring.nvars
     G = [g for g in (_encode(v, mring, rank) for v in gens) if g]
+    lead = lead_index(G)
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
     while pairs:
         i, j = pairs.pop()
         if G[i].lm()[n:] != G[j].lm()[n:]:
             continue
-        r = normal_form_list(s_polynomial(G[i], G[j]), G)
+        r = normal_form_list(s_polynomial(G[i], G[j]), lead)
         if r:
             G.append(r)
+            lead.append(lead_entry(r))
             pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
     return G
 
 
 def module_normal_form(v, gb, ring, rank):
-    return _decode(normal_form_list(_encode(v, _position_ring(ring, rank), rank), gb), ring)
+    return _decode(
+        normal_form_list(_encode(v, _position_ring(ring, rank), rank), lead_index(gb)), ring
+    )
 
 
 def column_span(rows, relations):

@@ -1,8 +1,11 @@
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from uhat import rings
+from uhat.cli import main
 from uhat.rings import GradedRing, Ideal, PresentedAlgebra
 from uhat.lie import DerivationAction, GradedLieAlgebra
 from uhat.infinitesimal import check_cdrs, kernel_generators
@@ -434,6 +437,36 @@ def test_blowup_repairs_every_failing_fixture():
         chart = build_chart(action, cd, els)
         rep = verify_chart_cdrs(chart)
         assert rep["holds"] and rep["certificate_ok"], build.__name__
+
+
+# S-pairs `buchberger` reduces during `blowup --with-quotient`; the plain
+# smallest-lcm selection reduced 1144 and 134
+@pytest.mark.parametrize(
+    "name, pinned, lcm_order", [("heisenberg_scaled", 269, 1144), ("two_weight", 60, 134)]
+)
+def test_buchberger_s_pair_count_is_pinned(monkeypatch, capsys, name, pinned, lcm_order):
+    reduced, inside = 0, False
+    real_buchberger, real_s_polynomial = rings.buchberger, rings.s_polynomial
+
+    def buchberger(gens):
+        nonlocal inside
+        inside = True
+        try:
+            return real_buchberger(gens)
+        finally:
+            inside = False
+
+    def s_polynomial(f, g):
+        nonlocal reduced
+        reduced += inside
+        return real_s_polynomial(f, g)
+
+    monkeypatch.setattr(rings, "buchberger", buchberger)
+    monkeypatch.setattr(rings, "s_polynomial", s_polynomial)
+    path = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.uhat"
+    assert main(["blowup", "--scenario", str(path), "--with-quotient"]) == 0
+    capsys.readouterr()
+    assert reduced == pinned < lcm_order
 
 
 def test_random_sweep_slice_blows_up_and_verifies():

@@ -18,6 +18,8 @@ from uhat.rings import (
     determinant,
     eliminate,
     groebner_basis,
+    lead_entry,
+    lead_index,
     left_nullspace,
     matrix_rank,
     minors_ideal_generators,
@@ -125,7 +127,7 @@ def test_groebner_and_normal_form_match_sympy(order):
         assert gb == [from_sympy(e) for e in oracle.exprs], gens
         p = rand_poly(rng, 4)
         _, rem = sympy.reduced(to_sympy(p), oracle.exprs, *syms, order=sorder, domain="QQ")
-        assert normal_form_list(p, gb) == from_sympy(rem), (gens, p)
+        assert normal_form_list(p, lead_index(gb)) == from_sympy(rem), (gens, p)
 
 
 def plain_normal_form(p, basis):
@@ -165,15 +167,38 @@ def test_normal_form_list_matches_plain_reduction(order):
     for _ in range(60):
         basis = [rand_poly(rng.randint(1, 3)) for _ in range(rng.randint(2, 4))]
         p = rand_poly(6) * rand_poly(2)
-        got = normal_form_list(p, basis)
+        got = normal_form_list(p, lead_index(basis))
         assert got == plain_normal_form(p, basis), (basis, p)
         order_matters += got != plain_normal_form(p, basis[::-1])
         vbasis = [rand_vector() for _ in range(rng.randint(2, 4))]
         v = rand_vector() * rand_poly(2).map_ring(mring)
-        got = normal_form_list(v, vbasis)
+        got = normal_form_list(v, lead_index(vbasis))
         assert got == plain_normal_form(v, vbasis), (vbasis, v)
         order_matters += got != plain_normal_form(v, vbasis[::-1])
     assert order_matters > 20
+
+
+def test_lead_index_grown_by_appends_matches_plain_reduction():
+    # a Buchberger loop appends one entry per new basis element; after each
+    # append the index must reduce exactly as the list it stands for
+    ring = GradedRing(["x", "y", "z"], [0, -1, -2], "degrevlex")
+    monos = [m for d in range(4) for m in ring.monomials_of_degree(d)]
+    rng = random.Random(8)
+
+    def rand_poly(nterms):
+        terms = {m: Fraction(rng.choice([-2, -1, 1, 3])) for m in rng.sample(monos, nterms)}
+        return Polynomial(ring, terms)
+
+    for _ in range(20):
+        basis, lead = [], []
+        for _ in range(rng.randint(2, 6)):
+            g = rand_poly(rng.randint(1, 3))
+            basis.append(g)
+            lead.append(lead_entry(g))
+            assert lead == lead_index(basis)
+            for _ in range(3):
+                p = rand_poly(5) * rand_poly(2)
+                assert normal_form_list(p, lead) == plain_normal_form(p, basis), (basis, p)
 
 
 def quadratic_update_pairs(G, pairs, t):
@@ -254,6 +279,51 @@ def test_eliminate_substitution_oracle():
     E = eliminate(Ideal(R3, [t - x**2, t - y]), ["x", "y"])
     sub = E.ring
     assert E.groebner() == [sub.var("x") ** 2 - sub.var("y")]
+
+
+def test_eliminate_matches_sympy_lex_elimination():
+    # the block order is where sugar reorders pairs most; whatever the order,
+    # the kept part must be the reduced grevlex basis of the intersection
+    sympy = pytest.importorskip("sympy")
+
+    names = ["a", "b", "c", "d"]
+    ring = GradedRing(names, [0, 0, 0, 0])
+    syms = sympy.symbols(names)
+    monos = [m for d in range(3) for m in ring.monomials_of_degree(d)]
+    rng = random.Random(17)
+
+    def rand_poly(nvars):
+        support = [m for m in monos if not any(m[nvars:])]
+        terms = {m: rng.choice([-2, -1, 1, 3]) for m in rng.sample(support, rng.randint(2, 3))}
+        return Polynomial(ring, terms)
+
+    def to_sympy(p):
+        coeffs = {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()}
+        return sympy.Poly.from_dict(coeffs, *syms, domain="QQ").as_expr()
+
+    def from_sympy(expr, sub, gens):
+        terms = sympy.Poly(expr, *gens, domain="QQ").terms()
+        return sum((sub.monomial(m, Fraction(int(c.p), int(c.q))) for m, c in terms), sub.zero())
+
+    nonzero = 0
+    for _ in range(30):
+        nvars = rng.choice([3, 4])
+        keep = sorted(rng.sample(names[:nvars], rng.randint(1, nvars - 1)), key=names.index)
+        drop = [n for n in names[:nvars] if n not in keep]
+        gens = [rand_poly(nvars) for _ in range(rng.randint(2, 3))]
+        E = eliminate(Ideal(ring, gens), keep)
+        dsyms = [syms[names.index(n)] for n in drop]
+        ksyms = [syms[names.index(n)] for n in keep]
+        lex = sympy.groebner([to_sympy(g) for g in gens], *dsyms, *ksyms, order="lex", domain="QQ")
+        inside = [e for e in lex.exprs if not e.free_symbols & set(dsyms)]
+        oracle = []
+        if inside:
+            oracle = sympy.groebner(inside, *ksyms, order="grevlex", domain="QQ").exprs
+        expected = [from_sympy(e, E.ring, ksyms) for e in oracle]
+        assert list(E.generators) == expected, (gens, keep)
+        assert E.groebner() == expected
+        nonzero += bool(expected) and not E.is_unit()
+    assert nonzero > 10, nonzero
 
 
 def test_eliminate_trivial_cases():
