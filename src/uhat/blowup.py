@@ -24,7 +24,7 @@ from uhat.rings import (
 )
 from uhat.rings import eliminate as ring_eliminate
 from uhat.lie import DerivationAction, binom_multi, multi_range, pbw_word
-from uhat.infinitesimal import check_cdrs, level_data, stabiliser_at_point
+from uhat.infinitesimal import check_cdrs, level_data, stabiliser_at_point, validate_point
 from uhat.quotient import BoundExhausted
 
 
@@ -49,13 +49,8 @@ class LevelWitness:
     level: int  # 1-based
     weight: int
     split_rows: tuple  # lie basis indices, length r_i - k_i
-    rest_rows: tuple
     functions: tuple  # Polynomial, weight -w_i
-    minor: tuple = ()  # (Polynomial,) boxed to keep the dataclass hashable
-
-    @property
-    def a(self):
-        return self.minor[0]
+    a: Polynomial  # the minor a^(i); one when the level needs no split rows
 
     @property
     def need(self):
@@ -65,7 +60,7 @@ class LevelWitness:
 @dataclass
 class CentreData:
     k_vector: tuple
-    witnesses: list  # LevelWitness per level
+    witnesses: list  # LevelWitness per level, level i at index i - 1
     product_ideal: Ideal  # product of the minimal nonzero Fitting ideals
     centre_ideal: Ideal  # product ideal + negative weight part
 
@@ -76,9 +71,8 @@ class CentreData:
     def a_product(self, lo, hi=None):
         """Product of the witness minors of the levels lo <= level < hi."""
         out = self.product_ideal.ring.one()
-        for w in self.witnesses:
-            if lo <= w.level and (hi is None or w.level < hi):
-                out = out * w.a
+        for w in self.witnesses[lo - 1 : None if hi is None else hi - 1]:
+            out = out * w.a
         return out
 
 
@@ -148,7 +142,7 @@ def _witness_point(action, ks, rng, sample_count):
             n: Fraction(0) if n in neg else Fraction(rng.randint(-3, 3) if trial else 1)
             for n in ring.names
         }
-        if any(rel.evaluate(point) != 0 for rel in action.algebra.relations.generators):
+        if validate_point(action.algebra, point):
             continue
         ok = True
         for i in range(1, action.lie.nlevels + 1):
@@ -184,7 +178,7 @@ def centre(action, degree_bound=8):
         rows = action.lie.level_indices(i - 1)
         need = len(rows) - d.k
         if need == 0:
-            witnesses.append(LevelWitness(i, w, (), tuple(rows), (), (ring.one(),)))
+            witnesses.append(LevelWitness(i, w, (), (), ring.one()))
             continue
         found = None
         for deg in range(1, degree_bound + 1):
@@ -213,8 +207,7 @@ def centre(action, degree_bound=8):
             raise VerificationFailed(
                 f"witness minor at level {i} does not lie in its Fitting ideal", str(minor)
             )
-        rest = tuple(r for r in rows if r not in split)
-        witnesses.append(LevelWitness(i, w, tuple(split), rest, tuple(fns), (minor,)))
+        witnesses.append(LevelWitness(i, w, tuple(split), tuple(fns), minor))
     prod = product_fitting_ideal(action)
     centre_ideal = Ideal(
         ring,
@@ -251,49 +244,29 @@ def j_membership(action, ideal, g):
 # determinantal operators
 
 
-def E_operator(action, witness, mu, uea_element):
+def E_operator(action, witness, mu, row):
     """Row-replacement determinant against the witness functions.
 
-    `uea_element` is a map word-tuple -> Fraction acting through the
-    derivation action; the empty word acts as the scalar it carries.  The
-    mu-th row of the witness pairing matrix is replaced by the images of the
-    witness functions.
+    Row mu of the witness pairing matrix (split row r against function f
+    holds xi_r . f) is replaced by `row`, one value per witness function:
+    the images A . f of a Lie element A, or w * f for a scalar weight w.
     """
-    algebra = action.algebra
     fns = witness.functions
-    rows = []
-    for nu in range(witness.need):
-        if nu == mu:
-            rows.append([action.apply_uea(uea_element, f) for f in fns])
-        else:
-            r = witness.split_rows[nu]
-            rows.append([action.apply_basis(r, f) for f in fns])
-    return algebra.nf(determinant(rows))
-
-
-def uea_scalar(c):
-    return {(): Fraction(c)}
-
-
-def uea_letter(i):
-    return {(i,): Fraction(1)}
-
-
-def uea_from_lie(el):
-    return {(i,): Fraction(c) for i, c in el.items() if c}
+    rows = [
+        row if nu == mu else [action.apply_basis(r, f) for f in fns]
+        for nu, r in enumerate(witness.split_rows)
+    ]
+    return action.algebra.nf(determinant(rows))
 
 
 def verify_determinantal_sum(action, witness, h, lie_element):
     """Check sum_mu (xi_mu . h) E_mu(A) = (A . h) a^(i) exactly."""
-    algebra = action.algebra
-    A = uea_from_lie(lie_element)
+    row = [action.apply_vector(lie_element, f) for f in witness.functions]
     lhs = action.ring.zero()
-    for mu in range(witness.need):
-        lhs = lhs + action.apply_basis(witness.split_rows[mu], h) * E_operator(
-            action, witness, mu, A
-        )
-    rhs = action.apply_uea(A, h) * witness.a
-    return algebra.equal(lhs, rhs)
+    for mu, r in enumerate(witness.split_rows):
+        lhs = lhs + action.apply_basis(r, h) * E_operator(action, witness, mu, row)
+    rhs = action.apply_vector(lie_element, h) * witness.a
+    return action.algebra.equal(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +284,22 @@ def construct_b(action, centre_data):
     algebra = action.algebra
     lie = action.lie
     n = lie.nlevels
-    witnesses = {w.level: w for w in centre_data.witnesses}
+    witnesses = centre_data.witnesses
     per_level = {}
     for i in range(n, 0, -1):
-        wit = witnesses[i]
+        wit = witnesses[i - 1]
+        fns = wit.functions
+        scaled = [f * lie.weights[i - 1] for f in fns]
         out = []
         for mu in range(wit.need):
-            total = E_operator(action, wit, mu, uea_scalar(lie.weights[i - 1]))
+            total = E_operator(action, wit, mu, scaled)
             total = total * centre_data.a_product(i + 1)
             for ip in range(i + 1, n + 1):
-                wip = witnesses[ip]
+                wip = witnesses[ip - 1]
                 between = centre_data.a_product(i + 1, ip)
-                for mup in range(wip.need):
-                    coeff = E_operator(action, wit, mu, uea_letter(wip.split_rows[mup]))
+                for mup, r in enumerate(wip.split_rows):
+                    row = [action.apply_basis(r, f) for f in fns]
+                    coeff = E_operator(action, wit, mu, row)
                     total = total - coeff * between * per_level[ip][mup]
             out.append(algebra.nf(total))
         per_level[i] = out
@@ -339,9 +315,8 @@ def verify_b_properties(action, centre_data, elements):
     """
     algebra = action.algebra
     lie = action.lie
-    witnesses = {w.level: w for w in centre_data.witnesses}
     for i, bs in elements.per_level.items():
-        wit = witnesses[i]
+        wit = centre_data.witnesses[i - 1]
         w = lie.weights[i - 1]
         suffix = centre_data.a_product(i)
         for nu, b in enumerate(bs):
@@ -377,7 +352,7 @@ def verify_b_properties(action, centre_data, elements):
                 )
 
 
-def beta_values(action, centre_data, level, mu, p, _witnesses=None):
+def beta_values(action, centre_data, level, mu, p):
     """The recursion computing xi^p applied to the level element.
 
     Follows the complete-bracket expansion: the top term uses the weight of
@@ -385,18 +360,20 @@ def beta_values(action, centre_data, level, mu, p, _witnesses=None):
     binomial sum over weight-graded submonomials.
     """
     lie = action.lie
-    witnesses = _witnesses or {w.level: w for w in centre_data.witnesses}
-    wit = witnesses[level]
+    witnesses = centre_data.witnesses
+    wit = witnesses[level - 1]
+    fns = wit.functions
     n = lie.nlevels
     last_level = max(lie.levels[idx] for idx, e in enumerate(p) if e)
     w_last = lie.weights[last_level]
     bracket = lie.complete_bracket_pbw(p)
-    total = E_operator(action, wit, mu, uea_from_lie(bracket)) * w_last
+    row = [action.apply_vector(bracket, f) for f in fns]
+    total = E_operator(action, wit, mu, row) * w_last
     if level == n:
         return action.algebra.nf(total)
     total = total * centre_data.a_product(level + 1)
     for ip in range(level + 1, n + 1):
-        wip = witnesses[ip]
+        wip = witnesses[ip - 1]
         between = centre_data.a_product(level + 1, ip)
         target = lie.weights[ip - 1]
         for q in multi_range(p):
@@ -407,10 +384,10 @@ def beta_values(action, centre_data, level, mu, p, _witnesses=None):
             for mup in range(wip.need):
                 word = pbw_word(pq) + (wip.split_rows[mup],)
                 br = lie.complete_bracket_word(word)
-                coeff = E_operator(action, wit, mu, uea_from_lie(br))
+                coeff = E_operator(action, wit, mu, [action.apply_vector(br, f) for f in fns])
                 if coeff.is_zero():
                     continue
-                beta_sub = beta_values(action, centre_data, ip, mup, q, witnesses)
+                beta_sub = beta_values(action, centre_data, ip, mup, q)
                 total = total - coeff * between * beta_sub * binom
     return action.algebra.nf(total)
 
@@ -431,9 +408,7 @@ def beta_check(action, centre_data, elements, level, mu, p):
 
 @dataclass
 class BlowupChart:
-    base_action: DerivationAction
     centre_data: CentreData
-    a: object  # Polynomial in the base ring
     generators: list  # (chart name, base polynomial g) with t = g/a
     algebra: PresentedAlgebra
     action: DerivationAction
@@ -574,9 +549,7 @@ def build_chart(action, centre_data, elements, j_search_degree=0):
     chart_action = DerivationAction(chart_algebra, lie, table)
 
     chart = BlowupChart(
-        base_action=action,
         centre_data=centre_data,
-        a=a,
         generators=members,
         algebra=chart_algebra,
         action=chart_action,
@@ -598,12 +571,11 @@ def verify_chart_cdrs(chart):
     report = check_cdrs(chart.action)
     report["k_vector_base"] = chart.centre_data.k_vector
     report["certificates"] = {}
-    witnesses = {w.level: w for w in chart.centre_data.witnesses}
     algebra = chart.algebra
     ring = chart.algebra.ring
     ok_cert = True
     for level, names in chart.scaled_b_names.items():
-        wit = witnesses[level]
+        wit = chart.centre_data.witnesses[level - 1]
         w = wit.weight
         mat = []
         good = True

@@ -99,6 +99,15 @@ def kernel_generators(action, upto_level):
     return [tuple(v) for v in syzygy_kernel(fmap, rels)]
 
 
+def pair_coordinates(action, coords, mu):
+    """nf(sum_g c_g * (xi_mu . g)): generator-differential coordinates paired with mu."""
+    val = action.ring.zero()
+    for c, g in zip(coords, action.ring.names):
+        if c:
+            val = val + c * action.image_of_generator(mu, g)
+    return action.algebra.nf(val)
+
+
 def relative_map(action, i):
     """The map from the level-(i-1) kernel into the level-i dual block."""
     lie = action.lie
@@ -106,18 +115,8 @@ def relative_map(action, i):
         raise ValueError(f"level {i} out of range")
     level_rows = lie.level_indices(i - 1)
     domain = kernel_generators(action, i - 1)
-    names = action.ring.names
-    pairing = []
-    for mu in level_rows:
-        row = []
-        for gen in domain:
-            val = action.ring.zero()
-            for c, g in zip(gen, names):
-                if c:
-                    val = val + c * action.image_of_generator(mu, g)
-            row.append(action.algebra.nf(val))
-        pairing.append(tuple(row))
-    return PresentedModuleMap(tuple(domain), len(level_rows), tuple(pairing))
+    pairing = tuple(tuple(pair_coordinates(action, gen, mu) for gen in domain) for mu in level_rows)
+    return PresentedModuleMap(tuple(domain), len(level_rows), pairing)
 
 
 def fitting_chain_from_matrix(algebra, rows, target_rank):
@@ -359,17 +358,10 @@ def verify_snake_exactness(action, i, degree=2):
             return False
 
     # completeness: every degree-bounded kernel vector pairs into the span
+    level_rows = lie.level_indices(i - 1)
     for coords in enumerate_kernel_linear(action, i - 1, degree):
-        v = {}
-        for mu in range(r_i):
-            val = ring.zero()
-            row = lie.level_indices(i - 1)[mu]
-            for c, g in zip(coords, mat_i.generators):
-                if c:
-                    val = val + c * action.image_of_generator(row, g)
-            val = algebra.nf(val)
-            if val:
-                v[mu] = val
+        vals = [pair_coordinates(action, coords, mu) for mu in level_rows]
+        v = {pos: val for pos, val in enumerate(vals) if val}
         if v and module_normal_form(v, gb_small, ring, r_i):
             return False
     return True

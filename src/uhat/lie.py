@@ -338,10 +338,9 @@ class DerivationAction:
     `table[name][var]` is the image of the ring generator `var` under the
     basis vector `name`; missing entries are zero.  Images are stored as
     normal forms modulo the relations, and everything the action returns is
-    reduced, so callers need not reduce it again (only the empty word hands
-    its input back as given).  The per-level analysis is memoised
-    on the action, so an action and its algebra are not mutated after
-    construction.
+    reduced, so callers need not reduce it again.  The per-level analysis is
+    memoised on the action, so an action and its algebra are not mutated
+    after construction.
     """
 
     def __init__(self, algebra, lie, table):
@@ -383,19 +382,12 @@ class DerivationAction:
         return self.algebra.nf(out)
 
     def apply_vector(self, vec, p):
+        """Apply a Lie element {basis index: coefficient}; a sum of normal forms is reduced."""
         out = self.ring.zero()
         for i, c in vec.items():
             if c:
                 out = out + self.apply_basis(i, p) * c
-        return self.algebra.nf(out)
-
-    def apply_word(self, word, p):
-        """Compose basis derivations; the rightmost letter acts first."""
-        for i in reversed(word):
-            if p.is_zero():
-                return p
-            p = self.apply_basis(i, p)
-        return p
+        return out
 
     def apply_pbw(self, exp, p):
         """Apply a PBW monomial (rightmost factor first), with nilpotency cut."""
@@ -404,14 +396,11 @@ class DerivationAction:
             return p
         if self.lie.pbw_weight(exp) + p.min_weight() > 0:
             return self.ring.zero()
-        return self.apply_word(pbw_word(exp), p)
-
-    def apply_uea(self, el, p):
-        """Apply a UEA element given as a map word-tuple -> Fraction."""
-        out = self.ring.zero()
-        for word, c in el.items():
-            out = out + self.apply_word(word, p) * c
-        return self.algebra.nf(out)
+        for i in reversed(pbw_word(exp)):
+            p = self.apply_basis(i, p)
+            if p.is_zero():
+                break
+        return p
 
     def validate(self):
         """All structural invariants, each violation reported with a witness."""

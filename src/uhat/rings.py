@@ -505,9 +505,23 @@ def normal_form_list(p, lead):
 
 
 def s_polynomial(f, g):
+    """(L / lt f) * f - (L / lt g) * g for L = lcm(lm f, lm g), built in one dict."""
     lf, lg = f.lm(), g.lm()
     L = _exp_lcm(lf, lg)
-    return f.term_mul(1 / f.lc(), _exp_sub(L, lf)) - g.term_mul(1 / g.lc(), _exp_sub(L, lg))
+    qf, cf = _exp_sub(L, lf), 1 / f.lc()
+    qg, cg = _exp_sub(L, lg), -1 / g.lc()
+    out = {tuple(map(add, m, qf)): c * cf for m, c in f.terms.items()}
+    for m, c in g.terms.items():
+        t = tuple(map(add, m, qg))
+        if t not in out:
+            out[t] = c * cg
+            continue
+        s = out[t] + c * cg
+        if s:
+            out[t] = s
+        else:
+            del out[t]
+    return Polynomial(f.ring, out, False)
 
 
 def _primitive(p):
@@ -866,24 +880,25 @@ def module_groebner(gens, ring, rank):
     """Buchberger for submodules of a free module, position-over-term order.
 
     `gens` are vectors {pos: poly}; the basis is returned encoded over the
-    position ring, as `module_normal_form` takes it.  Pairs are taken last
-    in, first out, and this order fixes which syzygy generators
-    `syzygy_kernel` returns.
+    position ring, as `module_normal_form` takes it.  Only pairs whose leads
+    share a position are formed; they are taken last in, first out, and this
+    order fixes which syzygy generators `syzygy_kernel` returns.
     """
     mring = _position_ring(ring, rank)
     n = ring.nvars
     G = [g for g in (_encode(v, mring, rank) for v in gens) if g]
     lead = lead_index(G)
-    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
+    pos = [g.lm()[n:] for g in G]  # position part of each lead
+    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G)) if pos[i] == pos[j]]
     while pairs:
         i, j = pairs.pop()
-        if G[i].lm()[n:] != G[j].lm()[n:]:
-            continue
         r = normal_form_list(s_polynomial(G[i], G[j]), lead)
         if r:
+            t = len(G)
             G.append(r)
             lead.append(lead_entry(r))
-            pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
+            pos.append(r.lm()[n:])
+            pairs.extend((k, t) for k in range(t) if pos[k] == pos[t])
     return G
 
 

@@ -21,8 +21,6 @@ from uhat.blowup import (
     E_operator,
     find_j_members,
     j_membership,
-    uea_letter,
-    uea_scalar,
     verify_chart_cdrs,
     verify_determinantal_sum,
 )
@@ -85,6 +83,33 @@ def test_centre_two_weight(chain3):
     assert str(cd.a) == "x^2"
     assert sorted(str(g) for g in cd.centre_ideal.generators) == ["x^2", "y", "z"]
     assert [str(g) for g in cd.product_ideal.groebner()] == ["x^2"]
+
+
+def level_one_trivial():
+    """two_weight_chain with xi1 acting by zero: level 1 needs no split rows."""
+    R = GradedRing(["x", "y", "z"], [0, -1, -2])
+    L = GradedLieAlgebra([2, 1], [["xi1"], ["xi2"]])
+    return DerivationAction(PresentedAlgebra(R), L, {"xi2": {"z": R.var("y"), "y": R.var("x")}})
+
+
+def test_centre_witnesses_are_in_level_order():
+    # the blow-up reads the level-i witness at index i - 1, including the
+    # levels that need no split rows
+    actions = [two_weight_chain(), heisenberg_scaled(), level_one_trivial()]
+    seed = 1
+    for _ in range(6):
+        action, seed = sweep_script().sample(seed)
+        actions.append(action)
+    needs = []
+    for action in actions:
+        cd = centre(action)
+        assert len(cd.witnesses) == action.lie.nlevels
+        for i in range(1, action.lie.nlevels + 1):
+            assert cd.witnesses[i - 1].level == i, action.ring.names
+        needs += [w.need for w in cd.witnesses]
+    assert 0 in needs and 2 in needs
+    trivial = centre(level_one_trivial())
+    assert [(w.need, str(w.a)) for w in trivial.witnesses] == [(0, "1"), (1, "x")]
 
 
 def test_centre_short_circuits_when_condition_holds(ga_free):
@@ -152,21 +177,23 @@ def test_j_search_members_are_pinned(chain3):
 def test_E_operator_single_entry(chain3):
     cd = centre(chain3)
     w1 = cd.witnesses[0]
-    out = E_operator(chain3, w1, 0, uea_letter(chain3.lie.index("xi2")))
+    xi2 = chain3.lie.index("xi2")
+    out = E_operator(chain3, w1, 0, [chain3.apply_basis(xi2, f) for f in w1.functions])
     assert str(out) == "y"  # xi2 . z
 
 
 def test_E_operator_repeated_row_is_delta(chain3):
     cd = centre(chain3)
     w2 = cd.witnesses[1]
-    val = E_operator(chain3, w2, 0, uea_letter(w2.split_rows[0]))
+    row = [chain3.apply_basis(w2.split_rows[0], f) for f in w2.functions]
+    val = E_operator(chain3, w2, 0, row)
     assert chain3.algebra.equal(val, w2.a)
 
 
 def test_E_operator_scalar(chain3):
     cd = centre(chain3)
     w1 = cd.witnesses[0]
-    out = E_operator(chain3, w1, 0, uea_scalar(7))
+    out = E_operator(chain3, w1, 0, [f * 7 for f in w1.functions])
     assert out == chain3.ring.var("z") * 7
 
 
@@ -428,7 +455,8 @@ def test_chart_heisenberg_scaled_full_pipeline():
 
 def test_blowup_repairs_every_failing_fixture():
     # on every fixture where the condition fails and WUU holds, the chart passes
-    for build in (one_weight_jump, two_weight_chain, rank_drop_pair, heisenberg_scaled):
+    builds = (one_weight_jump, two_weight_chain, rank_drop_pair, heisenberg_scaled, level_one_trivial)
+    for build in builds:
         action = build()
         assert not check_cdrs(action)["holds"]
         assert check_wuu(action)[0]

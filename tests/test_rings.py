@@ -27,6 +27,7 @@ from uhat.rings import (
     module_normal_form,
     normal_form_list,
     right_nullspace,
+    s_polynomial,
     solve_linear,
     sparse_system,
     syzygy_kernel,
@@ -247,6 +248,89 @@ def test_update_pairs_matches_quadratic_rescan():
             ref = quadratic_update_pairs(G, ref, t)
             assert pairs == ref, [g.lm() for g in G]
     assert repeats > 100 and coprime > 100
+
+
+def term_mul_s_polynomial(f, g):
+    """The S-polynomial as two scaled copies, a negation and a sum, as a reference."""
+    lf, lg = f.lm(), g.lm()
+    L = _exp_lcm(lf, lg)
+    qf = tuple(b - a for a, b in zip(lf, L))
+    qg = tuple(b - a for a, b in zip(lg, L))
+    return f.term_mul(1 / f.lc(), qf) - g.term_mul(1 / g.lc(), qg)
+
+
+def test_s_polynomial_matches_term_mul_formula():
+    # plain pairs, and module vectors encoded over the position ring, where
+    # leads share a position; shared lower terms cancel in both
+    ring = GradedRing(["x", "y", "z"], [0, -1, -2])
+    monos = [m for d in range(4) for m in ring.monomials_of_degree(d)]
+    rng = random.Random(13)
+
+    def rand_poly(nterms):
+        coeffs = [Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2])) for _ in range(nterms)]
+        return Polynomial(ring, dict(zip(rng.sample(monos, nterms), coeffs)))
+
+    rank = 3
+    mring = _position_ring(ring, rank)
+    cancelled = 0
+    for _ in range(80):
+        f, g = rand_poly(rng.randint(1, 5)), rand_poly(rng.randint(1, 5))
+        common = rand_poly(2)
+        f, g = f + common * f.lc(), g + common * g.lc()
+        if not (f and g):
+            continue
+        want = term_mul_s_polynomial(f, g)
+        assert s_polynomial(f, g) == want, (f, g)
+        cancelled += len(want.terms) < len(f.terms) + len(g.terms) - 2
+        vf = _encode({0: f, rng.randrange(1, rank): rand_poly(2)}, mring, rank)
+        vg = _encode({0: g, rng.randrange(1, rank): rand_poly(2)}, mring, rank)
+        assert vf.lm()[-rank:] == vg.lm()[-rank:]
+        assert s_polynomial(vf, vg) == term_mul_s_polynomial(vf, vg), (vf, vg)
+    assert cancelled > 20
+
+
+def pop_filter_module_groebner(gens, ring, rank):
+    """`module_groebner` forming every pair and skipping, when popped, the
+    pairs whose leads lie in different positions, as a reference."""
+    mring = _position_ring(ring, rank)
+    n = ring.nvars
+    G = [g for g in (_encode(v, mring, rank) for v in gens) if g]
+    lead = lead_index(G)
+    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
+    while pairs:
+        i, j = pairs.pop()
+        if G[i].lm()[n:] != G[j].lm()[n:]:
+            continue
+        r = normal_form_list(term_mul_s_polynomial(G[i], G[j]), lead)
+        if r:
+            G.append(r)
+            lead.append(lead_entry(r))
+            pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
+    return G
+
+
+def test_module_groebner_matches_pop_time_position_filter():
+    # the basis list itself, not only the module it spans, fixes which
+    # syzygy generators are returned, so it must come out element for element;
+    # two variables and degree <= 2 keep the criterion-free loop small
+    monos = [m for d in range(3) for m in R2.monomials_of_degree(d)]
+    rng = random.Random(21)
+
+    def rand_poly(nterms):
+        terms = {m: Fraction(rng.choice([-2, -1, 1, 3])) for m in rng.sample(monos, nterms)}
+        return Polynomial(R2, terms)
+
+    grown = 0
+    for _ in range(60):
+        rank = rng.randint(1, 3)
+        gens = []
+        for _ in range(rng.randint(2, 4)):
+            positions = rng.sample(range(rank), rng.randint(1, rank))
+            gens.append({pos: rand_poly(rng.randint(1, 2)) for pos in positions})
+        got = module_groebner(gens, R2, rank)
+        assert got == pop_filter_module_groebner(gens, R2, rank), gens
+        grown += len(got) > len(gens)
+    assert grown > 20
 
 
 @settings(max_examples=40, deadline=None)
