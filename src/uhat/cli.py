@@ -84,6 +84,8 @@ def emit(report, json_path):
 def _load(args):
     scenario = load_scenario(args.scenario)
     if args.degree_bound is not None:
+        if args.degree_bound < 0:
+            raise ScenarioError(f"--degree-bound must be >= 0, got {args.degree_bound}")
         scenario.options.degree_bound = args.degree_bound
     if args.seed is not None:
         scenario.options.seed = args.seed

@@ -187,12 +187,10 @@ class QuotientStage:
     level: int
     weight: int
     slices: SliceSet
-    algebra_in: PresentedAlgebra
     action_in: DerivationAction
     algebra_out: PresentedAlgebra
-    inclusion: dict  # new generator name -> representative polynomial in algebra_in
+    inclusion: dict  # new generator name -> representative polynomial in action_in.algebra
     reconstruction: dict  # original generator -> list of (multi-index, poly over algebra_out)
-    induced_action: DerivationAction | None = None
 
 
 @dataclass
@@ -392,12 +390,10 @@ def staged_quotient(action, degree_bound=8):
                 level=stage_level,
                 weight=current.lie.weights[0],
                 slices=slices,
-                algebra_in=current.algebra,
                 action_in=current,
                 algebra_out=ctx.out_algebra,
                 inclusion=inclusion,
                 reconstruction=reconstruction,
-                induced_action=induced,
             )
         )
         current = induced
@@ -416,7 +412,7 @@ def verify_quotient(chain):
     failures = []
     for stage in chain.stages:
         action = stage.action_in
-        algebra = stage.algebra_in
+        algebra = action.algebra
         level_rows = action.lie.level_indices(0)
         for name, rep in stage.inclusion.items():
             for mu in level_rows:

@@ -580,7 +580,7 @@ def _update_pairs(G, pairs, t):
     return out
 
 
-def buchberger(gens):
+def buchberger(gens, keep=None, stop=None):
     """Groebner basis via Buchberger with Gebauer-Moeller pair pruning.
 
     Basis elements are kept primitive over the integers so coefficient
@@ -589,11 +589,16 @@ def buchberger(gens):
     broken by the smallest lcm; a pair's (sugar, lcm key) is computed once,
     when the pair is formed.  The selection order changes which basis comes
     out but not its reduced form, which is canonical.
+
+    A nonzero remainder r joins the basis only if `keep(r)` holds, and the
+    basis is returned as soon as `stop(g)` holds for an appended element g,
+    which is then its last element.
     """
     G, lead, excess, rank = [], [], [], {}
     pairs = []
 
     def add(g, sugar):
+        """Append g and its pairs; True when the loop should stop."""
         nonlocal pairs
         t = len(G)
         G.append(g)
@@ -606,17 +611,18 @@ def buchberger(gens):
             if j != t:
                 break
             rank[pair] = (sum(L) + max(excess[i], excess[t]), key(L))
+        return stop is not None and stop(g)
 
     for g in gens:
-        if g:
-            add(_primitive(g), g.total_degree())
+        if g and add(_primitive(g), g.total_degree()):
+            return G
     while pairs:
         pair = min(pairs, key=rank.__getitem__)
         pairs.remove(pair)
         i, j, _ = pair
         r = normal_form_list(s_polynomial(G[i], G[j]), lead)
-        if r:
-            add(_primitive(r), rank[pair][0])
+        if r and (keep is None or keep(r)) and add(_primitive(r), rank[pair][0]):
+            return G
     return G
 
 
@@ -649,10 +655,11 @@ def groebner_basis(gens):
 def unit_certificate(gens):
     """If <gens> is the unit ideal, return cofactors q with sum(q_i*g_i) = 1.
 
-    Runs Buchberger on the module vectors (g_i, e_{i+1}), so position i+1 of
-    every basis element carries its cofactor of g_i; stops as soon as a
-    basis element has a nonzero constant in position 0.  Returns None when
-    the ideal is proper.
+    Runs `buchberger` on the module vectors (g_i, e_{i+1}), so position i+1
+    of every basis element carries its cofactor of g_i.  Only remainders led
+    in position 0 are kept (the others are syzygies), and the loop stops at
+    the first element whose position-0 part is a constant c; its cofactors
+    divided by c are returned.  Returns None when the ideal is proper.
     """
     gens = list(gens)
     live = [(i, g) for i, g in enumerate(gens) if g]
@@ -662,33 +669,15 @@ def unit_certificate(gens):
     n = ring.nvars
     rank = len(gens) + 1
     mring = _position_ring(ring, rank)
-    G = [_encode({0: g, i + 1: ring.one()}, mring, rank).monic() for i, g in live]
-    lead = lead_index(G)
-
-    def cofactors(h):
-        v = _decode(h, ring)
-        return [v.get(i + 1, ring.zero()) for i in range(len(gens))]
-
-    for h in G:
-        if not any(h.lm()[:n]):
-            return cofactors(h)
-    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
-    key = mring.order.key
-    base = (1 << n) - 1  # support bits of the base variables
-    while pairs:
-        pairs.sort(key=lambda ij: key(_exp_lcm(G[ij[0]].lm(), G[ij[1]].lm())), reverse=True)
-        i, j = pairs.pop()
-        if not G[i].lead_support() & G[j].lead_support() & base:
-            continue  # coprime base leads: product criterion
-        r = normal_form_list(s_polynomial(G[i], G[j]), lead)
-        # every lead sits in position 0; a remainder led elsewhere is a syzygy
-        if r and r.lm()[n]:
-            G.append(r.monic())
-            lead.append(lead_entry(G[-1]))
-            if not any(r.lm()[:n]):
-                return cofactors(G[-1])
-            pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
-    return None
+    G = buchberger(
+        [_encode({0: g, i + 1: ring.one()}, mring, rank) for i, g in live],
+        keep=lambda r: r.lm()[n],
+        stop=lambda g: not any(g.lm()[:n]),
+    )
+    if any(G[-1].lm()[:n]):
+        return None
+    v = _decode(G[-1].monic(), ring)  # lc(G[-1]) is the constant c
+    return [v.get(i + 1, ring.zero()) for i in range(len(gens))]
 
 
 # ---------------------------------------------------------------------------

@@ -145,33 +145,26 @@ class Options:
 
 @dataclass
 class Scenario:
-    variables: list  # (name, weight)
-    order: str
-    relations: list  # source strings
-    lie_weights: list
-    lie_basis: list  # list of name lists per weight
-    brackets: dict  # (a, b) -> {name: Fraction}
-    action_table: dict  # vector name -> {generator: source string}
-    # what the parser built from the fields above: (ring, relation
-    # polynomials, Lie algebra, {vector: {generator: polynomial}})
-    parsed: tuple = field(compare=False, repr=False)
+    ring: GradedRing
+    relations: list  # (source line, polynomial) per relation
+    lie: GradedLieAlgebra
+    action_table: dict  # vector name -> {generator: polynomial}
     options: Options = field(default_factory=Options)
 
     def build(self):
         """Construct and validate the derivation action; raise on violations."""
-        ring, rels, lie, table = self.parsed
-        algebra = PresentedAlgebra(ring, Ideal(ring, rels))
-        if self.lie_weights:
+        algebra = PresentedAlgebra(self.ring, Ideal(self.ring, [rel for _, rel in self.relations]))
+        if self.lie.weights:
             # a graded action needs weight-homogeneous relations: every
             # weight component of a generator must itself lie in the ideal
-            for src, rel in zip(self.relations, rels):
+            for src, rel in self.relations:
                 for w, comp in rel.weight_decompose().items():
                     if not algebra.is_zero(comp):
                         raise ScenarioError(
                             f"relation {src!r} is not weight-homogeneous: its "
                             f"weight {w} component is not in the ideal"
                         )
-        action = DerivationAction(algebra, lie, table)
+        action = DerivationAction(algebra, self.lie, self.action_table)
         violations = action.validate()
         if violations:
             first = violations[0]
@@ -283,14 +276,11 @@ def parse_scenario(text):
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
             try:
-                if key == "degree_bound":
-                    options.degree_bound = int(val)
-                elif key == "sample_count":
-                    options.sample_count = int(val)
-                elif key == "seed":
-                    options.seed = int(val)
-                elif key == "j_search_degree":
-                    options.j_search_degree = int(val)
+                if key in ("degree_bound", "sample_count", "seed", "j_search_degree"):
+                    number = int(val)
+                    if number < 0 and key != "seed":
+                        raise ScenarioError(f"option {key!r} must be >= 0, got {number}", lineno)
+                    setattr(options, key, number)
                 elif key == "reduced":
                     if val.lower() not in ("true", "false"):
                         raise ValueError(val)
@@ -306,7 +296,7 @@ def parse_scenario(text):
         ring = GradedRing([n for n, _ in variables], [w for _, w in variables], order)
     except ValueError as exc:
         raise ScenarioError(str(exc), order_line)
-    rels = [parse_polynomial(src, ring, lineno) for src, lineno in relations]
+    rels = [(src, parse_polynomial(src, ring, lineno)) for src, lineno in relations]
     basis_names = {n for block in lie_basis for n in block}
     for (a, b), combo in brackets.items():
         for name in (a, b, *combo):
@@ -316,27 +306,16 @@ def parse_scenario(text):
         lie = GradedLieAlgebra(lie_weights, lie_basis, brackets)
     except ValueError as exc:
         raise ScenarioError(f"bad lie block: {exc}")
-    sources, table = {}, {}
+    table = {}
     for vec, row in action_table.items():
         if vec not in lie._index:
             raise ScenarioError(f"unknown basis vector {vec!r} in action table")
-        sources[vec] = {gen: src for gen, (src, _) in row.items()}
         table[vec] = {}
         for gen, (src, lineno) in row.items():
             if gen not in ring._index:
                 raise ScenarioError(f"unknown ring generator {gen!r}", lineno)
             table[vec][gen] = parse_polynomial(src, ring, lineno)
-    return Scenario(
-        variables=variables,
-        order=order,
-        relations=[src for src, _ in relations],
-        lie_weights=lie_weights,
-        lie_basis=lie_basis,
-        brackets=brackets,
-        action_table=sources,
-        parsed=(ring, rels, lie, table),
-        options=options,
-    )
+    return Scenario(ring, rels, lie, table, options)
 
 
 def _parse_combination(text, lineno):
@@ -363,7 +342,10 @@ def _parse_combination(text, lineno):
             num = toks.take_int()
             if toks.peek() == "/":
                 toks.pos += 1
-                coeff = Fraction(num, toks.take_int())
+                den = toks.take_int()
+                if den == 0:
+                    toks.error("zero denominator")
+                coeff = Fraction(num, den)
             else:
                 coeff = Fraction(num)
             if toks.peek() == "*":
@@ -375,48 +357,6 @@ def _parse_combination(text, lineno):
         combo[name] = combo.get(name, Fraction(0)) + sign * coeff
         sign = 1
     return {k: v for k, v in combo.items() if v}
-
-
-def serialize_scenario(s):
-    """Text form; parsing it back yields an identical Scenario."""
-    out = ["[ring]"]
-    out.append("variables: " + ", ".join(f"{n}:{w}" for n, w in s.variables))
-    out.append(f"order: {s.order}")
-    out.append("")
-    out.append("[relations]")
-    out.extend(s.relations)
-    out.append("")
-    out.append("[lie]")
-    for w, block in zip(s.lie_weights, s.lie_basis):
-        out.append(f"weight {w}: " + ", ".join(block))
-    for (a, b), combo in sorted(s.brackets.items()):
-        parts = []
-        for name, v in sorted(combo.items()):
-            sign = "-" if v < 0 else "+"
-            mag = abs(v)
-            body = name if mag == 1 else f"{mag} {name}"
-            parts.append((sign, body))
-        if not parts:
-            body = "0"
-        else:
-            body = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-            for sign, chunk in parts[1:]:
-                body += f" {sign} {chunk}"
-        out.append(f"bracket [{a}, {b}] = {body}")
-    out.append("")
-    out.append("[action]")
-    for vec in sorted(s.action_table):
-        for gen in sorted(s.action_table[vec]):
-            out.append(f"{vec}.{gen} = {s.action_table[vec][gen]}")
-    out.append("")
-    out.append("[options]")
-    o = s.options
-    out.append(f"degree_bound = {o.degree_bound}")
-    out.append(f"reduced = {'true' if o.reduced else 'false'}")
-    out.append(f"sample_count = {o.sample_count}")
-    out.append(f"seed = {o.seed}")
-    out.append(f"j_search_degree = {o.j_search_degree}")
-    return "\n".join(out) + "\n"
 
 
 def load_scenario(path):

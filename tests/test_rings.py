@@ -97,6 +97,38 @@ def test_unit_certificate_is_exact():
     assert unit_certificate([X * Y, Y]) is None
 
 
+def test_unit_certificate_matches_is_unit_on_random_ideals():
+    # None exactly when the reduced basis is not [1]; otherwise the cofactors
+    # sum to 1 exactly
+    rng = random.Random(19)
+    rings = [GradedRing(["x", "y"], [0, 0]), GradedRing(["x", "y", "z"], [0, 0, 0])]
+    units = 0
+    for _ in range(80):
+        ring = rng.choice(rings)
+        gens = [
+            sum(
+                (
+                    ring.monomial(tuple(rng.randint(0, 2) for _ in ring.names), rng.randint(-3, 3))
+                    for _ in range(rng.randint(1, 3))
+                ),
+                ring.zero(),
+            )
+            for _ in range(rng.randint(2, 4))
+        ]
+        cert = unit_certificate(gens)
+        assert (cert is not None) == Ideal(ring, gens).is_unit(), gens
+        if cert is not None:
+            units += 1
+            assert sum((q * g for q, g in zip(cert, gens)), ring.zero()) == ring.one(), gens
+    assert 0 < units < 80  # both outcomes occur
+
+
+def test_unit_certificate_uses_the_first_constant_generator():
+    gens = [X * Y, X + 1, R2.const(3), R2.const(-2), Y]
+    z = R2.zero()
+    assert unit_certificate(gens) == [z, z, R2.const(Fraction(1, 3)), z, z]
+
+
 @pytest.mark.parametrize("order", ["degrevlex", "lex"])
 def test_groebner_and_normal_form_match_sympy(order):
     sympy = pytest.importorskip("sympy")

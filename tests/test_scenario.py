@@ -13,7 +13,6 @@ from uhat.scenario import (
     load_scenario,
     parse_polynomial,
     parse_scenario,
-    serialize_scenario,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -57,14 +56,6 @@ def test_fixture_files_parse_and_build():
         scenario = load_scenario(path)
         action = scenario.build()
         assert action.validate() == []
-
-
-def test_scenario_round_trip():
-    scenario = load_scenario(SCENARIOS / "heisenberg_scaled.uhat")
-    text = serialize_scenario(scenario)
-    again = parse_scenario(text)
-    assert again == scenario
-    assert serialize_scenario(again) == text
 
 
 def test_scenario_sources_are_parsed_once(monkeypatch):
@@ -252,6 +243,34 @@ def test_bad_scenario_is_input_error(tmp_path, capsys):
     assert run_cli("analyze", "--scenario", str(bad)) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error") and "pbw_bound" in err and "(line 9)" in err, err
+
+
+def test_zero_denominator_in_a_bracket_is_input_error(tmp_path, capsys):
+    text = "[ring]\nvariables: x:0\n\n[lie]\nweight 2: a\nweight 1: b\nbracket [a, b] = 1/0 a\n"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert (err.value.line, err.value.column) == (7, 4)
+    bad = tmp_path / "bad.uhat"
+    bad.write_text(text)
+    assert run_cli("analyze", "--scenario", str(bad)) == 2
+    assert "zero denominator (line 7, column 4)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["degree_bound", "sample_count", "j_search_degree"])
+def test_negative_count_option_is_input_error(tmp_path, capsys, option):
+    head = "[ring]\nvariables: x:0\n\n[options]\n"
+    assert getattr(parse_scenario(head + f"{option} = 0\n").options, option) == 0
+    bad = tmp_path / "bad.uhat"
+    bad.write_text(head + f"{option} = -3\n")
+    assert run_cli("analyze", "--scenario", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and option in err and "(line 5)" in err, err
+
+
+def test_negative_degree_bound_flag_is_input_error(capsys):
+    path = str(SCENARIOS / "one_weight_free.uhat")
+    assert run_cli("quotient", "--scenario", path, "--degree-bound", "-3") == 2
+    assert capsys.readouterr().err.startswith("input error: --degree-bound")
 
 
 def test_bound_exhaustion_exit_code(tmp_path):
