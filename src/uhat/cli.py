@@ -242,9 +242,14 @@ def cmd_blowup(args):
 
 
 def cmd_identities(args):
+    for flag in ("letters", "max_total", "weight_samples", "comult_degree"):
+        value = getattr(args, flag)
+        if value < 0:
+            raise ScenarioError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
     rng = random.Random(args.seed if args.seed is not None else 1)
     report = {"command": "identities", "weighted_bracket": {}, "commutator": {}, "comult": {}}
     ok_all = True
+    brackets = {}  # complete-bracket memo, shared by both identities for this run only
     for n in range(1, args.letters + 1):
         tuples = []
         for _ in range(args.weight_samples):
@@ -255,11 +260,11 @@ def cmd_identities(args):
             if not 0 < sum(k) <= args.max_total:
                 continue
             for w in tuples:
-                ok, info = verify_weighted_bracket_identity(n, w, k, args.max_total)
+                ok, info = verify_weighted_bracket_identity(n, w, k, args.max_total, brackets)
                 checked += 1
                 if not ok:
                     failed.append({"k": k, "weights": w})
-            ok2, info2 = verify_commutator_identity(n, k, args.max_total)
+            ok2, info2 = verify_commutator_identity(n, k, args.max_total, brackets)
             if not ok2:
                 failed.append({"k": k, "identity": "commutator"})
         report["weighted_bracket"][f"letters_{n}"] = {"checked": checked, "failures": failed}

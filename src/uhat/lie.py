@@ -20,82 +20,45 @@ from uhat.rings import GradedRing, Polynomial
 # ---------------------------------------------------------------------------
 # free associative algebra (for the bracket identities)
 
-
-class FreeElement:
-    """Element of a free associative algebra: map word-tuple -> Fraction."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None, prune=True):
-        terms = terms or {}
-        if prune:
-            self.terms = {w: Fraction(c) for w, c in terms.items() if c != 0}
-        else:
-            self.terms = terms
-
-    @classmethod
-    def letter(cls, i):
-        return cls({(i,): Fraction(1)})
-
-    @classmethod
-    def scalar(cls, c):
-        return cls({(): Fraction(c)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-        return FreeElement(out, False)
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return FreeElement()
-            return FreeElement({w: c * other for w, c in self.terms.items()}, False)
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = out.get(w, 0) + c1 * c2
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-        return FreeElement(out, False)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, FreeElement) and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*{'.'.join(map(str, w)) or '1'}" for w, c in sorted(self.terms.items()))
+# An element of the free associative algebra is a map word-tuple -> coefficient;
+# the identity checks add terms into one such map per side and compare them.
 
 
-def free_commutator(a, b):
-    return a * b - b * a
+def free_complete_bracket(word, memo=None):
+    """[a_1, [a_2, ... a_m]] in the free associative algebra, as {word: int}.
 
-
-def free_complete_bracket(word):
-    """[a_1,...,a_m]] = ad_{a_1} ... ad_{a_{m-1}}(a_m) on single letters."""
+    Closed form of the right-normed bracket (Reutenauer, *Free Lie Algebras*,
+    1993): the sum over subsets I of {1..m-1} of (-1)^(m-1-|I|) times the
+    letters of I in order, then a_m, then the other letters in reverse order.
+    `memo` maps words to their brackets; pass one dict to share the work
+    between calls.  The returned map may be the memo's own, so it is read only.
+    """
     if not word:
         raise ValueError("complete bracket needs at least one letter")
-    el = FreeElement.letter(word[-1])
-    for i in range(len(word) - 2, -1, -1):
-        el = free_commutator(FreeElement.letter(word[i]), el)
-    return el
+    if memo is not None and word in memo:
+        return memo[word]
+    *head, last = word
+    out = {}
+    for picks in itertools.product((True, False), repeat=len(head)):
+        left = tuple(a for a, p in zip(head, picks) if p)
+        right = tuple(a for a, p in zip(reversed(head), reversed(picks)) if not p)
+        w = left + (last,) + right
+        out[w] = out.get(w, 0) + (-1) ** len(right)
+    out = _nonzero(out)
+    if memo is not None:
+        memo[word] = out
+    return out
+
+
+def _add_bracket_term(out, bracket, tail, coeff):
+    """out += coeff * bracket * tail, in place."""
+    for w, c in bracket.items():
+        key = w + tail
+        out[key] = out.get(key, 0) + coeff * c
+
+
+def _nonzero(terms):
+    return {w: c for w, c in terms.items() if c}
 
 
 def multi_range(k):
@@ -108,46 +71,46 @@ def binom_multi(k, s):
     return math.prod(math.comb(ki, si) for ki, si in zip(k, s))
 
 
-def verify_weighted_bracket_identity(n, weights, k, degree_cap=8):
+def verify_weighted_bracket_identity(n, weights, k, degree_cap=8, memo=None):
     """Check (sum k_i w_i) y^k = sum_{0<s<=k} C(k,s) w_max(s) [y^s]] y^{k-s}.
 
-    Exact expansion in the free algebra on n letters; returns (ok, info)
-    where info carries both sides on failure.
+    Exact expansion in the free algebra on n letters; coefficients stay
+    integers for integer weights.  Returns (ok, info) where info carries
+    both sides, as {word: coefficient} maps, on failure.  `memo` is passed
+    to `free_complete_bracket`.
     """
     k = tuple(k)
     if sum(k) > degree_cap:
         raise ValueError("degree cap exceeded")
-    weights = [Fraction(w) for w in weights]
-    yk = FreeElement({pbw_word(k): Fraction(1)})
-    lhs = yk * sum((ki * wi for ki, wi in zip(k, weights)), Fraction(0))
-    rhs = FreeElement()
+    lhs = _nonzero({pbw_word(k): sum(ki * wi for ki, wi in zip(k, weights))})
+    rhs = {}
     for s in multi_range(k):
         if sum(s) == 0:
             continue
         wmax = weights[max(i for i in range(n) if s[i])]
-        piece = free_complete_bracket(pbw_word(s)) * FreeElement(
-            {pbw_word(tuple(ki - si for ki, si in zip(k, s))): Fraction(1)}
-        )
-        rhs = rhs + piece * (binom_multi(k, s) * wmax)
+        tail = pbw_word(tuple(ki - si for ki, si in zip(k, s)))
+        _add_bracket_term(rhs, free_complete_bracket(pbw_word(s), memo), tail, binom_multi(k, s) * wmax)
+    rhs = _nonzero(rhs)
     ok = lhs == rhs
-    return ok, None if ok else {"k": k, "weights": weights, "lhs": lhs, "rhs": rhs}
+    return ok, None if ok else {"k": k, "weights": list(weights), "lhs": lhs, "rhs": rhs}
 
 
-def verify_commutator_identity(n, k, degree_cap=8):
+def verify_commutator_identity(n, k, degree_cap=8, memo=None):
     """Check x^k y = sum_{0<=s<=k} C(k,s) [x^{k-s} y]] x^s in the free algebra.
 
     The letter y is represented by index n (after the x letters 0..n-1).
+    `memo` is passed to `free_complete_bracket`.
     """
     k = tuple(k)
     if sum(k) > degree_cap:
         raise ValueError("degree cap exceeded")
     y = n
-    lhs = FreeElement({pbw_word(k) + (y,): Fraction(1)})
-    rhs = FreeElement()
+    lhs = {pbw_word(k) + (y,): 1}
+    rhs = {}
     for s in multi_range(k):
         bracket_word = pbw_word(tuple(ki - si for ki, si in zip(k, s))) + (y,)
-        piece = free_complete_bracket(bracket_word) * FreeElement({pbw_word(s): Fraction(1)})
-        rhs = rhs + piece * binom_multi(k, s)
+        _add_bracket_term(rhs, free_complete_bracket(bracket_word, memo), pbw_word(s), binom_multi(k, s))
+    rhs = _nonzero(rhs)
     ok = lhs == rhs
     return ok, None if ok else {"k": k, "lhs": lhs, "rhs": rhs}
 
@@ -616,20 +579,28 @@ def comult_coefficients(lie, degree_bound):
     multiplication polynomials, read off in the two coordinate blocks.
     Returns a map alpha -> {(beta, gamma): Fraction}.
     """
-    n = lie.dim
     ring, law = group_law(lie)
     table = {}
-    for alpha in itertools.product(*(range(degree_bound + 1) for _ in range(n))):
-        if sum(alpha) > degree_bound:
-            continue
-        p = ring.one()
-        for i, a in enumerate(alpha):
-            if a:
-                p = p * law[i] ** a
-        entry = {}
-        for m, c in p.terms.items():
-            beta, gamma = m[:n], m[n:]
-            if sum(beta) <= degree_bound and sum(gamma) <= degree_bound:
-                entry[(beta, gamma)] = c
-        table[alpha] = entry
+    _fill_comult_rows(table, law, lie.dim, degree_bound, (), ring.one())
     return table
+
+
+def _fill_comult_rows(table, law, n, degree_bound, alpha, p):
+    """Add every row of the table whose index extends the prefix alpha, with product p.
+
+    A module function, not a closure: a recursive closure is a reference
+    cycle that would keep each table alive until the cyclic collector runs.
+    """
+    if len(alpha) == n:
+        table[alpha] = {
+            (m[:n], m[n:]): c
+            for m, c in p.terms.items()
+            if sum(m[:n]) <= degree_bound and sum(m[n:]) <= degree_bound
+        }
+        return
+    i = len(alpha)
+    for a in range(degree_bound - sum(alpha) + 1):
+        if a:
+            # p(alpha + a e_i) = p(alpha + (a - 1) e_i) * m_i, i being its last nonzero index
+            p = p * law[i]
+        _fill_comult_rows(table, law, n, degree_bound, alpha + (a,), p)

@@ -30,13 +30,17 @@ class ScenarioError(Exception):
 
 
 class _Tokens:
-    def __init__(self, text, line=None):
+    """Cursor over one expression; `offset` is where it starts in its source line."""
+
+    def __init__(self, text, line=None, offset=0):
         self.text = text
         self.line = line
+        self.offset = offset
         self.pos = 0
 
-    def error(self, message):
-        raise ScenarioError(message, self.line, self.pos + 1)
+    def error(self, message, pos=None):
+        """Raise at `pos` (default: the cursor), as a column of the source line."""
+        raise ScenarioError(message, self.line, self.offset + (self.pos if pos is None else pos) + 1)
 
     def peek(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -61,10 +65,26 @@ class _Tokens:
             self.error("expected an integer")
         return int(self.text[start : self.pos])
 
+    def take_rational(self):
+        """An integer or a rational p/q at the cursor; refuses a zero denominator."""
+        num = self.take_int()
+        if self.peek() != "/":
+            return Fraction(num)
+        self.pos += 1
+        start = self.pos
+        den = self.take_int()
+        if den == 0:
+            self.error("zero denominator", start)
+        return Fraction(num, den)
 
-def parse_polynomial(text, ring, line=None):
-    """Parse infix polynomial syntax: +, -, *, ^ and rationals p/q."""
-    toks = _Tokens(text, line)
+
+def parse_polynomial(text, ring, line=None, offset=0):
+    """Parse infix polynomial syntax: +, -, *, ^ and rationals p/q.
+
+    `offset` is the index of `text` in its source line, so diagnostics
+    give columns of the line.
+    """
+    toks = _Tokens(text, line, offset)
 
     def atom():
         c = toks.peek()
@@ -78,18 +98,12 @@ def parse_polynomial(text, ring, line=None):
             toks.pos += 1
             return e
         if c.isdigit():
-            num = toks.take_int()
-            if toks.peek() == "/":
-                toks.pos += 1
-                den = toks.take_int()
-                if den == 0:
-                    toks.error("zero denominator")
-                return ring.const(Fraction(num, den))
-            return ring.const(num)
+            return ring.const(toks.take_rational())
         if c.isalpha() or c in "_@":
+            start = toks.pos
             name = toks.take_name()
             if name not in ring._index:
-                toks.error(f"unknown variable {name!r}")
+                toks.error(f"unknown variable {name!r}", start)
             return ring.var(name)
         toks.error(f"unexpected character {c!r}")
 
@@ -233,7 +247,7 @@ def parse_scenario(text):
             else:
                 raise ScenarioError(f"unexpected ring entry {line!r}", lineno)
         elif section == "relations":
-            relations.append((line, lineno))
+            relations.append((*_expression(raw, 0), lineno))
         elif section == "lie":
             if line.lower().startswith("weight "):
                 head, _, names = line.partition(":")
@@ -248,8 +262,7 @@ def parse_scenario(text):
                 body = line[len("bracket") :].strip()
                 if "=" not in body or not body.startswith("["):
                     raise ScenarioError("expected 'bracket [a, b] = combination'", lineno)
-                pair, _, combo_text = body.partition("=")
-                pair = pair.strip()
+                pair = body.partition("=")[0].strip()
                 if not (pair.startswith("[") and pair.endswith("]")):
                     raise ScenarioError("expected '[a, b]' on the left", lineno)
                 names = [n.strip() for n in pair[1:-1].split(",")]
@@ -257,19 +270,19 @@ def parse_scenario(text):
                     raise ScenarioError("brackets take exactly two arguments", lineno)
                 if (names[0], names[1]) in brackets:
                     raise ScenarioError(f"duplicate bracket [{names[0]}, {names[1]}]", lineno)
-                brackets[(names[0], names[1])] = _parse_combination(combo_text.strip(), lineno)
+                combo_text, offset = _expression(raw, raw.index("=") + 1)
+                brackets[(names[0], names[1])] = _parse_combination(combo_text, lineno, offset)
             else:
                 raise ScenarioError(f"unexpected lie entry {line!r}", lineno)
         elif section == "action":
             if "=" not in line or "." not in line.split("=", 1)[0]:
                 raise ScenarioError("expected 'vector.generator = polynomial'", lineno)
-            lhs, _, rhs = line.partition("=")
-            vec, _, gen = lhs.strip().partition(".")
+            vec, _, gen = line.partition("=")[0].strip().partition(".")
             vec, gen = vec.strip(), gen.strip()
             action_table.setdefault(vec, {})
             if gen in action_table[vec]:
                 raise ScenarioError(f"duplicate action entry {vec}.{gen}", lineno)
-            action_table[vec][gen] = (rhs.strip(), lineno)
+            action_table[vec][gen] = (*_expression(raw, raw.index("=") + 1), lineno)
         elif section == "options":
             if "=" not in line:
                 raise ScenarioError("expected 'key = value'", lineno)
@@ -296,7 +309,7 @@ def parse_scenario(text):
         ring = GradedRing([n for n, _ in variables], [w for _, w in variables], order)
     except ValueError as exc:
         raise ScenarioError(str(exc), order_line)
-    rels = [(src, parse_polynomial(src, ring, lineno)) for src, lineno in relations]
+    rels = [(src, parse_polynomial(src, ring, lineno, offset)) for src, offset, lineno in relations]
     basis_names = {n for block in lie_basis for n in block}
     for (a, b), combo in brackets.items():
         for name in (a, b, *combo):
@@ -311,18 +324,18 @@ def parse_scenario(text):
         if vec not in lie._index:
             raise ScenarioError(f"unknown basis vector {vec!r} in action table")
         table[vec] = {}
-        for gen, (src, lineno) in row.items():
+        for gen, (src, offset, lineno) in row.items():
             if gen not in ring._index:
                 raise ScenarioError(f"unknown ring generator {gen!r}", lineno)
-            table[vec][gen] = parse_polynomial(src, ring, lineno)
+            table[vec][gen] = parse_polynomial(src, ring, lineno, offset)
     return Scenario(ring, rels, lie, table, options)
 
 
-def _parse_combination(text, lineno):
+def _parse_combination(text, lineno, offset):
     """Rational linear combination of basis names, e.g. '1/2 c + d - e'."""
     if text == "0":
         return {}
-    toks = _Tokens(text, lineno)
+    toks = _Tokens(text, lineno, offset)
     combo = {}
     sign = 1
     while True:
@@ -339,15 +352,7 @@ def _parse_combination(text, lineno):
             continue
         coeff = Fraction(1)
         if c.isdigit():
-            num = toks.take_int()
-            if toks.peek() == "/":
-                toks.pos += 1
-                den = toks.take_int()
-                if den == 0:
-                    toks.error("zero denominator")
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
+            coeff = toks.take_rational()
             if toks.peek() == "*":
                 toks.pos += 1
         c = toks.peek()
@@ -357,6 +362,12 @@ def _parse_combination(text, lineno):
         combo[name] = combo.get(name, Fraction(0)) + sign * coeff
         sign = 1
     return {k: v for k, v in combo.items() if v}
+
+
+def _expression(raw, start):
+    """The expression in `raw[start:]`, comment and blanks removed, and its offset in `raw`."""
+    text = raw.split("#", 1)[0][start:]
+    return text.strip(), start + len(text) - len(text.lstrip())
 
 
 def load_scenario(path):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from uhat.rings import GradedRing, Ideal, PresentedAlgebra, right_nullspace
 from uhat.lie import (
     DerivationAction,
-    FreeElement,
     GradedLieAlgebra,
     coaction_expand,
     comult_coefficients,
@@ -144,6 +144,8 @@ def test_weighted_bracket_identity_base_cases():
     assert ok
     ok, _ = verify_weighted_bracket_identity(2, [3, 1], (2, 1))
     assert ok
+    ok, _ = verify_weighted_bracket_identity(2, [Fraction(3, 2), Fraction(1, 3)], (2, 1))
+    assert ok
 
 
 def test_commutator_identity_base_cases():
@@ -155,9 +157,33 @@ def test_commutator_identity_base_cases():
     assert ok
 
 
-def test_free_complete_bracket_is_iterated_commutator():
-    a, b = FreeElement.letter(0), FreeElement.letter(1)
-    assert free_complete_bracket((0, 1)) == a * b - b * a
+def _commutator_bracket(word):
+    """Reference: ad_{a_1} ... ad_{a_{m-1}}(a_m) by iterated commutators a X - X a."""
+    el = {(word[-1],): 1}
+    for a in reversed(word[:-1]):
+        out = {}
+        for w, c in el.items():
+            out[(a,) + w] = out.get((a,) + w, 0) + c
+            out[w + (a,)] = out.get(w + (a,), 0) - c
+        el = {w: c for w, c in out.items() if c}
+    return el
+
+
+def test_free_complete_bracket_matches_commutator_recursion():
+    rng = random.Random(11)
+    memo = {}
+    words = [(0, 1), (0, 0), (1, 0, 1)]
+    while len(words) < 300:
+        letters = rng.randint(1, 3)
+        words.append(tuple(rng.randrange(letters) for _ in range(rng.randint(1, 8))))
+    assert sum(len(set(w)) < len(w) for w in words) > 100  # repeated letters are covered
+    for word in words:
+        expected = _commutator_bracket(word)
+        assert free_complete_bracket(word) == expected, word
+        assert free_complete_bracket(word, memo) == expected, word
+    assert free_complete_bracket((0, 1)) == {(0, 1): 1, (1, 0): -1}
+    assert free_complete_bracket((0, 0)) == {}
+    assert all(type(c) is int for b in memo.values() for c in b.values())
 
 
 # -- coaction expansion

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import uhat.lie
 from uhat.cli import main
 from uhat.rings import GradedRing
 from uhat.scenario import (
@@ -64,9 +65,9 @@ def test_scenario_sources_are_parsed_once(monkeypatch):
     parsed = []
     genuine = sc.parse_polynomial
 
-    def counting(text, ring, line=None):
+    def counting(text, ring, *position):
         parsed.append(text)
-        return genuine(text, ring, line)
+        return genuine(text, ring, *position)
 
     monkeypatch.setattr(sc, "parse_polynomial", counting)
     scenario = load_scenario(SCENARIOS / "heisenberg_scaled.uhat")
@@ -249,11 +250,21 @@ def test_zero_denominator_in_a_bracket_is_input_error(tmp_path, capsys):
     text = "[ring]\nvariables: x:0\n\n[lie]\nweight 2: a\nweight 1: b\nbracket [a, b] = 1/0 a\n"
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
-    assert (err.value.line, err.value.column) == (7, 4)
+    assert (err.value.line, err.value.column) == (7, 20)  # the column of the "0" in its line
     bad = tmp_path / "bad.uhat"
     bad.write_text(text)
     assert run_cli("analyze", "--scenario", str(bad)) == 2
-    assert "zero denominator (line 7, column 4)" in capsys.readouterr().err
+    assert "zero denominator (line 7, column 20)" in capsys.readouterr().err
+
+
+def test_action_entry_diagnostic_gives_the_column_of_the_line():
+    head = "[ring]\nvariables: x:0, y:-1\n\n[lie]\nweight 1: b\n\n[action]\n"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(head + "  b.y =  x + 1/0  # comment\n")
+    assert (err.value.line, err.value.column) == (8, 16)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(head + "b.y = x + w\n")
+    assert (err.value.line, err.value.column) == (8, 11)
 
 
 @pytest.mark.parametrize("option", ["degree_bound", "sample_count", "j_search_degree"])
@@ -421,6 +432,32 @@ def test_blowup_with_quotient_chains(tmp_path):
 
 def test_identities_command():
     assert run_cli("identities", "--max-total", "2", "--letters", "2", "--comult-degree", "2") == 0
+
+
+@pytest.mark.parametrize("flag", ["--letters", "--max-total", "--weight-samples", "--comult-degree"])
+def test_negative_identities_count_is_input_error(capsys, flag):
+    small = ["--letters", "1", "--max-total", "1", "--weight-samples", "1", "--comult-degree", "1"]
+    assert run_cli("identities", *small, flag, "0") == 0
+    capsys.readouterr()
+    assert run_cli("identities", *small, flag, "-1") == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"input error: {flag} must be >= 0") and not out.out
+
+
+def test_identities_bracket_memo_lasts_one_run(monkeypatch, capsys):
+    memos = []
+    closed_form = uhat.lie.free_complete_bracket
+
+    def spy(word, memo=None):
+        if not any(m is memo for m in memos):
+            memos.append(memo)
+        return closed_form(word, memo)
+
+    monkeypatch.setattr(uhat.lie, "free_complete_bracket", spy)
+    for _ in range(2):
+        assert run_cli("identities", "--letters", "2", "--max-total", "3", "--comult-degree", "1") == 0
+    # one memo per run: a second run in the same process starts from an empty memo
+    assert len(memos) == 2 and None not in memos
 
 
 @pytest.mark.parametrize("flag", ["--degree-bound", "--pbw-bound"])
