@@ -486,7 +486,8 @@ def build_chart(action, centre_data, elements, j_search_degree=0):
                 push(g)
 
     # close the member list under the basis derivations so the extended
-    # action is expressible on chart generators
+    # action is expressible on chart generators: xi.t_g = scale * t_{xi.g}
+    derived = {}  # (basis index, member name) -> (name, scale) of its derivative
     frontier = list(members)
     while frontier:
         name, g = frontier.pop()
@@ -495,7 +496,7 @@ def build_chart(action, centre_data, elements, j_search_degree=0):
             if img.is_zero():
                 continue
             before = len(members)
-            push(img)
+            derived[idx, name] = push(img)
             if len(members) > before:
                 frontier.append(members[-1])
 
@@ -527,7 +528,6 @@ def build_chart(action, centre_data, elements, j_search_degree=0):
     chart_ring = saturated.ring
     chart_algebra = PresentedAlgebra(chart_ring, saturated)
 
-    # extended derivations: xi.t_g = t_{xi.g}, resolved through the member list
     table = {}
     for bi, bname in enumerate(lie.basis_names):
         row = {}
@@ -535,16 +535,10 @@ def build_chart(action, centre_data, elements, j_search_degree=0):
             img = action.image_of_generator(bi, var)
             if img:
                 row[var] = img.map_ring(chart_ring)
-        for name, g in members:
-            img = action.apply_basis(bi, g)
-            if img.is_zero():
-                continue
-            match = lookup.get(img.monic())
-            if match is None:
-                raise VerificationFailed(
-                    f"derivative of chart member {name} left the member list", str(img)
-                )
-            row[name] = chart_ring.var(match[0]) * (img.lc() / match[1])
+        for name, _ in members:
+            if (bi, name) in derived:
+                target, scale = derived[bi, name]
+                row[name] = chart_ring.var(target) * scale
         table[bname] = row
     chart_action = DerivationAction(chart_algebra, lie, table)
 

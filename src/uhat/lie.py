@@ -197,15 +197,6 @@ class GradedLieAlgebra:
                         del out[k]
         return out
 
-    def element_weight(self, el):
-        """Weight of a homogeneous element, None for 0, error if mixed."""
-        ws = {self.weight_of(i) for i in el}
-        if not ws:
-            return None
-        if len(ws) > 1:
-            raise ValueError("element is not weight-homogeneous")
-        return ws.pop()
-
     def structure_violations(self):
         """Antisymmetry/weight/Jacobi defects, each with a witness."""
         out = []
@@ -268,20 +259,18 @@ class GradedLieAlgebra:
         return sum(self.weight_of(i) * e for i, e in enumerate(exp))
 
     def pbw_monomials_of_weight(self, weight, exact=True):
-        """All PBW exponent tuples of given weight (or of weight <= weight)."""
-        out = []
+        """All PBW exponent tuples of given weight (or of weight <= weight), sorted.
 
-        def go(i, rem, cur):
-            if i == self.dim:
-                if rem == 0 or not exact:
-                    out.append(tuple(cur))
-                return
+        Prefixes grow one index at a time, each paired with the weight it
+        leaves, so no prefix overshoots the weight and the list stays sorted.
+        """
+        prefixes = [((), weight)]
+        for i in range(self.dim):
             w = self.weight_of(i)
-            for e in range(rem // w + 1):
-                go(i + 1, rem - e * w, cur + [e])
-
-        go(0, weight, [])
-        return sorted(out)
+            prefixes = [
+                (exp + (e,), rem - e * w) for exp, rem in prefixes for e in range(rem // w + 1)
+            ]
+        return [exp for exp, rem in prefixes if rem == 0 or not exact]
 
 
 def pbw_word(exp):
@@ -436,8 +425,6 @@ def coaction_expand(action, f):
     bound = max(0, -f.min_weight())
     out = []
     for alpha in lie.pbw_monomials_of_weight(bound, exact=False):
-        if lie.pbw_weight(alpha) > bound:
-            continue
         comp = action.apply_pbw(alpha, f)
         if alpha == (0,) * lie.dim or not comp.is_zero():
             fact = math.prod(math.factorial(a) for a in alpha)

@@ -270,30 +270,19 @@ def invariant_presentation(action, slices):
         if not any(sum(m) for m in p.terms):
             values[name] = p.terms.get((0,) * ring.nvars, 0)
             continue
-        dup = next((q_name for q_name, q in images if algebra.equal(p, q)), None)
+        dup = next((q_name for q_name, q in images if p == q), None)
         if dup is None:
             images.append((name, p))
         values[name] = dup or name
     ctx = _StageContext(algebra, images, values)
 
+    # pi is a ring homomorphism sending each generator to its value, so the
+    # projection of xi^n . x over the new generators is a substitution
     reconstruction = {}
     for name in ring.names:
         table = _derivative_table(action, split, ring.var(name))
-        pieces = []
-        for n, deriv in table.items():
-            if deriv.is_zero():
-                continue
-            proj = dixmier_project(action, split, functions, deriv)
-            if proj.is_zero():
-                continue
-            expr = ctx.rewrite(proj)
-            if expr is None:
-                raise StageError(
-                    f"projection of a derivative of {name} is not expressible "
-                    f"in the invariant generators"
-                )
-            pieces.append((n, expr))
-        reconstruction[name] = pieces
+        pieces = ((n, deriv.substitute(ctx.values, ctx.out_ring)) for n, deriv in table.items())
+        reconstruction[name] = [(n, expr) for n, expr in pieces if not expr.is_zero()]
     return ctx, dict(images), reconstruction
 
 

@@ -706,9 +706,6 @@ class Ideal:
     def contains(self, p):
         return self.normal_form(p).is_zero()
 
-    def is_zero(self):
-        return not self.groebner()
-
     def is_unit(self):
         gb = self.groebner()
         return len(gb) == 1 and sum(gb[0].lm()) == 0
@@ -821,9 +818,6 @@ class FreeModuleMap:
         for row in self.matrix:
             if len(row) != self.domain_rank:
                 raise ValueError("column count must equal domain rank")
-
-    def column(self, j):
-        return [self.matrix[i][j] for i in range(self.codomain_rank)]
 
 
 def _position_ring(ring, rank):
@@ -956,28 +950,26 @@ def determinant(rows):
     n = len(rows)
     if n == 0:
         raise ValueError("empty determinant is a convention, handle at call site")
-    ring = rows[0][0].ring
-    cols = tuple(range(n))
-    memo = {}
+    return _cofactor_expansion(rows, 0, tuple(range(n)), {})
 
-    def go(r, cs):
-        if len(cs) == 1:
-            return rows[r][cs[0]]
-        key = (r, cs)
-        if key in memo:
-            return memo[key]
-        total = ring.zero()
-        sign = 1
-        for k, c in enumerate(cs):
-            entry = rows[r][c]
-            if entry:
-                sub = go(r + 1, cs[:k] + cs[k + 1 :])
-                total = total + entry * sub * sign
-            sign = -sign
-        memo[key] = total
-        return total
 
-    return go(0, cols)
+def _cofactor_expansion(rows, r, cs, memo):
+    """Minor of rows r, r+1, ... on columns cs, expanded along row r; memo maps (r, cs) to it."""
+    if len(cs) == 1:
+        return rows[r][cs[0]]
+    key = (r, cs)
+    if key in memo:
+        return memo[key]
+    total = rows[r][cs[0]].ring.zero()
+    sign = 1
+    for k, c in enumerate(cs):
+        entry = rows[r][c]
+        if entry:
+            sub = _cofactor_expansion(rows, r + 1, cs[:k] + cs[k + 1 :], memo)
+            total = total + entry * sub * sign
+        sign = -sign
+    memo[key] = total
+    return total
 
 
 def minors_ideal_generators(matrix, size):

@@ -85,63 +85,66 @@ def parse_polynomial(text, ring, line=None, offset=0):
     give columns of the line.
     """
     toks = _Tokens(text, line, offset)
-
-    def atom():
-        c = toks.peek()
-        if c is None:
-            toks.error("unexpected end of expression")
-        if c == "(":
-            toks.pos += 1
-            e = expr()
-            if toks.peek() != ")":
-                toks.error("expected ')'")
-            toks.pos += 1
-            return e
-        if c.isdigit():
-            return ring.const(toks.take_rational())
-        if c.isalpha() or c in "_@":
-            start = toks.pos
-            name = toks.take_name()
-            if name not in ring._index:
-                toks.error(f"unknown variable {name!r}", start)
-            return ring.var(name)
-        toks.error(f"unexpected character {c!r}")
-
-    def factor():
-        base = atom()
-        if toks.peek() == "^":
-            toks.pos += 1
-            if toks.peek() is None or not toks.peek().isdigit():
-                toks.error("expected an integer exponent")
-            return base ** toks.take_int()
-        return base
-
-    def term():
-        out = factor()
-        while toks.peek() == "*":
-            toks.pos += 1
-            out = out * factor()
-        return out
-
-    def expr():
-        sign = 1
-        if toks.peek() == "-":
-            toks.pos += 1
-            sign = -1
-        elif toks.peek() == "+":
-            toks.pos += 1
-        out = term() * sign
-        while toks.peek() in ("+", "-"):
-            op = toks.peek()
-            toks.pos += 1
-            nxt = term()
-            out = out + nxt if op == "+" else out - nxt
-        return out
-
-    result = expr()
+    result = _expr(toks, ring)
     if toks.peek() is not None:
         toks.error(f"trailing input {toks.text[toks.pos:]!r}")
     return result
+
+
+def _atom(toks, ring):
+    c = toks.peek()
+    if c is None:
+        toks.error("unexpected end of expression")
+    if c == "(":
+        toks.pos += 1
+        e = _expr(toks, ring)
+        if toks.peek() != ")":
+            toks.error("expected ')'")
+        toks.pos += 1
+        return e
+    if c.isdigit():
+        return ring.const(toks.take_rational())
+    if c.isalpha() or c in "_@":
+        start = toks.pos
+        name = toks.take_name()
+        if name not in ring._index:
+            toks.error(f"unknown variable {name!r}", start)
+        return ring.var(name)
+    toks.error(f"unexpected character {c!r}")
+
+
+def _factor(toks, ring):
+    base = _atom(toks, ring)
+    if toks.peek() == "^":
+        toks.pos += 1
+        if toks.peek() is None or not toks.peek().isdigit():
+            toks.error("expected an integer exponent")
+        return base ** toks.take_int()
+    return base
+
+
+def _term(toks, ring):
+    out = _factor(toks, ring)
+    while toks.peek() == "*":
+        toks.pos += 1
+        out = out * _factor(toks, ring)
+    return out
+
+
+def _expr(toks, ring):
+    sign = 1
+    if toks.peek() == "-":
+        toks.pos += 1
+        sign = -1
+    elif toks.peek() == "+":
+        toks.pos += 1
+    out = _term(toks, ring) * sign
+    while toks.peek() in ("+", "-"):
+        op = toks.peek()
+        toks.pos += 1
+        nxt = _term(toks, ring)
+        out = out + nxt if op == "+" else out - nxt
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +198,7 @@ def parse_scenario(text):
     lie_weights = []
     lie_basis = []
     brackets = {}
+    bracket_lines = {}
     action_table = {}
     options = Options()
     seen_sections = set()
@@ -272,6 +276,7 @@ def parse_scenario(text):
                     raise ScenarioError(f"duplicate bracket [{names[0]}, {names[1]}]", lineno)
                 combo_text, offset = _expression(raw, raw.index("=") + 1)
                 brackets[(names[0], names[1])] = _parse_combination(combo_text, lineno, offset)
+                bracket_lines[(names[0], names[1])] = lineno
             else:
                 raise ScenarioError(f"unexpected lie entry {line!r}", lineno)
         elif section == "action":
@@ -314,7 +319,9 @@ def parse_scenario(text):
     for (a, b), combo in brackets.items():
         for name in (a, b, *combo):
             if name not in basis_names:
-                raise ScenarioError(f"unknown basis vector {name!r} in bracket")
+                raise ScenarioError(
+                    f"unknown basis vector {name!r} in bracket", bracket_lines[(a, b)]
+                )
     try:
         lie = GradedLieAlgebra(lie_weights, lie_basis, brackets)
     except ValueError as exc:
@@ -322,7 +329,8 @@ def parse_scenario(text):
     table = {}
     for vec, row in action_table.items():
         if vec not in lie._index:
-            raise ScenarioError(f"unknown basis vector {vec!r} in action table")
+            first_line = next(iter(row.values()))[2]
+            raise ScenarioError(f"unknown basis vector {vec!r} in action table", first_line)
         table[vec] = {}
         for gen, (src, offset, lineno) in row.items():
             if gen not in ring._index:

@@ -71,6 +71,9 @@ def rank_drop_pair():
     return DerivationAction(A, L, {"xi1": {"y": R.var("x")}})
 
 
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+
+
 @functools.cache
 def sweep_script():
     """`scripts/random_blowup_sweep.py`, loaded as a module."""
@@ -79,6 +82,29 @@ def sweep_script():
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
+
+
+@functools.cache
+def blowup_charts():
+    """(label, chart) for the four failing scenario files and the first six sweep instances."""
+    from uhat.blowup import build_chart, centre, construct_b
+    from uhat.scenario import Options, load_scenario
+
+    actions = []
+    for name in ("one_weight", "two_weight", "rank_drop_pair", "heisenberg_scaled"):
+        scenario = load_scenario(SCENARIOS / f"{name}.uhat")
+        actions.append((name, scenario.build(), scenario.options))
+    seed = 1
+    for i in range(6):
+        action, seed = sweep_script().sample(seed)
+        actions.append((f"sweep_{i}", action, Options()))
+    charts = []
+    for label, action, options in actions:
+        cd = centre(action, options.degree_bound)
+        elements = construct_b(action, cd)
+        chart = build_chart(action, cd, elements, j_search_degree=options.j_search_degree)
+        charts.append((label, chart))
+    return charts
 
 
 def random_two_level_action(seed):

@@ -26,6 +26,7 @@ from uhat.blowup import (
 )
 
 from conftest import (
+    blowup_charts,
     heisenberg_scaled,
     one_weight_free,
     one_weight_jump,
@@ -451,6 +452,11 @@ def test_chart_heisenberg_scaled_full_pipeline():
     assert verify_quotient(chain)["ok"]
     assert chain.affine_dimension == 3
     assert chain.final_algebra.ring.names == ("x",)
+
+
+def test_chart_derivation_tables_validate():
+    for label, chart in blowup_charts():
+        assert chart.action.validate() == [], label
 
 
 def test_blowup_repairs_every_failing_fixture():

@@ -10,6 +10,7 @@ from uhat.quotient import (
     BoundExhausted,
     SliceSet,
     StageError,
+    _derivative_table,
     dixmier_project,
     find_slices,
     invariant_presentation,
@@ -17,7 +18,16 @@ from uhat.quotient import (
     verify_quotient,
 )
 
-from conftest import heisenberg_free, one_weight_free, one_weight_jump, two_weight_chain
+from uhat.scenario import load_scenario
+
+from conftest import (
+    SCENARIOS,
+    blowup_charts,
+    heisenberg_free,
+    one_weight_free,
+    one_weight_jump,
+    two_weight_chain,
+)
 
 
 # -- slices
@@ -237,6 +247,33 @@ def test_invariant_presentation_free_translation(ga_free):
     R = ga_free.ring
     assert str(ctx.rewrite(R.var("x") ** 2 - 3)) == "x^2 - 3"
     assert ctx.rewrite(R.var("y")) is None
+
+
+def test_reconstruction_pieces_are_projected_derivatives():
+    # the piece for n, mapped back through the inclusion, is the Dixmier
+    # projection of xi^n . x, modulo the stage's input relations
+    chains = [
+        staged_quotient(load_scenario(SCENARIOS / f"{name}.uhat").build())
+        for name in ("heisenberg_free", "one_weight_free")
+    ]
+    chains += [staged_quotient(chart.action) for _, chart in blowup_charts()]
+    checked = 0
+    for chain in chains:
+        for stage in chain.stages:
+            action, split, fns = stage.action_in, stage.slices.split, stage.slices.functions
+            ring = action.ring
+            for name in ring.names:
+                pieces = dict(stage.reconstruction[name])
+                table = _derivative_table(action, split, ring.var(name))
+                assert set(pieces) <= {n for n, d in table.items() if not d.is_zero()}
+                for n, deriv in table.items():
+                    if deriv.is_zero():
+                        continue
+                    want = dixmier_project(action, split, fns, deriv)
+                    got = pieces.get(n, stage.algebra_out.ring.zero())
+                    assert action.algebra.equal(got.substitute(stage.inclusion, ring), want)
+                checked += 1
+    assert checked == 120
 
 
 def test_staged_quotient_free_translation(ga_free):

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -33,10 +34,13 @@ from uhat.rings import (
     syzygy_kernel,
     unit_certificate,
 )
+from uhat.lie import GradedLieAlgebra
+from uhat.scenario import parse_polynomial
 
 
 R2 = GradedRing(["x", "y"], [0, -1])
 X, Y = R2.var("x"), R2.var("y")
+HEISENBERG = GradedLieAlgebra([2, 1], [["c"], ["p", "q"]], {("p", "q"): {"c": 1}})
 
 
 def poly_from_coeffs(ring, coeffs, max_deg=3):
@@ -691,3 +695,24 @@ def test_fitting_chain_is_increasing():
     assert chain.ideal(-1).generators == ()
     assert [str(g) for g in chain.ideal(0).generators] == ["x"]
     assert chain.ideal(1).is_unit()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: parse_polynomial("x^2 - 3*y + 1/2", R2),
+        lambda: HEISENBERG.pbw_monomials_of_weight(6, exact=False),
+        lambda: determinant([[X, Y], [Y, X + 1]]),
+    ],
+    ids=["parse_polynomial", "pbw_monomials_of_weight", "determinant"],
+)
+def test_recursive_helpers_leave_no_reference_cycles(call):
+    """Without the cyclic collector, 100 calls leave nothing for it to free."""
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

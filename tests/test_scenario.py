@@ -267,6 +267,23 @@ def test_action_entry_diagnostic_gives_the_column_of_the_line():
     assert (err.value.line, err.value.column) == (8, 11)
 
 
+@pytest.mark.parametrize(
+    "entries, line",
+    [
+        ("bracket [a, q] = a\n", 7),
+        ("bracket [b, d] = a\nbracket [a, b] = q\n", 8),
+        ("\n[action]\nb.y = x\n\nc.y = x\nc.x = y\n", 11),
+    ],
+    ids=["bracket-argument", "bracket-combination", "action-row"],
+)
+def test_unknown_basis_vector_diagnostic_gives_its_line(entries, line):
+    head = "[ring]\nvariables: x:0, y:-1\n\n[lie]\nweight 2: a\nweight 1: b, d\n"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(head + entries)
+    assert "unknown basis vector" in str(err.value)
+    assert err.value.line == line
+
+
 @pytest.mark.parametrize("option", ["degree_bound", "sample_count", "j_search_degree"])
 def test_negative_count_option_is_input_error(tmp_path, capsys, option):
     head = "[ring]\nvariables: x:0\n\n[options]\n"
@@ -338,8 +355,9 @@ def test_blowup_exits_1_when_the_chart_quotient_fails_verification(tmp_path, mon
 
 
 def test_non_invariant_projection_exits_1(monkeypatch):
-    # a projected derivative that does not rewrite over the invariants is a
-    # failed check, not an exhausted search bound
+    # an induced image that does not descend to the invariant ring (the
+    # induced action rewrites none) is a failed check, not an exhausted
+    # search bound
     import uhat.quotient as qt
 
     monkeypatch.setattr(qt._StageContext, "rewrite", lambda self, p: None)
