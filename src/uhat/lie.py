@@ -433,130 +433,68 @@ def coaction_expand(action, f):
 
 
 # ---------------------------------------------------------------------------
-# weight-truncated universal enveloping algebra and the group law
-
-# Elements are maps pbw-exponent-tuple -> Polynomial coefficient; components
-# of lambda-weight above the cap are dropped, which is a quotient algebra
-# because all basis weights are positive.
+# the group law in exponential coordinates of the second kind
 
 
-class TruncatedUEA:
-    def __init__(self, lie, coeff_ring, weight_cap):
-        self.lie = lie
-        self.ring = coeff_ring
-        self.cap = weight_cap
-        self._word_cache = {}
+def _straighten(lie, word, cache):
+    """PBW normal form of a word of basis letters, as a map pbw-exponent -> Fraction.
 
-    def one(self):
-        return {(0,) * self.lie.dim: self.ring.one()}
-
-    def _word_weight(self, word):
-        return sum(self.lie.weight_of(i) for i in word)
-
-    def word_to_pbw(self, word):
-        """Normal form of a word as a map pbw-exponent -> Fraction.
-
-        Repeatedly applies x_j x_i -> x_i x_j + [x_j, x_i] on out-of-order
-        adjacent pairs; terminates by the weight filtration (brackets
-        strictly shorten words).
-        """
-        if self._word_weight(word) > self.cap:
-            return {}
-        if word in self._word_cache:
-            return self._word_cache[word]
-        for k in range(len(word) - 1):
-            if word[k] > word[k + 1]:
-                swapped = word[:k] + (word[k + 1], word[k]) + word[k + 2 :]
-                out = dict(self.word_to_pbw(swapped))
-                combo = self.lie.bracket_basis(word[k], word[k + 1])
-                for idx, c in combo.items():
-                    sub = self.word_to_pbw(word[:k] + (idx,) + word[k + 2 :])
-                    for e, v in sub.items():
-                        s = out.get(e, 0) + c * v
-                        if s:
-                            out[e] = s
-                        else:
-                            del out[e]
-                self._word_cache[word] = out
-                return out
-        exp = [0] * self.lie.dim
-        for i in word:
-            exp[i] += 1
-        out = {tuple(exp): Fraction(1)}
-        self._word_cache[word] = out
-        return out
-
-    def mul(self, a, b):
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                if self.lie.pbw_weight(e1) + self.lie.pbw_weight(e2) > self.cap:
-                    continue
-                coeff = c1 * c2
-                if coeff.is_zero():
-                    continue
-                for e, v in self.word_to_pbw(pbw_word(e1) + pbw_word(e2)).items():
-                    s = out.get(e, self.ring.zero()) + coeff * v
-                    if s.is_zero():
-                        out.pop(e, None)
-                    else:
+    Repeatedly applies x_j x_i -> x_i x_j + [x_j, x_i] on out-of-order
+    adjacent pairs; terminates by the weight filtration (brackets strictly
+    shorten words).  Words above the top weight are dropped: under graded
+    brackets none of them straightens to a single basis vector.  `cache`
+    maps words to their normal forms, which are read only.
+    """
+    if word in cache:
+        return cache[word]
+    out = {}
+    if sum(lie.weight_of(i) for i in word) <= lie.weights[0]:
+        k = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
+        if k is None:
+            exp = [0] * lie.dim
+            for i in word:
+                exp[i] += 1
+            out = {tuple(exp): Fraction(1)}
+        else:
+            out = dict(_straighten(lie, word[:k] + (word[k + 1], word[k]) + word[k + 2 :], cache))
+            for idx, c in lie.bracket_basis(word[k], word[k + 1]).items():
+                for e, v in _straighten(lie, word[:k] + (idx,) + word[k + 2 :], cache).items():
+                    s = out.get(e, 0) + c * v
+                    if s:
                         out[e] = s
-        return out
-
-    def exp_basis(self, i, coeff):
-        """exp(coeff * xi_i), truncated at the weight cap."""
-        w = self.lie.weight_of(i)
-        out = self.one()
-        power = self.ring.one()
-        exp = [0] * self.lie.dim
-        k = 0
-        while (k + 1) * w <= self.cap:
-            k += 1
-            power = power * coeff
-            exp[i] = k
-            out[tuple(exp)] = power * Fraction(1, math.factorial(k))
-        return out
-
-    def group_element(self, coords):
-        """Ordered product exp(c_1 xi_1) ... exp(c_n xi_n)."""
-        el = self.one()
-        for i, c in enumerate(coords):
-            el = self.mul(el, self.exp_basis(i, c))
-        return el
-
-    def peel_coordinates(self, el):
-        """Second-kind coordinates of a group-like element.
-
-        The coefficient of the bare basis vector xi_i stays exact during the
-        left-to-right peel because xi_i times a word in later letters is
-        already in PBW order.
-        """
-        coords = []
-        for i in range(self.lie.dim):
-            exp = [0] * self.lie.dim
-            exp[i] = 1
-            m = el.get(tuple(exp), self.ring.zero())
-            coords.append(m)
-            el = self.mul(self.exp_basis(i, -m), el)
-        rest = {e: c for e, c in el.items() if not c.is_zero() and e != (0,) * self.lie.dim}
-        one = el.get((0,) * self.lie.dim, self.ring.zero())
-        if rest or one != self.ring.one():
-            raise ValueError("element is not a product of basis exponentials")
-        return coords
+                    else:
+                        del out[e]
+    cache[word] = out
+    return out
 
 
 def group_law(lie):
-    """Multiplication polynomials m_i(s, t) in second-kind coordinates."""
+    """Multiplication polynomials m_i(s, t) in second-kind coordinates.
+
+    g(c) = exp(c_1 xi_1) ... exp(c_n xi_n) is sum_alpha (c^alpha / alpha!) xi^alpha
+    in PBW order, so m_i(s, t) is the xi_i coefficient of g(s) g(t): each
+    pair of PBW exponents (alpha, beta) puts 1/(alpha! beta!) times the xi_i
+    coefficient of the straightened xi^alpha xi^beta at s^alpha t^beta.
+    """
     n = lie.dim
     if n == 0:
         return GradedRing([], []), []
     names = [f"s{i}" for i in range(n)] + [f"t{i}" for i in range(n)]
     ring = GradedRing(names, [0] * 2 * n)
-    cap = max(lie.weights)
-    uea = TruncatedUEA(lie, ring, cap)
-    gs = uea.group_element([ring.var(f"s{i}") for i in range(n)])
-    gt = uea.group_element([ring.var(f"t{i}") for i in range(n)])
-    return ring, uea.peel_coordinates(uea.mul(gs, gt))
+    cap = lie.weights[0]  # the top weight, as the weights strictly decrease
+    exps = [(e, lie.pbw_weight(e)) for e in lie.pbw_monomials_of_weight(cap, exact=False)]
+    units = {tuple(int(j == i) for j in range(n)): i for i in range(n)}
+    terms = [{} for _ in range(n)]
+    cache = {}
+    for alpha, wa in exps:
+        for beta, wb in exps:
+            if wa + wb > cap:
+                continue
+            fact = math.prod(map(math.factorial, alpha + beta))
+            for e, c in _straighten(lie, pbw_word(alpha) + pbw_word(beta), cache).items():
+                if e in units:
+                    terms[units[e]][alpha + beta] = c / fact
+    return ring, [Polynomial(ring, t) for t in terms]
 
 
 def comult_coefficients(lie, degree_bound):

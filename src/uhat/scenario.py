@@ -2,8 +2,9 @@
 
 A scenario fixes the graded ring, its relations, the graded Lie algebra
 with brackets, the derivation table and the computation options.  Parsing
-gives line/column diagnostics; semantic validation reuses the derivation
-action validator and reports the offending source line.
+gives line/column diagnostics.  Semantic validation reuses the derivation
+action validator; its errors carry no line but name the offending vector,
+generator, relation or pair.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def parse_scenario(text):
                 names = [n.strip() for n in pair[1:-1].split(",")]
                 if len(names) != 2:
                     raise ScenarioError("brackets take exactly two arguments", lineno)
-                if (names[0], names[1]) in brackets:
+                if (names[0], names[1]) in brackets or (names[1], names[0]) in brackets:
                     raise ScenarioError(f"duplicate bracket [{names[0]}, {names[1]}]", lineno)
                 combo_text, offset = _expression(raw, raw.index("=") + 1)
                 brackets[(names[0], names[1])] = _parse_combination(combo_text, lineno, offset)
@@ -380,4 +381,8 @@ def _expression(raw, start):
 
 def load_scenario(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+    return parse_scenario(text)

@@ -340,5 +340,33 @@ def test_group_law_heisenberg_twist():
     # c-coordinate picks up the commutator correction, p/q stay additive
     assert law[1] == ring.var("s1") + ring.var("t1")
     assert law[2] == ring.var("s2") + ring.var("t2")
-    diff = law[0] - ring.var("s0") - ring.var("t0")
-    assert not diff.is_zero()
+    # xi_q xi_p = xi_p xi_q - xi_c, so s_q t_p enters the c-coordinate with sign -1
+    s0, s2, t0, t1 = (ring.var(v) for v in ("s0", "s2", "t0", "t1"))
+    assert law[0] == -s2 * t1 + s0 + t0
+    assert str(law[0]) == "-s2*t1 + s0 + t0"
+
+
+@pytest.mark.parametrize(
+    "lie",
+    [
+        GradedLieAlgebra([2, 1], [["c"], ["p", "q"]], {("p", "q"): {"c": 1}}),
+        GradedLieAlgebra(
+            [3, 2, 1], [["z"], ["c"], ["p", "q"]], {("p", "q"): {"c": 1}, ("p", "c"): {"z": 1}}
+        ),
+    ],
+    ids=["heisenberg", "three_step"],
+)
+def test_group_law_is_associative_with_unit(lie):
+    ring, law = group_law(lie)
+    n = lie.dim
+    R = GradedRing([f"{x}{i}" for x in "rst" for i in range(n)], [0] * 3 * n)
+    r, s, t = ([R.var(f"{x}{i}") for i in range(n)] for x in "rst")
+
+    def m(a, b):
+        values = {**{f"s{i}": a[i] for i in range(n)}, **{f"t{i}": b[i] for i in range(n)}}
+        return [p.substitute(values, R) for p in law]
+
+    assert m(m(r, s), t) == m(r, m(s, t))
+    zero = [0] * n
+    assert m(s, zero) == s
+    assert m(zero, t) == t

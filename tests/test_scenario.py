@@ -207,6 +207,43 @@ def test_missing_file_is_input_error():
     assert run_cli("analyze", "--scenario", "/nonexistent/file") == 2
 
 
+def test_directory_as_scenario_is_input_error(tmp_path, capsys):
+    assert run_cli("analyze", "--scenario", str(tmp_path)) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("input error") and not out.out
+
+
+def test_non_utf8_scenario_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.uhat"
+    bad.write_bytes("[ring]\n# poids \xe9\nvariables: x:0\n".encode("latin-1"))
+    with pytest.raises(ScenarioError):
+        load_scenario(bad)
+    assert run_cli("analyze", "--scenario", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and "UTF-8" in err, err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("analyze", "--scenario", str(SCENARIOS / "one_weight_free.uhat")),
+        ("identities", "--letters", "1", "--max-total", "1", "--comult-degree", "1"),
+    ],
+    ids=["analyze", "identities"],
+)
+def test_json_path_that_is_a_directory_is_input_error(tmp_path, capsys, args):
+    assert run_cli(*args, "--json", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("input error")
+
+
+@pytest.mark.parametrize("combo", ["-c", "c"], ids=["antisymmetric", "conflicting"])
+def test_reversed_bracket_is_a_duplicate_at_its_line(combo):
+    head = "[ring]\nvariables: x:0\n\n[lie]\nweight 2: c\nweight 1: a, b\n"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(head + f"bracket [a, b] = c\nbracket [b, a] = {combo}\n")
+    assert str(err.value) == "duplicate bracket [b, a] (line 8)"
+
+
 def test_bad_scenario_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.uhat"
     bad.write_text("[ring]\nvariables: x:0\n\n[lie]\nweight 1: xi\n\n[action]\nxi.x = x\n")
