@@ -440,30 +440,27 @@ def _straighten(lie, word, cache):
     """PBW normal form of a word of basis letters, as a map pbw-exponent -> Fraction.
 
     Repeatedly applies x_j x_i -> x_i x_j + [x_j, x_i] on out-of-order
-    adjacent pairs; terminates by the weight filtration (brackets strictly
-    shorten words).  Words above the top weight are dropped: under graded
-    brackets none of them straightens to a single basis vector.  `cache`
-    maps words to their normal forms, which are read only.
+    adjacent pairs; terminates because each swap removes an inversion and
+    each bracket shortens the word.  `cache` maps words to their normal
+    forms, which are read only.
     """
     if word in cache:
         return cache[word]
-    out = {}
-    if sum(lie.weight_of(i) for i in word) <= lie.weights[0]:
-        k = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
-        if k is None:
-            exp = [0] * lie.dim
-            for i in word:
-                exp[i] += 1
-            out = {tuple(exp): Fraction(1)}
-        else:
-            out = dict(_straighten(lie, word[:k] + (word[k + 1], word[k]) + word[k + 2 :], cache))
-            for idx, c in lie.bracket_basis(word[k], word[k + 1]).items():
-                for e, v in _straighten(lie, word[:k] + (idx,) + word[k + 2 :], cache).items():
-                    s = out.get(e, 0) + c * v
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
+    k = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
+    if k is None:
+        exp = [0] * lie.dim
+        for i in word:
+            exp[i] += 1
+        out = {tuple(exp): Fraction(1)}
+    else:
+        out = dict(_straighten(lie, word[:k] + (word[k + 1], word[k]) + word[k + 2 :], cache))
+        for idx, c in lie.bracket_basis(word[k], word[k + 1]).items():
+            for e, v in _straighten(lie, word[:k] + (idx,) + word[k + 2 :], cache).items():
+                s = out.get(e, 0) + c * v
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
     cache[word] = out
     return out
 
@@ -475,7 +472,13 @@ def group_law(lie):
     in PBW order, so m_i(s, t) is the xi_i coefficient of g(s) g(t): each
     pair of PBW exponents (alpha, beta) puts 1/(alpha! beta!) times the xi_i
     coefficient of the straightened xi^alpha xi^beta at s^alpha t^beta.
+    Graded brackets keep the weight of a word, so only pairs within the top
+    weight can reach a basis vector; an algebra whose brackets break the
+    grading or the Jacobi identity raises ValueError.
     """
+    violations = lie.structure_violations()
+    if violations:
+        raise ValueError(f"group law needs a graded Lie algebra: {violations[0]}")
     n = lie.dim
     if n == 0:
         return GradedRing([], []), []

@@ -5,6 +5,8 @@ blow-up charts) computes over these primitives: sparse polynomials with
 Fraction coefficients, Groebner bases with optional cofactor tracing, module
 syzygies, block-order elimination and exact linear algebra over the
 rationals.  Values are immutable after construction; operations are pure.
+Reduction runs on packed monomials (one integer order key and one exponent
+word each) with integer numerators over a common denominator.
 """
 
 from __future__ import annotations
@@ -13,25 +15,63 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
-from operator import add, le, sub
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm, prod
+from operator import le, lshift, mul
 
 
 # ---------------------------------------------------------------------------
 # monomial orders
 
 
-def _grevlex_key(seq):
-    # classic trick: revlex tie-break on all but the first exponent
-    return (sum(seq), tuple(-e for e in seq[:0:-1]))
+EXP_BITS = 32  # exponents below 2**EXP_BITS pack exactly; larger ones raise OverflowError
+
+
+def _grevlex_rows(n, lo, hi):
+    """Degrevlex rows on variables lo..hi-1 of n: their degree, then -e_{hi-1}, ..., -e_{lo+1}."""
+    if lo == hi:
+        return []
+    rows = [[int(lo <= j < hi) for j in range(n)]]
+    return rows + [[-int(j == i) for j in range(n)] for i in range(hi - 1, lo, -1)]
+
+
+def _unit_rows(n, cols):
+    return [[int(j == i) for j in range(n)] for i in cols]
 
 
 class MonomialOrder:
-    """Total order on exponent tuples, encoded as a sort key."""
+    """Total order on exponent tuples, named by its tag.
 
-    def __init__(self, tag, key):
+    `rows(n)` is its weight matrix on n variables: e precedes f when the
+    first row r with r.e != r.f has r.e < r.f.
+    """
+
+    def __init__(self, tag):
         self.tag = tag
-        self.key = key
+
+    def rows(self, n):
+        """Weight matrix on n variables; ValueError when the tag misfits n."""
+        kind, _, arg = self.tag.partition(":")
+        if kind == "degrevlex":
+            return _grevlex_rows(n, 0, n)
+        if kind == "lex":
+            return _unit_rows(n, range(n))
+        if kind == "weighted":
+            w = [int(x) for x in arg.split(",")] if arg else []
+            if len(w) != n:
+                raise ValueError(f"order {self.tag!r} needs one weight per variable ({n})")
+            return [w] + _grevlex_rows(n, 0, n)
+        if kind == "elim":
+            k = int(arg)
+            if not 0 <= k <= n:
+                raise ValueError(f"order {self.tag!r} needs a block within the {n} variables")
+            return _grevlex_rows(n, 0, k) + _grevlex_rows(n, k, n)
+        if not kind.startswith("pot"):
+            raise ValueError(f"unknown monomial order {self.tag!r}")
+        # pot{rank}:{base tag}, from `_position_ring`: positions first, then the base order
+        rank = int(kind[3:])
+        base = MonomialOrder(arg).rows(n - rank)
+        return _unit_rows(n, range(n - rank, n)) + [r + [0] * rank for r in base]
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.tag == other.tag
@@ -44,11 +84,11 @@ class MonomialOrder:
 
 
 def degrevlex_order():
-    return MonomialOrder("degrevlex", _grevlex_key)
+    return MonomialOrder("degrevlex")
 
 
 def lex_order():
-    return MonomialOrder("lex", lambda e: tuple(e))
+    return MonomialOrder("lex")
 
 
 def weighted_order(weights):
@@ -56,20 +96,12 @@ def weighted_order(weights):
     w = tuple(int(x) for x in weights)
     if any(x < 0 for x in w):
         raise ValueError("weighted monomial order needs nonnegative weights")
-
-    def key(e):
-        return (sum(wi * ei for wi, ei in zip(w, e)), _grevlex_key(e))
-
-    return MonomialOrder("weighted:" + ",".join(map(str, w)), key)
+    return MonomialOrder("weighted:" + ",".join(map(str, w)))
 
 
 def elimination_order(nfirst):
     """Block order eliminating the first `nfirst` variables."""
-
-    def key(e):
-        return (_grevlex_key(e[:nfirst]), _grevlex_key(e[nfirst:]))
-
-    return MonomialOrder(f"elim:{nfirst}", key)
+    return MonomialOrder(f"elim:{nfirst}")
 
 
 _ORDER_FACTORIES = {"degrevlex": degrevlex_order, "lex": lex_order}
@@ -83,15 +115,6 @@ def order_from_tag(tag):
     if tag.startswith("elim:"):
         return elimination_order(int(tag.split(":", 1)[1]))
     raise ValueError(f"unknown monomial order {tag!r}")
-
-
-def _check_order_fits(order, nvars):
-    """Reject a weight vector or an eliminated block that misfits `nvars`."""
-    kind, _, arg = order.tag.partition(":")
-    if kind == "weighted" and len(arg.split(",") if arg else ()) != nvars:
-        raise ValueError(f"order {order.tag!r} needs one weight per variable ({nvars})")
-    if kind == "elim" and not 0 <= int(arg) <= nvars:
-        raise ValueError(f"order {order.tag!r} needs a block within the {nvars} variables")
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +134,20 @@ class GradedRing:
         self.names = names
         self.weights = weights
         self.order = order_from_tag(order) if isinstance(order, str) else order
-        _check_order_fits(self.order, len(names))
         self._index = {n: i for i, n in enumerate(names)}
+        # key(e) = sum e_j * cols[j]: column j of the weight rows in balanced
+        # fields, each wider than twice the largest |row . e| for exponents
+        # below 2**EXP_BITS, so comparing keys compares the rows
+        # lexicographically
+        rows = self.order.rows(len(names))
+        width = max((sum(map(abs, r)) for r in rows), default=0).bit_length() + EXP_BITS + 1
+        self._cols = tuple(
+            sum(r[j] << (width * (len(rows) - 1 - i)) for i, r in enumerate(rows))
+            for j in range(len(names))
+        )
+        # exponent words: e_j in bits (EXP_BITS + 1) * j onwards, plus a guard bit
+        self._shifts = tuple((EXP_BITS + 1) * j for j in range(len(names)))
+        self.guard = sum(1 << (s + EXP_BITS) for s in self._shifts)
 
     @property
     def nvars(self):
@@ -135,6 +170,27 @@ class GradedRing:
 
     def index(self, name):
         return self._index[name]
+
+    def key(self, e):
+        """Order key of an exponent tuple: an integer, larger for a later monomial.
+
+        It is linear in e, so key(a + b) = key(a) + key(b).
+        """
+        return sum(map(mul, e, self._cols))
+
+    def pack(self, e):
+        """Exponent word of e, every guard bit clear; OverflowError past the exponent bound.
+
+        For words a and b of this ring, a divides b iff (b - a) & guard == 0,
+        and a + b is the word of the product unless it sets a guard bit.
+        """
+        if max(e, default=0) >> EXP_BITS:
+            raise OverflowError(f"exponent of {e} not below 2**{EXP_BITS}")
+        return sum(map(lshift, e, self._shifts))
+
+    def unpack(self, w):
+        mask = (1 << EXP_BITS) - 1
+        return tuple((w >> s) & mask for s in self._shifts)
 
     def zero(self):
         return Polynomial(self, {})
@@ -228,8 +284,7 @@ class Polynomial:
     def lm(self):
         """Leading monomial under the ring order (None for zero)."""
         if self._lm is None and self.terms:
-            key = self.ring.order.key
-            self._lm = max(self.terms, key=key)
+            self._lm = max(self.terms, key=self.ring.key)
         return self._lm
 
     def lead_support(self):
@@ -384,7 +439,7 @@ class Polynomial:
     # -- display
 
     def sorted_terms(self):
-        key = self.ring.order.key
+        key = self.ring.key
         return sorted(self.terms.items(), key=lambda mc: key(mc[0]), reverse=True)
 
     def __repr__(self):
@@ -438,17 +493,26 @@ def _divides(a, b):
     return all(map(le, a, b))
 
 
-def _exp_sub(a, b):
-    return tuple(map(sub, a, b))
-
-
 def _exp_lcm(a, b):
     return tuple(map(max, a, b))
 
 
 def lead_entry(g):
-    """One entry of a lead index: (lead support mask, lm, lc, g)."""
-    return (g.lead_support(), g.lm(), g.lc(), g)
+    """One entry of a lead index: (lead word, lead key, lc, tail, span, g).
+
+    lc and the tail's (key, word, coefficient) triples are the terms of
+    `_primitive(g)`, integers with content 1 and lc > 0; a reducer scaled by
+    a nonzero constant leaves every remainder as it is.  span is the word of
+    each variable's largest exponent in g, so x^q * g stays below the
+    exponent bound iff span + word(q) sets no guard bit.
+    """
+    ring = g.ring
+    lm = g.lm()
+    terms = _integer_terms(g)
+    lc = terms.pop(lm)
+    tail = [(ring.key(m), ring.pack(m), c) for m, c in terms.items()]
+    span = ring.pack([max(col) for col in zip(*g.terms)])
+    return (ring.pack(lm), ring.key(lm), lc, tail, span, g)
 
 
 def lead_index(basis):
@@ -456,89 +520,142 @@ def lead_index(basis):
     return [lead_entry(g) for g in basis if g]
 
 
+def _check_span(ring, span, q):
+    if (span + q) & ring.guard:
+        raise OverflowError(f"a reduction makes an exponent of 2**{EXP_BITS} or more")
+
+
+def _reduce(ring, work, words, den, lead):
+    """The reduction kernel: remainder of sum(work[k] x^words[k]) / den under `lead`.
+
+    `work` maps the order key of each pending term to its integer numerator
+    over the common denominator `den`, and `words` maps the key to the
+    term's exponent word.  The lead term is popped from a heap of negated
+    keys; stale heap entries of terms that cancelled are skipped.  The
+    reducer is the first entry whose lead word divides the popped one.
+    Reducing numerator a by an entry with lead coefficient c scales every
+    pending numerator and `den` by c / gcd(a, c), then subtracts
+    a / gcd(a, c) times x^q times the entry's tail, so the lead cancels and
+    every numerator stays an integer.  Keys are linear, so a new term's key
+    is a tail key plus key(popped) - key(lead).  A remainder term keeps the
+    denominator of the moment it was popped; only remainder terms are
+    decoded back to exponent tuples and Fractions.
+    """
+    guard = ring.guard
+    heap = [-k for k in work]
+    heapify(heap)
+    rem = []
+    while heap:
+        k = -heappop(heap)
+        a = work.pop(k, None)
+        if a is None:
+            continue
+        m = words[k]
+        for lw, lk, lc, tail, span, _ in lead:
+            q = m - lw
+            if q & guard:
+                continue
+            _check_span(ring, span, q)
+            h = gcd(a, lc)
+            if h != lc:
+                s = lc // h
+                den *= s
+                for t in work:
+                    work[t] *= s
+            a //= h
+            dk = k - lk
+            for tk, tw, tc in tail:
+                t = tk + dk
+                c = work.get(t)
+                if c is None:
+                    assert t < k
+                    work[t] = -a * tc
+                    words[t] = tw + q
+                    heappush(heap, -t)
+                else:
+                    c -= a * tc
+                    if c:
+                        work[t] = c
+                    else:
+                        del work[t]
+            break
+        else:
+            rem.append((m, a, den))
+    return Polynomial(ring, {ring.unpack(w): Fraction(a, d) for w, a, d in rem}, False)
+
+
 def normal_form_list(p, lead):
     """Unique remainder of p under full reduction by a lead index.
 
     `lead` holds one `lead_entry` per basis element; a Buchberger loop
     appends to it whenever it appends to its basis, so no call rebuilds it.
-    Reduces in place: `work` maps each pending monomial to its coefficient
-    and `todo` holds their (order key, monomial) entries in ascending order,
-    so the lead is popped from the end.  A key is computed once, when its
-    monomial enters `work`; entries of terms that cancelled are skipped.
-    The reducer is the first entry whose lead divides the popped monomial;
-    lead support masks skip most of the others unread.
+    p is packed into integer numerators over the lcm of its denominators
+    and reduced by `_reduce`; with no basis element, p is its own remainder.
     """
+    if not lead:
+        return p
     ring = p.ring
-    key = ring.order.key
-    work = dict(p.terms)
-    todo = sorted((key(m), m) for m in work)
-    rem = {}
-    while todo:
-        k, m = todo.pop()
-        c = work.pop(m, None)
-        if c is None:
-            continue
-        outside = ~_support(m)
-        for sg, lmg, lcg, g in lead:
-            if not sg & outside and _divides(lmg, m):
-                coeff = c / lcg
-                q = _exp_sub(m, lmg)
-                for mg, cg in g.terms.items():
-                    if mg == lmg:
-                        continue
-                    t = tuple(map(add, mg, q))
-                    if t in work:
-                        s = work[t] - cg * coeff
-                        if s:
-                            work[t] = s
-                        else:
-                            del work[t]
-                    else:
-                        kt = key(t)
-                        assert kt < k
-                        work[t] = -cg * coeff
-                        bisect.insort(todo, (kt, t))
-                break
-        else:
-            rem[m] = c
-    return Polynomial(ring, rem, False)
+    den, nums = _numerators(p)
+    work, words = {}, {}
+    for m, a in nums.items():
+        k = ring.key(m)
+        work[k] = a
+        words[k] = ring.pack(m)
+    return _reduce(ring, work, words, den, lead)
 
 
-def s_polynomial(f, g):
-    """(L / lt f) * f - (L / lt g) * g for L = lcm(lm f, lm g), built in one dict."""
-    lf, lg = f.lm(), g.lm()
-    L = _exp_lcm(lf, lg)
-    qf, cf = _exp_sub(L, lf), 1 / f.lc()
-    qg, cg = _exp_sub(L, lg), -1 / g.lc()
-    out = {tuple(map(add, m, qf)): c * cf for m, c in f.terms.items()}
-    for m, c in g.terms.items():
-        t = tuple(map(add, m, qg))
-        if t not in out:
-            out[t] = c * cg
-            continue
-        s = out[t] + c * cg
-        if s:
-            out[t] = s
-        else:
-            del out[t]
-    return Polynomial(f.ring, out, False)
+def pair_normal_form(f, g, lead):
+    """Remainder under `lead` of the S-polynomial of the lead entries f and g.
+
+    S = (L / lt f) f - (L / lt g) g for L = lcm(lm f, lm g).  With the
+    entries' integer terms, lead coefficients cf and cg and h = gcd(cf, cg),
+    it is cg/h (L / lm f) f - cf/h (L / lm g) g over the denominator
+    cf cg / h; the two leads cancel, so only the tails are added.
+    """
+    wf, kf, cf, tail_f, span_f, pf = f
+    wg, kg, cg, tail_g, span_g, pg = g
+    ring = pf.ring
+    L = _exp_lcm(pf.lm(), pg.lm())
+    wl, kl = ring.pack(L), ring.key(L)
+    h = gcd(cf, cg)
+    work, words = {}, {}
+    sides = (
+        (tail_f, span_f, wl - wf, kl - kf, cg // h),
+        (tail_g, span_g, wl - wg, kl - kg, -cf // h),
+    )
+    for tail, span, q, dk, s in sides:
+        _check_span(ring, span, q)
+        for tk, tw, tc in tail:
+            t = tk + dk
+            c = work.get(t, 0) + s * tc
+            if c:
+                work[t] = c
+                words[t] = tw + q
+            else:
+                del work[t]
+    return _reduce(ring, work, words, cf // h * cg, lead)
+
+
+def _numerators(p):
+    """(den, {monomial: numerator}): p = sum(num x^m) / den, den the lcm of p's denominators."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return den, {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+
+
+def _integer_terms(p):
+    """Terms of a nonzero p scaled to integers with content 1 and a positive lead coefficient."""
+    terms = _numerators(p)[1]
+    content = gcd(*terms.values())
+    if terms[p.lm()] < 0:
+        content = -content
+    return {m: c // content for m, c in terms.items()}
 
 
 def _primitive(p):
     """Scale to integer coefficients with positive leading sign and content 1."""
     if not p:
         return p
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = gcd(num, abs(c.numerator))
-        den = den * c.denominator // gcd(den, c.denominator)
-    factor = Fraction(den, num)
-    if p.lc() < 0:
-        factor = -factor
-    if factor == 1:
-        return p
-    return Polynomial(p.ring, {m: c * factor for m, c in p.terms.items()}, False)
+    return Polynomial(p.ring, {m: Fraction(c) for m, c in _integer_terms(p).items()}, False)
 
 
 def _update_pairs(G, pairs, t):
@@ -605,7 +722,7 @@ def buchberger(gens, keep=None, stop=None):
         lead.append(lead_entry(g))
         excess.append(sugar - sum(g.lm()))  # sugar above the lead's degree
         pairs = _update_pairs(G, pairs, t)
-        key = g.ring.order.key
+        key = g.ring.key
         for pair in reversed(pairs):  # the new pairs (i, t, L) come last
             i, j, L = pair
             if j != t:
@@ -620,7 +737,7 @@ def buchberger(gens, keep=None, stop=None):
         pair = min(pairs, key=rank.__getitem__)
         pairs.remove(pair)
         i, j, _ = pair
-        r = normal_form_list(s_polynomial(G[i], G[j]), lead)
+        r = pair_normal_form(lead[i], lead[j], lead)
         if r and (keep is None or keep(r)) and add(_primitive(r), rank[pair][0]):
             return G
     return G
@@ -630,8 +747,7 @@ def reduce_groebner(G):
     """Minimal reduced Groebner basis, canonically sorted."""
     if not G:
         return []
-    ring = G[0].ring
-    key = ring.order.key
+    key = G[0].ring.key
     # minimal: drop elements whose lead is divisible by another lead
     G = sorted((g.monic() for g in G if g), key=lambda g: key(g.lm()))
     minimal = []
@@ -696,11 +812,11 @@ class Ideal:
     def groebner(self):
         if self._gb is None:
             self._gb = groebner_basis(self.generators)
-            self._lead = lead_index(self._gb)
         return self._gb
 
     def normal_form(self, p):
-        self.groebner()
+        if self._lead is None:
+            self._lead = lead_index(self.groebner())
         return normal_form_list(p, self._lead)
 
     def contains(self, p):
@@ -824,20 +940,14 @@ def _position_ring(ring, rank):
     """`ring` plus one position variable @e0..@e{rank-1} per coordinate.
 
     A free-module vector {pos: p} is the polynomial sum(p * @e{pos}), so the
-    polynomial S-polynomial and normal form serve modules too (Moeller &
+    polynomial reduction kernel and its S-pairs serve modules too (Moeller &
     Mora).  The order compares the position part first, position 0 highest,
     and then the base exponents: position over term.
     """
-    n = ring.nvars
-    base = ring.order.key
-
-    def key(e):
-        return (e[n:], base(e[:n]))
-
     return GradedRing(
         ring.names + tuple(f"@e{k}" for k in range(rank)),
         ring.weights + (0,) * rank,
-        MonomialOrder(f"pot{rank}:{ring.order.tag}", key),
+        MonomialOrder(f"pot{rank}:{ring.order.tag}"),
     )
 
 
@@ -875,7 +985,7 @@ def module_groebner(gens, ring, rank):
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G)) if pos[i] == pos[j]]
     while pairs:
         i, j = pairs.pop()
-        r = normal_form_list(s_polynomial(G[i], G[j]), lead)
+        r = pair_normal_form(lead[i], lead[j], lead)
         if r:
             t = len(G)
             G.append(r)
@@ -935,7 +1045,7 @@ def syzygy_kernel(fmap, relations=None):
     def sortkey(vec):
         for j, p in enumerate(vec):
             if p:
-                return (j, ring.order.key(p.lm()))
+                return (j, ring.key(p.lm()))
         return (s, ())
 
     out.sort(key=sortkey)

@@ -480,7 +480,7 @@ def test_blowup_repairs_every_failing_fixture():
 )
 def test_buchberger_s_pair_count_is_pinned(monkeypatch, capsys, name, pinned, lcm_order):
     reduced, inside = 0, False
-    real_buchberger, real_s_polynomial = rings.buchberger, rings.s_polynomial
+    real_buchberger, real_pair_normal_form = rings.buchberger, rings.pair_normal_form
 
     def buchberger(gens):
         nonlocal inside
@@ -490,13 +490,13 @@ def test_buchberger_s_pair_count_is_pinned(monkeypatch, capsys, name, pinned, lc
         finally:
             inside = False
 
-    def s_polynomial(f, g):
+    def pair_normal_form(f, g, lead):
         nonlocal reduced
         reduced += inside
-        return real_s_polynomial(f, g)
+        return real_pair_normal_form(f, g, lead)
 
     monkeypatch.setattr(rings, "buchberger", buchberger)
-    monkeypatch.setattr(rings, "s_polynomial", s_polynomial)
+    monkeypatch.setattr(rings, "pair_normal_form", pair_normal_form)
     path = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.uhat"
     assert main(["blowup", "--scenario", str(path), "--with-quotient"]) == 0
     capsys.readouterr()

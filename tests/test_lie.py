@@ -347,6 +347,19 @@ def test_group_law_heisenberg_twist():
 
 
 @pytest.mark.parametrize(
+    "brackets",
+    [{("p", "q"): {"p": 1}}, {("p", "c"): {"q": 1}}],
+    ids=["pq_is_p", "pc_is_q"],
+)
+def test_group_law_refuses_brackets_that_break_the_grading(brackets):
+    # [p, q] = p once gave a non-associative law and [p, c] = q an additive one
+    lie = GradedLieAlgebra([2, 1], [["c"], ["p", "q"]], brackets)
+    assert lie.structure_violations()
+    with pytest.raises(ValueError):
+        group_law(lie)
+
+
+@pytest.mark.parametrize(
     "lie",
     [
         GradedLieAlgebra([2, 1], [["c"], ["p", "q"]], {("p", "q"): {"c": 1}}),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uhat.rings import (
+    EXP_BITS,
     FreeModuleMap,
     GradedRing,
     Ideal,
@@ -27,12 +28,14 @@ from uhat.rings import (
     module_groebner,
     module_normal_form,
     normal_form_list,
+    order_from_tag,
+    pair_normal_form,
     right_nullspace,
-    s_polynomial,
     solve_linear,
     sparse_system,
     syzygy_kernel,
     unit_certificate,
+    weighted_order,
 )
 from uhat.lie import GradedLieAlgebra
 from uhat.scenario import parse_polynomial
@@ -295,34 +298,49 @@ def term_mul_s_polynomial(f, g):
     return f.term_mul(1 / f.lc(), qf) - g.term_mul(1 / g.lc(), qg)
 
 
-def test_s_polynomial_matches_term_mul_formula():
+def test_pair_normal_form_matches_term_mul_formula():
     # plain pairs, and module vectors encoded over the position ring, where
-    # leads share a position; shared lower terms cancel in both
+    # leads share a position; shared lower terms cancel in both.  Fraction
+    # coefficients keep f, g and the basis from being primitive, so the
+    # kernel's integer scaling must leave the S-polynomial and its remainder
+    # exactly as the Fraction formula gives them
     ring = GradedRing(["x", "y", "z"], [0, -1, -2])
     monos = [m for d in range(4) for m in ring.monomials_of_degree(d)]
     rng = random.Random(13)
 
     def rand_poly(nterms):
-        coeffs = [Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2])) for _ in range(nterms)]
+        coeffs = [
+            Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3])) for _ in range(nterms)
+        ]
         return Polynomial(ring, dict(zip(rng.sample(monos, nterms), coeffs)))
 
     rank = 3
     mring = _position_ring(ring, rank)
-    cancelled = 0
+    cancelled = reduced = 0
     for _ in range(80):
         f, g = rand_poly(rng.randint(1, 5)), rand_poly(rng.randint(1, 5))
         common = rand_poly(2)
         f, g = f + common * f.lc(), g + common * g.lc()
         if not (f and g):
             continue
+        basis = [rand_poly(rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
         want = term_mul_s_polynomial(f, g)
-        assert s_polynomial(f, g) == want, (f, g)
+        assert pair_normal_form(lead_entry(f), lead_entry(g), []) == want, (f, g)
+        lead = lead_index(basis + [f, g])
+        got = pair_normal_form(lead_entry(f), lead_entry(g), lead)
+        assert got == normal_form_list(want, lead), (f, g, basis)
         cancelled += len(want.terms) < len(f.terms) + len(g.terms) - 2
+        reduced += got != want
         vf = _encode({0: f, rng.randrange(1, rank): rand_poly(2)}, mring, rank)
         vg = _encode({0: g, rng.randrange(1, rank): rand_poly(2)}, mring, rank)
         assert vf.lm()[-rank:] == vg.lm()[-rank:]
-        assert s_polynomial(vf, vg) == term_mul_s_polynomial(vf, vg), (vf, vg)
-    assert cancelled > 20
+        vbasis = [_encode({pos: rand_poly(2)}, mring, rank) for pos in rng.sample(range(rank), 2)]
+        vlead = lead_index(vbasis + [vf, vg])
+        want = term_mul_s_polynomial(vf, vg)
+        assert pair_normal_form(lead_entry(vf), lead_entry(vg), []) == want, (vf, vg)
+        got = pair_normal_form(lead_entry(vf), lead_entry(vg), vlead)
+        assert got == normal_form_list(want, vlead), (vf, vg, vbasis)
+    assert cancelled > 20 and reduced > 20
 
 
 def pop_filter_module_groebner(gens, ring, rank):
@@ -658,6 +676,93 @@ def test_lex_and_weighted_orders():
     Rw = GradedRing(["x", "y"], [0, -1], "weighted:1,3")
     q = Rw.var("x") ** 2 + Rw.var("y")
     assert q.lm() == (0, 1)  # weight 3 beats weight 2
+
+
+WEIGHTS = (3, 1000, 0, 17)
+
+
+def old_grevlex_key(seq):
+    return (sum(seq), tuple(-e for e in seq[:0:-1]))
+
+
+def old_elim_key(k):
+    return lambda e: (old_grevlex_key(e[:k]), old_grevlex_key(e[k:]))
+
+
+OLD_KEYS = {
+    "degrevlex": lambda n: old_grevlex_key,
+    "lex": lambda n: tuple,
+    "weighted": lambda n: lambda e: (sum(w * x for w, x in zip(WEIGHTS, e)), old_grevlex_key(e)),
+    **{f"elim:{k}": (lambda k: lambda n: old_elim_key(k))(k) for k in range(5)},
+}
+
+
+def old_position_key(base, n):
+    return lambda e: (e[n:], base(e[:n]))
+
+
+@pytest.mark.parametrize(
+    "nvars, order",
+    [
+        (n, order)
+        for n in (0, 1, 2, 4)
+        for order in OLD_KEYS
+        if int(order.partition(":")[2] or 0) <= n
+    ],
+)
+@pytest.mark.parametrize("rank", [0, 2], ids=["plain", "position"])
+def test_packed_key_orders_as_the_tuple_keys(nvars, order, rank):
+    # the tuple keys the orders had before they became weight matrices; the
+    # integer key must order every pair of exponent tuples the same way,
+    # up to exponents just below the bound
+    tag = order_from_tag(order) if order != "weighted" else weighted_order(WEIGHTS[:nvars])
+    ring = GradedRing([f"v{i}" for i in range(nvars)], [0] * nvars, tag)
+    old = OLD_KEYS[order](nvars)
+    if rank:
+        old = old_position_key(old, nvars)
+        ring = _position_ring(ring, rank)
+    top = 2**EXP_BITS - 1
+    rng = random.Random(f"{nvars} {order} {rank}")
+    values = [0, 0, 1, 2, 3, top, top - 1, top - 2]
+    exps = []
+    for _ in range(70):
+        if exps and rng.random() < 0.4:  # a permutation ties every degree row
+            e = list(rng.choice(exps))
+            rng.shuffle(e)
+        else:
+            e = [
+                rng.choice(values) if rng.random() < 0.8 else rng.randrange(top)
+                for _ in range(ring.nvars)
+            ]
+        exps.append(tuple(e))
+    keys = [ring.key(e) for e in exps]
+    olds = [old(e) for e in exps]
+    for a in range(len(exps)):
+        for b in range(len(exps)):
+            want = (olds[a] > olds[b]) - (olds[a] < olds[b])
+            assert (keys[a] > keys[b]) - (keys[a] < keys[b]) == want, (exps[a], exps[b])
+    if ring.nvars:
+        # linear: the key of a product is the sum of the keys
+        assert ring.key(tuple(map(sum, zip(exps[0], exps[1])))) == keys[0] + keys[1]
+
+
+def test_exponent_bound_raises_instead_of_wrapping():
+    ring = GradedRing(["x", "y"], [0, -1], "lex")
+    x, y = ring.var("x"), ring.var("y")
+    top = 2**EXP_BITS - 1
+    assert ring.unpack(ring.pack((top, 5))) == (top, 5)
+    with pytest.raises(OverflowError):
+        ring.pack((2**EXP_BITS, 0))
+    with pytest.raises(OverflowError):
+        normal_form_list(ring.monomial((0, 2**EXP_BITS)), lead_index([x]))
+    # x - y^top leads with x under lex: reducing x gives y^top, x*y would give y^(top + 1)
+    g = x - ring.monomial((0, top))
+    assert normal_form_list(x, lead_index([g])) == ring.monomial((0, top))
+    with pytest.raises(OverflowError):
+        normal_form_list(x * y, lead_index([g]))
+    # the S-polynomial of g and x*y - 1 is 1 - y^(top + 1)
+    with pytest.raises(OverflowError):
+        pair_normal_form(lead_entry(g), lead_entry(x * y - 1), [])
 
 
 def test_weighted_order_rejects_negative_weights():
