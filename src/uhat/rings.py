@@ -148,6 +148,12 @@ class GradedRing:
         # exponent words: e_j in bits (EXP_BITS + 1) * j onwards, plus a guard bit
         self._shifts = tuple((EXP_BITS + 1) * j for j in range(len(names)))
         self.guard = sum(1 << (s + EXP_BITS) for s in self._shifts)
+        # the fields of the position variables of a `pot{rank}:` ring; word &
+        # positions is a term's position part, 0 in every other ring
+        kind = self.order.tag.partition(":")[0]
+        rank = int(kind[3:]) if kind.startswith("pot") else 0
+        field = (1 << EXP_BITS) - 1
+        self.positions = sum(field << s for s in self._shifts[len(names) - rank :])
 
     @property
     def nvars(self):
@@ -516,8 +522,24 @@ def lead_entry(g):
 
 
 def lead_index(basis):
-    """Lead index of `basis` for `normal_form_list`: its nonzero elements in list order."""
-    return [lead_entry(g) for g in basis if g]
+    """Lead index of `basis` for `normal_form_list`.
+
+    It maps the position part of each lead word (`ring.positions`) to the
+    `lead_entry` of every nonzero element led in that position, in list
+    order; a ring without positions has the one bucket 0.
+    """
+    lead = {}
+    for g in basis:
+        if g:
+            add_lead(lead, g)
+    return lead
+
+
+def add_lead(lead, g):
+    """Append the entry of a nonzero g to its position's bucket of `lead`; return the entry."""
+    entry = lead_entry(g)
+    lead.setdefault(entry[0] & g.ring.positions, []).append(entry)
+    return entry
 
 
 def _check_span(ring, span, q):
@@ -531,17 +553,20 @@ def _reduce(ring, work, words, den, lead):
     `work` maps the order key of each pending term to its integer numerator
     over the common denominator `den`, and `words` maps the key to the
     term's exponent word.  The lead term is popped from a heap of negated
-    keys; stale heap entries of terms that cancelled are skipped.  The
-    reducer is the first entry whose lead word divides the popped one.
-    Reducing numerator a by an entry with lead coefficient c scales every
-    pending numerator and `den` by c / gcd(a, c), then subtracts
-    a / gcd(a, c) times x^q times the entry's tail, so the lead cancels and
-    every numerator stays an integer.  Keys are linear, so a new term's key
-    is a tail key plus key(popped) - key(lead).  A remainder term keeps the
-    denominator of the moment it was popped; only remainder terms are
-    decoded back to exponent tuples and Fractions.
+    keys; stale heap entries of terms that cancelled are skipped.  Every
+    term has one position part (see `_encode`), and a lead in another
+    position never divides it, so only the bucket of the popped word's
+    position is scanned: the reducer is its first entry, in basis order,
+    whose lead word divides the popped one.  Reducing numerator a by an
+    entry with lead coefficient c scales every pending numerator and `den`
+    by c / gcd(a, c), then subtracts a / gcd(a, c) times x^q times the
+    entry's tail, so the lead cancels and every numerator stays an integer.
+    Keys are linear, so a new term's key is a tail key plus key(popped) -
+    key(lead).  A remainder term keeps the denominator of the moment it was
+    popped; only remainder terms are decoded back to exponent tuples and
+    Fractions.
     """
-    guard = ring.guard
+    guard, positions = ring.guard, ring.positions
     heap = [-k for k in work]
     heapify(heap)
     rem = []
@@ -551,7 +576,7 @@ def _reduce(ring, work, words, den, lead):
         if a is None:
             continue
         m = words[k]
-        for lw, lk, lc, tail, span, _ in lead:
+        for lw, lk, lc, tail, span, _ in lead.get(m & positions, ()):
             q = m - lw
             if q & guard:
                 continue
@@ -587,8 +612,11 @@ def _reduce(ring, work, words, den, lead):
 def normal_form_list(p, lead):
     """Unique remainder of p under full reduction by a lead index.
 
-    `lead` holds one `lead_entry` per basis element; a Buchberger loop
-    appends to it whenever it appends to its basis, so no call rebuilds it.
+    `lead` is a `lead_index`: one `lead_entry` per basis element, bucketed
+    by the position part of its lead; a Buchberger loop calls `add_lead`
+    whenever it appends to its basis, so no call rebuilds it.  Each term is
+    reduced by the first divisor in basis order among the leads in its
+    position.
     p is packed into integer numerators over the lcm of its denominators
     and reduced by `_reduce`; with no basis element, p is its own remainder.
     """
@@ -610,11 +638,15 @@ def pair_normal_form(f, g, lead):
     S = (L / lt f) f - (L / lt g) g for L = lcm(lm f, lm g).  With the
     entries' integer terms, lead coefficients cf and cg and h = gcd(cf, cg),
     it is cg/h (L / lm f) f - cf/h (L / lm g) g over the denominator
-    cf cg / h; the two leads cancel, so only the tails are added.
+    cf cg / h; the two leads cancel, so only the tails are added.  Leads in
+    different positions raise ValueError: their S-polynomial would have
+    terms in two positions, which no bucket of `lead` holds.
     """
     wf, kf, cf, tail_f, span_f, pf = f
     wg, kg, cg, tail_g, span_g, pg = g
     ring = pf.ring
+    if (wf ^ wg) & ring.positions:
+        raise ValueError("S-pair of leads in different positions")
     L = _exp_lcm(pf.lm(), pg.lm())
     wl, kl = ring.pack(L), ring.key(L)
     h = gcd(cf, cg)
@@ -711,7 +743,7 @@ def buchberger(gens, keep=None, stop=None):
     basis is returned as soon as `stop(g)` holds for an appended element g,
     which is then its last element.
     """
-    G, lead, excess, rank = [], [], [], {}
+    G, entries, lead, excess, rank = [], [], {}, [], {}
     pairs = []
 
     def add(g, sugar):
@@ -719,7 +751,7 @@ def buchberger(gens, keep=None, stop=None):
         nonlocal pairs
         t = len(G)
         G.append(g)
-        lead.append(lead_entry(g))
+        entries.append(add_lead(lead, g))
         excess.append(sugar - sum(g.lm()))  # sugar above the lead's degree
         pairs = _update_pairs(G, pairs, t)
         key = g.ring.key
@@ -737,7 +769,7 @@ def buchberger(gens, keep=None, stop=None):
         pair = min(pairs, key=rank.__getitem__)
         pairs.remove(pair)
         i, j, _ = pair
-        r = pair_normal_form(lead[i], lead[j], lead)
+        r = pair_normal_form(entries[i], entries[j], lead)
         if r and (keep is None or keep(r)) and add(_primitive(r), rank[pair][0]):
             return G
     return G
@@ -747,18 +779,22 @@ def reduce_groebner(G):
     """Minimal reduced Groebner basis, canonically sorted."""
     if not G:
         return []
-    key = G[0].ring.key
+    key, positions = G[0].ring.key, G[0].ring.positions
     # minimal: drop elements whose lead is divisible by another lead
     G = sorted((g.monic() for g in G if g), key=lambda g: key(g.lm()))
     minimal = []
     for g in G:
         if not any(_divides(h.lm(), g.lm()) for h in minimal):
             minimal.append(g)
-    # reduced: fully reduce each tail against the others
-    lead = lead_index(minimal)
+    # reduced: fully reduce each tail against the others, whose entries
+    # are built once and bucketed afresh for each g
+    entries = [lead_entry(g) for g in minimal]
     reduced = []
     for i, g in enumerate(minimal):
-        r = normal_form_list(g, lead[:i] + lead[i + 1 :])
+        others = {}
+        for e in entries[:i] + entries[i + 1 :]:
+            others.setdefault(e[0] & positions, []).append(e)
+        r = normal_form_list(g, others)
         if r:
             reduced.append(r.monic())
     return sorted(reduced, key=lambda g: key(g.lm()), reverse=True)
@@ -942,7 +978,11 @@ def _position_ring(ring, rank):
     A free-module vector {pos: p} is the polynomial sum(p * @e{pos}), so the
     polynomial reduction kernel and its S-pairs serve modules too (Moeller &
     Mora).  The order compares the position part first, position 0 highest,
-    and then the base exponents: position over term.
+    and then the base exponents: position over term.  Every term of an
+    encoded vector has exactly one position variable, with exponent 1; the
+    ring's `positions` mask reads it off a word, and the kernel keeps it one
+    per term, as it multiplies only by base monomials and `pair_normal_form`
+    refuses leads in different positions.
     """
     return GradedRing(
         ring.names + tuple(f"@e{k}" for k in range(rank)),
@@ -952,6 +992,11 @@ def _position_ring(ring, rank):
 
 
 def _encode(v, mring, rank):
+    """The vector {pos: p} over `_position_ring`: each term of p times @e{pos}.
+
+    So each term carries one position variable with exponent 1, the one
+    position part by which `lead_index` buckets its leads.
+    """
     terms = {}
     for pos, p in v.items():
         unit = (0,) * pos + (1,) + (0,) * (rank - pos - 1)
@@ -975,22 +1020,24 @@ def module_groebner(gens, ring, rank):
     `gens` are vectors {pos: poly}; the basis is returned encoded over the
     position ring, as `module_normal_form` takes it.  Only pairs whose leads
     share a position are formed; they are taken last in, first out, and this
-    order fixes which syzygy generators `syzygy_kernel` returns.
+    order fixes which syzygy generators `syzygy_kernel` returns.  Each
+    S-polynomial is reduced by the basis leads in its own position only,
+    first divisor in basis order, through the one `lead_index`.
     """
     mring = _position_ring(ring, rank)
-    n = ring.nvars
     G = [g for g in (_encode(v, mring, rank) for v in gens) if g]
-    lead = lead_index(G)
-    pos = [g.lm()[n:] for g in G]  # position part of each lead
+    lead = {}
+    entries = [add_lead(lead, g) for g in G]
+    pos = [e[0] & mring.positions for e in entries]  # position part of each lead
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G)) if pos[i] == pos[j]]
     while pairs:
         i, j = pairs.pop()
-        r = pair_normal_form(lead[i], lead[j], lead)
+        r = pair_normal_form(entries[i], entries[j], lead)
         if r:
             t = len(G)
             G.append(r)
-            lead.append(lead_entry(r))
-            pos.append(r.lm()[n:])
+            entries.append(add_lead(lead, r))
+            pos.append(entries[t][0] & mring.positions)
             pairs.extend((k, t) for k in range(t) if pos[k] == pos[t])
     return G
 
