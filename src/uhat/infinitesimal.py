@@ -18,6 +18,7 @@ from uhat.rings import (
     Ideal,
     Polynomial,
     column_span,
+    lead_index,
     left_nullspace,
     matrix_rank,
     minors_ideal_generators,
@@ -348,13 +349,13 @@ def verify_snake_exactness(action, i, degree=2):
     pmap = level_data(action)[i].pmap
     rels = algebra.relations.groebner()
     # spans of the full pairing in A^{rows_all} and of the relative pairing in A^{r_i}
-    gb_big = module_groebner(column_span(mat_i.entries, rels), ring, rows_all)
-    gb_small = module_groebner(column_span(pmap.pairing, rels), ring, r_i)
+    big = lead_index(module_groebner(column_span(mat_i.entries, rels), ring, rows_all))
+    small = lead_index(module_groebner(column_span(pmap.pairing, rels), ring, r_i))
 
     # image of the relative cokernel lies in the kernel of the projection
     for col in range(len(pmap.domain_generators)):
         v = {rows_prev + mu: pmap.pairing[mu][col] for mu in range(r_i) if pmap.pairing[mu][col]}
-        if module_normal_form(v, gb_big, ring, rows_all):
+        if module_normal_form(v, big, ring, rows_all):
             return False
 
     # completeness: every degree-bounded kernel vector pairs into the span
@@ -362,6 +363,6 @@ def verify_snake_exactness(action, i, degree=2):
     for coords in enumerate_kernel_linear(action, i - 1, degree):
         vals = [pair_coordinates(action, coords, mu) for mu in level_rows]
         v = {pos: val for pos, val in enumerate(vals) if val}
-        if v and module_normal_form(v, gb_small, ring, r_i):
+        if v and module_normal_form(v, small, ring, r_i):
             return False
     return True

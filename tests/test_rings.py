@@ -10,6 +10,7 @@ from uhat.rings import (
     FreeModuleMap,
     GradedRing,
     Ideal,
+    LeadIndex,
     Polynomial,
     PresentedAlgebra,
     _encode,
@@ -38,6 +39,7 @@ from uhat.rings import (
     unit_certificate,
     weighted_order,
 )
+from uhat import rings
 from uhat.lie import GradedLieAlgebra
 from uhat.scenario import parse_polynomial
 
@@ -221,12 +223,25 @@ def test_normal_form_list_matches_plain_reduction(order):
     assert order_matters > 20
 
 
+def assert_memo_exact(lead, ring):
+    """Each memo value is the first entry of its word's bucket whose lead
+    divides the word, or a count n > 0 of leading entries none of which does."""
+    for m, hit in lead.memo.items():
+        bucket = lead.buckets.get(m & ring.positions, [])
+        divisors = [e for e in bucket if not (m - e[0]) & ring.guard]
+        if isinstance(hit, int):
+            assert 0 < hit <= len(bucket) and not any(e in divisors for e in bucket[:hit])
+        else:
+            assert divisors and hit is divisors[0], ring.unpack(m)
+
+
 def test_lead_index_grown_by_appends_matches_plain_reduction():
     # a Buchberger loop calls add_lead once per new basis element; after each
-    # call the index must equal the one built from the whole basis and reduce
-    # exactly as the list it stands for.  A plain ring has the one bucket 0;
-    # over the position ring each lead position has its own bucket, which
-    # lists the elements led there in basis order
+    # call the index must hold the buckets built from the whole basis and
+    # reduce exactly as the list it stands for, its memo filled by the
+    # reductions before the append.  A plain ring has the one bucket 0; over
+    # the position ring each lead position has its own bucket, which lists
+    # the elements led there in basis order
     ring = GradedRing(["x", "y", "z"], [0, -1, -2], "degrevlex")
     monos = [m for d in range(4) for m in ring.monomials_of_degree(d)]
     n = ring.nvars
@@ -245,24 +260,71 @@ def test_lead_index_grown_by_appends_matches_plain_reduction():
             positions = rng.sample(range(rank), rng.randint(1, 2))
             return _encode({pos: rand_poly(nterms) for pos in positions}, mring, rank)
 
-        most_buckets = 0
+        most_buckets = most_memo = 0
         for _ in range(20):
-            basis, lead = [], {}
+            basis, lead = [], LeadIndex()
             for _ in range(rng.randint(2, 6)):
                 g = rand_element(rng.randint(1, 3))
                 basis.append(g)
                 assert add_lead(lead, g) == lead_entry(g)
-                assert lead == lead_index(basis)
+                assert lead.buckets == lead_index(basis).buckets
                 for _ in range(3):
                     p = rand_element(5) * rand_poly(2).map_ring(mring)
                     assert normal_form_list(p, lead) == plain_normal_form(p, basis), (basis, p)
+                    assert_memo_exact(lead, mring)
             parts = {g.lm()[n:] for g in basis}
-            assert set(lead) == {mring.pack((0,) * n + part) for part in parts}
+            assert set(lead.buckets) == {mring.pack((0,) * n + part) for part in parts}
             for part in parts:
-                bucket = lead[mring.pack((0,) * n + part)]
+                bucket = lead.buckets[mring.pack((0,) * n + part)]
                 assert [e[5] for e in bucket] == [g for g in basis if g.lm()[n:] == part]
-            most_buckets = max(most_buckets, len(lead))
+            most_buckets = max(most_buckets, len(lead.buckets))
+            most_memo = max(most_memo, len(lead.memo))
         assert most_buckets == (rank or 1)
+        assert most_memo > 20
+
+
+def test_lead_index_memo_miss_is_reduced_by_a_later_divisor():
+    # x*y is remembered as having no divisor among the one entry y^2; after
+    # x - y is appended, the next reduction scans only that entry, and x*y
+    # goes to y^2 and then to zero
+    lead = lead_index([Y * Y])
+    xy = R2.pack((1, 1))
+    assert normal_form_list(X * Y, lead) == X * Y
+    assert lead.memo == {xy: 1}
+    entry = add_lead(lead, X - Y)
+    assert normal_form_list(X * Y, lead) == R2.zero()
+    assert lead.memo[xy] is entry
+    # a divisor found stays the first one: appending y leaves x*y with x
+    add_lead(lead, Y)
+    assert normal_form_list(X * Y + Y, lead) == plain_normal_form(X * Y + Y, [Y * Y, X - Y, Y])
+    assert lead.memo[xy] is entry
+
+
+def test_lead_index_memo_cleared_at_its_bound_matches_plain_reduction(monkeypatch):
+    # with room for 4 words the memo is cleared many times within one
+    # reduction; remainders must not change, and the memo never passes 4
+    monkeypatch.setattr(rings, "MEMO_BOUND", 4)
+    ring = GradedRing(["x", "y", "z"], [0, -1, -2], "lex")
+    monos = [m for d in range(4) for m in ring.monomials_of_degree(d)]
+    rng = random.Random(13)
+
+    def rand_poly(nterms):
+        terms = {m: Fraction(rng.choice([-2, -1, 1, 3])) for m in rng.sample(monos, nterms)}
+        return Polynomial(ring, terms)
+
+    seen = set()
+    for _ in range(10):
+        basis, lead = [], LeadIndex()
+        for _ in range(rng.randint(2, 5)):
+            basis.append(rand_poly(rng.randint(1, 3)))
+            add_lead(lead, basis[-1])
+            for _ in range(3):
+                p = rand_poly(6) * rand_poly(2)
+                assert normal_form_list(p, lead) == plain_normal_form(p, basis), (basis, p)
+                assert len(lead.memo) <= 4
+                assert_memo_exact(lead, ring)
+                seen.update(lead.memo)
+    assert len(seen) > 5 * 4
 
 
 def quadratic_update_pairs(G, pairs, t):
@@ -349,7 +411,7 @@ def test_pair_normal_form_matches_term_mul_formula():
             continue
         basis = [rand_poly(rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
         want = term_mul_s_polynomial(f, g)
-        assert pair_normal_form(lead_entry(f), lead_entry(g), {}) == want, (f, g)
+        assert pair_normal_form(lead_entry(f), lead_entry(g), LeadIndex()) == want, (f, g)
         lead = lead_index(basis + [f, g])
         got = pair_normal_form(lead_entry(f), lead_entry(g), lead)
         assert got == normal_form_list(want, lead), (f, g, basis)
@@ -361,7 +423,7 @@ def test_pair_normal_form_matches_term_mul_formula():
         vbasis = [_encode({pos: rand_poly(2)}, mring, rank) for pos in rng.sample(range(rank), 2)]
         vlead = lead_index(vbasis + [vf, vg])
         want = term_mul_s_polynomial(vf, vg)
-        assert pair_normal_form(lead_entry(vf), lead_entry(vg), {}) == want, (vf, vg)
+        assert pair_normal_form(lead_entry(vf), lead_entry(vg), LeadIndex()) == want, (vf, vg)
         got = pair_normal_form(lead_entry(vf), lead_entry(vg), vlead)
         assert got == normal_form_list(want, vlead), (vf, vg, vbasis)
     assert cancelled > 20 and reduced > 20
@@ -462,7 +524,7 @@ def test_pair_normal_form_refuses_leads_in_different_positions():
     with pytest.raises(ValueError):
         pair_normal_form(lead_entry(f), lead_entry(g), lead_index([f, g]))
     same = _encode({0: X * X}, mring, 2)
-    assert pair_normal_form(lead_entry(f), lead_entry(same), {}) == term_mul_s_polynomial(f, same)
+    assert pair_normal_form(lead_entry(f), lead_entry(same), LeadIndex()) == term_mul_s_polynomial(f, same)
 
 
 @settings(max_examples=40, deadline=None)
@@ -641,7 +703,7 @@ def test_syzygy_completeness_against_linear_enumeration():
     fmap = FreeModuleMap(2, 1, ((Y, -X),))
     ker = syzygy_kernel(fmap)
     gens = [{j: v[j] for j in range(2) if v[j]} for v in ker]
-    gb = module_groebner(gens, R2, 2)
+    lead = lead_index(module_groebner(gens, R2, 2))
     # everything in the kernel of bounded degree must reduce to zero
     monos = []
     for d in range(3):
@@ -656,14 +718,14 @@ def test_syzygy_completeness_against_linear_enumeration():
             val = p0 * Y - p1 * X
             if val.is_zero():
                 v = {0: p0, 1: p1}
-                assert not module_normal_form(v, gb, R2, 2)
+                assert not module_normal_form(v, lead, R2, 2)
 
 
 def test_module_membership():
     gens = [{0: X}, {1: Y}]
-    gb = module_groebner(gens, R2, 2)
-    assert not module_normal_form({0: X * Y}, gb, R2, 2)
-    assert module_normal_form({0: Y}, gb, R2, 2)
+    lead = lead_index(module_groebner(gens, R2, 2))
+    assert not module_normal_form({0: X * Y}, lead, R2, 2)
+    assert module_normal_form({0: Y}, lead, R2, 2)
 
 
 # -- determinants and minors
@@ -840,7 +902,7 @@ def test_exponent_bound_raises_instead_of_wrapping():
         normal_form_list(x * y, lead_index([g]))
     # the S-polynomial of g and x*y - 1 is 1 - y^(top + 1)
     with pytest.raises(OverflowError):
-        pair_normal_form(lead_entry(g), lead_entry(x * y - 1), {})
+        pair_normal_form(lead_entry(g), lead_entry(x * y - 1), LeadIndex())
     # the same reductions of vectors in position 1 of a position ring, beside
     # a lead in position 0, whose bucket the position-1 terms never scan
     mring = _position_ring(ring, 2)
@@ -852,7 +914,9 @@ def test_exponent_bound_raises_instead_of_wrapping():
     with pytest.raises(OverflowError):
         normal_form_list(_encode({1: x * y}, mring, 2), vlead)
     with pytest.raises(OverflowError):
-        pair_normal_form(lead_entry(vg), lead_entry(_encode({1: x * y - 1}, mring, 2)), {})
+        pair_normal_form(
+            lead_entry(vg), lead_entry(_encode({1: x * y - 1}, mring, 2)), LeadIndex()
+        )
 
 
 def test_weighted_order_rejects_negative_weights():
