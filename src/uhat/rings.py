@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
-from operator import le, lshift, mul
+from operator import lshift, mul
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ class GradedRing:
 
     def unpack(self, w):
         mask = (1 << EXP_BITS) - 1
-        return tuple((w >> s) & mask for s in self._shifts)
+        return tuple([(w >> s) & mask for s in self._shifts])
 
     def zero(self):
         return Polynomial(self, {})
@@ -260,7 +260,7 @@ class GradedRing:
 class Polynomial:
     """Sparse polynomial: map from exponent tuple to nonzero Fraction."""
 
-    __slots__ = ("ring", "terms", "_lm", "_lms")
+    __slots__ = ("ring", "terms", "_lm")
 
     def __init__(self, ring, terms, prune=True):
         self.ring = ring
@@ -269,7 +269,6 @@ class Polynomial:
         else:
             self.terms = terms
         self._lm = None
-        self._lms = None
 
     # -- basic structure
 
@@ -292,12 +291,6 @@ class Polynomial:
         if self._lm is None and self.terms:
             self._lm = max(self.terms, key=self.ring.key)
         return self._lm
-
-    def lead_support(self):
-        """Support mask `_support(self.lm())` (None for zero)."""
-        if self._lms is None and self.terms:
-            self._lms = _support(self.lm())
-        return self._lms
 
     def lc(self):
         m = self.lm()
@@ -482,25 +475,15 @@ class Polynomial:
 # division and Buchberger
 
 
-def _support(e):
-    """Bit i set iff e[i] > 0.
+def _word_lcm(a, b, guard):
+    """Exponent word of lcm(a, b) for words a and b: the larger field of each variable.
 
-    a divides b only if _support(a) & ~_support(b) == 0, so one integer test
-    rejects most non-divisors (Bachmann & Schoenemann's short divisor mask).
+    (a | guard) - b keeps a field's guard bit iff a's field is at least b's,
+    as no field borrows from the next, and g - (g >> EXP_BITS) widens each
+    kept bit to a mask of its field.  Exact for all words below the bound.
     """
-    s = 0
-    for i, x in enumerate(e):
-        if x:
-            s |= 1 << i
-    return s
-
-
-def _divides(a, b):
-    return all(map(le, a, b))
-
-
-def _exp_lcm(a, b):
-    return tuple(map(max, a, b))
+    g = ((a | guard) - b) & guard
+    return b ^ ((a ^ b) & (g - (g >> EXP_BITS)))
 
 
 def lead_entry(g):
@@ -700,8 +683,8 @@ def pair_normal_form(f, g, lead):
     ring = pf.ring
     if (wf ^ wg) & ring.positions:
         raise ValueError("S-pair of leads in different positions")
-    L = _exp_lcm(pf.lm(), pg.lm())
-    wl, kl = ring.pack(L), ring.key(L)
+    wl = _word_lcm(wf, wg, ring.guard)
+    kl = ring.key(ring.unpack(wl))
     h = gcd(cf, cg)
     work, words = {}, {}
     sides = (
@@ -743,43 +726,42 @@ def _primitive(p):
     return Polynomial(p.ring, {m: Fraction(c) for m, c in _integer_terms(p).items()}, False)
 
 
-def _update_pairs(G, pairs, t):
-    """Gebauer-Moeller pair update after appending generator index t.
+def _update_pairs(words, pairs, guard):
+    """Gebauer-Moeller pair update after appending the element t led by words[t].
 
-    A new pair (i, t) is kept unless lm_i and lm_t are coprime, an earlier
-    i has the same lcm, or another new lcm properly divides it (chain
-    criterion).  A proper divisor has lower total degree, so each lcm is
-    tested only against the lcms below its degree.  An old pair (i, j) with
-    lcm L goes when lm_t divides L and neither lcm(lm_i, lm_t) nor
-    lcm(lm_j, lm_t) equals L.  The support of lcm(a, b) is the union of the
-    supports of a and b, so the lead masks prefilter every divisibility test.
+    `words` are the basis's lead words, t the last index, and `pairs` maps
+    each pending pair (i, j) to its `_word_lcm`, in the order the pairs were
+    formed.  A new pair (i, t) is kept unless lm_i and lm_t are coprime
+    (their lcm word is the sum of theirs), an earlier i has the same lcm,
+    or another new lcm properly divides it (chain criterion).  A proper
+    divisor has no larger field, so its word is a smaller integer, and each
+    lcm is tested only against the smaller ones.  An old pair (i, j) with
+    lcm L is deleted when lm_t divides L and neither lcm(lm_i, lm_t) nor
+    lcm(lm_j, lm_t) equals L.  Divisibility is the kernel's test: a divides
+    b iff (b - a) & guard == 0.  The kept new pairs are added to `pairs` in
+    increasing i and returned as (i, L).
     """
-    lt, st = G[t].lm(), G[t].lead_support()
-    lcms = [_exp_lcm(G[i].lm(), lt) for i in range(t)]
+    t = len(words) - 1
+    b = words[t]
+    lcms = [_word_lcm(a, b, guard) for a in words[:t]]
     first = {}
     for i, L in enumerate(lcms):
-        if L not in first:
-            first[L] = (i, G[i].lead_support() | st)
-    ranked = sorted(first.items(), key=lambda item: sum(item[0]))
-    degrees = [sum(L) for L, _ in ranked]
-    kept = []
-    for L, (i, s) in first.items():
-        if not G[i].lead_support() & st:
+        first.setdefault(L, i)
+    ranked = sorted(first)
+    new = []
+    for L, i in first.items():
+        if L == words[i] + b:
             continue
-        outside = ~s
-        lower = itertools.islice(ranked, bisect.bisect_left(degrees, sum(L)))
-        if not any(not s2 & outside and _divides(L2, L) for L2, (_, s2) in lower):
-            kept.append((i, t, L))
-    out = [
-        (i, j, L)
-        for i, j, L in pairs
-        if st & ~(G[i].lead_support() | G[j].lead_support())
-        or not _divides(lt, L)
-        or lcms[i] == L
-        or lcms[j] == L
-    ]
-    out.extend(kept)
-    return out
+        for L2 in itertools.islice(ranked, bisect.bisect_left(ranked, L)):
+            if not (L - L2) & guard:
+                break
+        else:
+            new.append((i, L))
+    for i, j in [ij for ij, L in pairs.items() if not (L - b) & guard]:
+        if pairs[i, j] not in (lcms[i], lcms[j]):
+            del pairs[i, j]
+    pairs.update(((i, t), L) for i, L in new)
+    return new
 
 
 def buchberger(gens, keep=None, stop=None):
@@ -788,65 +770,74 @@ def buchberger(gens, keep=None, stop=None):
     Basis elements are kept primitive over the integers so coefficient
     growth stays bounded.  Pairs are selected by sugar (Giovini, Mora,
     Niesi, Robbiano & Traverso, "One sugar cube, please", 1991), ties
-    broken by the smallest lcm; a pair's (sugar, lcm key) is computed once,
-    when the pair is formed.  The selection order changes which basis comes
-    out but not its reduced form, which is canonical.
+    broken by the smallest lcm and then by the pair formed first.  Each
+    pair enters a heap keyed by (sugar, lcm key, t, i) when `_update_pairs`
+    forms it as (i, t), so the key is computed once; a pair the update later
+    deletes leaves the pending `pairs` at once and the heap when it is
+    popped.  The selection order changes which basis comes out but not its
+    reduced form, which is canonical.
 
     A nonzero remainder r joins the basis only if `keep(r)` holds, and the
     basis is returned as soon as `stop(g)` holds for an appended element g,
     which is then its last element.
     """
-    G, entries, lead, excess, rank = [], [], LeadIndex(), [], {}
-    pairs = []
+    G, entries, lead, excess = [], [], LeadIndex(), []
+    words, pairs, heap = [], {}, []
 
     def add(g, sugar):
         """Append g and its pairs; True when the loop should stop."""
-        nonlocal pairs
         t = len(G)
+        ring = g.ring
         G.append(g)
         entries.append(add_lead(lead, g))
+        words.append(entries[t][0])
         excess.append(sugar - sum(g.lm()))  # sugar above the lead's degree
-        pairs = _update_pairs(G, pairs, t)
-        key = g.ring.key
-        for pair in reversed(pairs):  # the new pairs (i, t, L) come last
-            i, j, L = pair
-            if j != t:
-                break
-            rank[pair] = (sum(L) + max(excess[i], excess[t]), key(L))
+        for i, L in _update_pairs(words, pairs, ring.guard):
+            e = ring.unpack(L)
+            heappush(heap, (sum(e) + max(excess[i], excess[t]), ring.key(e), t, i))
         return stop is not None and stop(g)
 
     for g in gens:
         if g and add(_primitive(g), g.total_degree()):
             return G
-    while pairs:
-        pair = min(pairs, key=rank.__getitem__)
-        pairs.remove(pair)
-        i, j, _ = pair
+    while heap:
+        sugar, _, j, i = heappop(heap)
+        if pairs.pop((i, j), None) is None:
+            continue  # deleted by an update after it was formed
         r = pair_normal_form(entries[i], entries[j], lead)
-        if r and (keep is None or keep(r)) and add(_primitive(r), rank[pair][0]):
+        if r and (keep is None or keep(r)) and add(_primitive(r), sugar):
             return G
     return G
 
 
 def reduce_groebner(G):
-    """Minimal reduced Groebner basis, canonically sorted."""
+    """Minimal reduced Groebner basis, canonically sorted.
+
+    Elements whose lead another lead divides are dropped.  The tail of each
+    one left is reduced against one `LeadIndex` of them all, whose memo
+    serves every tail: tail terms lie below their element's lead, so it
+    never divides one, and the first divisor in basis order is that of an
+    index of the other elements.
+    """
     if not G:
         return []
-    key = G[0].ring.key
+    ring = G[0].ring
+    key = ring.key
     # minimal: drop elements whose lead is divisible by another lead
     G = sorted((g.monic() for g in G if g), key=lambda g: key(g.lm()))
-    minimal = []
+    minimal, words = [], []
     for g in G:
-        if not any(_divides(h.lm(), g.lm()) for h in minimal):
+        w = ring.pack(g.lm())
+        if all((w - v) & ring.guard for v in words):
             minimal.append(g)
-    # reduced: fully reduce each tail against the others, whose entries
-    # are built once and indexed afresh for each g
-    entries = [lead_entry(g) for g in minimal]
+            words.append(w)
+    lead = lead_index(minimal)
     reduced = []
-    for i, g in enumerate(minimal):
-        r = normal_form_list(g, LeadIndex(entries[:i] + entries[i + 1 :]))
-        if r:
-            reduced.append(r.monic())
+    for g in minimal:
+        lm = g.lm()
+        tail = {m: c for m, c in g.terms.items() if m != lm}
+        rem = normal_form_list(Polynomial(ring, tail, False), lead)
+        reduced.append(Polynomial(ring, {lm: g.terms[lm], **rem.terms}, False))
     return sorted(reduced, key=lambda g: key(g.lm()), reverse=True)
 
 
@@ -990,15 +981,16 @@ class PresentedAlgebra:
         form a basis of the corresponding finite-dimensional slice of the
         algebra.
         """
-        leads = [g.lm() for g in self.relations.groebner()]
+        ring = self.ring
+        leads = [ring.pack(g.lm()) for g in self.relations.groebner()]
         out = []
         for d in range(max_degree + 1):
-            for m in self.ring.monomials_of_degree(d):
-                if weight is not None and self.ring.monomial_weight(m) != weight:
+            for m in ring.monomials_of_degree(d):
+                if weight is not None and ring.monomial_weight(m) != weight:
                     continue
-                if any(_divides(l, m) for l in leads):
-                    continue
-                out.append(m)
+                w = ring.pack(m)
+                if all((w - l) & ring.guard for l in leads):
+                    out.append(m)
         return out
 
     def __repr__(self):

@@ -14,10 +14,10 @@ from uhat.rings import (
     Polynomial,
     PresentedAlgebra,
     _encode,
-    _exp_lcm,
     _position_ring,
     _update_pairs,
     add_lead,
+    buchberger,
     column_span,
     determinant,
     eliminate,
@@ -32,6 +32,7 @@ from uhat.rings import (
     normal_form_list,
     order_from_tag,
     pair_normal_form,
+    reduce_groebner,
     right_nullspace,
     solve_linear,
     sparse_system,
@@ -327,10 +328,14 @@ def test_lead_index_memo_cleared_at_its_bound_matches_plain_reduction(monkeypatc
     assert len(seen) > 5 * 4
 
 
+def tuple_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
 def quadratic_update_pairs(G, pairs, t):
     """The Gebauer-Moeller update with the pairwise rescan, as a reference."""
     lt = G[t].lm()
-    cand = [(i, _exp_lcm(G[i].lm(), lt)) for i in range(t)]
+    cand = [(i, tuple_lcm(G[i].lm(), lt)) for i in range(t)]
     kept = []
     for pos, (i, L) in enumerate(cand):
         if all(x == 0 or y == 0 for x, y in zip(G[i].lm(), lt)):
@@ -350,10 +355,25 @@ def quadratic_update_pairs(G, pairs, t):
     out = []
     for i, j, L in pairs:
         divides = all(a <= b for a, b in zip(lt, L))
-        if not divides or _exp_lcm(G[i].lm(), lt) == L or _exp_lcm(G[j].lm(), lt) == L:
+        if not divides or tuple_lcm(G[i].lm(), lt) == L or tuple_lcm(G[j].lm(), lt) == L:
             out.append((i, j, L))
     out.extend(kept)
     return out
+
+
+def check_update_pairs(ring, leads):
+    """Grow a monomial basis with these leads; after each append the word
+    update's pending pairs, unpacked, equal the reference's list, and the
+    new ones come last."""
+    G, words, pairs, ref = [], [], {}, []
+    for t, exp in enumerate(leads):
+        G.append(ring.monomial(exp))
+        words.append(ring.pack(exp))
+        new = _update_pairs(words, pairs, ring.guard)
+        ref = quadratic_update_pairs(G, ref, t)
+        got = [(i, j, ring.unpack(L)) for (i, j), L in pairs.items()]
+        assert got == ref, leads[: t + 1]
+        assert [(i, t, ring.unpack(L)) for i, L in new] == ref[len(ref) - len(new) :]
 
 
 def test_update_pairs_matches_quadratic_rescan():
@@ -362,23 +382,212 @@ def test_update_pairs_matches_quadratic_rescan():
     rng = random.Random(3)
     repeats = coprime = 0
     for _ in range(40):
-        G, pairs, ref = [], [], []
-        for t in range(rng.randint(4, 14)):
-            exp = tuple(rng.choice([0, 0, 1, 2]) for _ in range(4))
-            G.append(ring.monomial(exp))
-            lcms = [_exp_lcm(g.lm(), exp) for g in G[:t]]
+        nleads = rng.randint(4, 14)
+        leads = [tuple(rng.choice([0, 0, 1, 2]) for _ in range(4)) for _ in range(nleads)]
+        for t, exp in enumerate(leads):
+            lcms = [tuple_lcm(e, exp) for e in leads[:t]]
             repeats += len(lcms) - len(set(lcms))
-            coprime += sum(all(a == 0 or b == 0 for a, b in zip(g.lm(), exp)) for g in G[:t])
-            pairs = _update_pairs(G, pairs, t)
-            ref = quadratic_update_pairs(G, ref, t)
-            assert pairs == ref, [g.lm() for g in G]
+            coprime += sum(all(a == 0 or b == 0 for a, b in zip(e, exp)) for e in leads[:t])
+        check_update_pairs(ring, leads)
     assert repeats > 100 and coprime > 100
+
+
+@pytest.mark.parametrize("nvars", [3, 5])
+def test_update_pairs_is_exact_near_the_exponent_bound(nvars):
+    # fields at and just below 2**32 - 1 take the word lcm's guard-bit
+    # comparison and the divisibility test to their edge
+    top_exp = 2**EXP_BITS - 1
+    ring = GradedRing([f"x{k}" for k in range(nvars)], [0] * nvars)
+    values = [0, 1, 2**31, top_exp - 1, top_exp]
+    rng = random.Random(nvars)
+    for _ in range(30):
+        leads = [tuple(rng.choice(values) for _ in range(nvars)) for _ in range(rng.randint(3, 9))]
+        check_update_pairs(ring, leads)
+
+
+def list_min_buchberger(gens, keep=None, stop=None):
+    """Buchberger taking min(pairs, key=rank) from a list, with the tuple update, as a reference."""
+    G, entries, lead, excess, rank = [], [], LeadIndex(), [], {}
+    pairs = []
+
+    def add(g, sugar):
+        nonlocal pairs
+        t = len(G)
+        G.append(g)
+        entries.append(add_lead(lead, g))
+        excess.append(sugar - sum(g.lm()))
+        pairs = quadratic_update_pairs(G, pairs, t)
+        for pair in reversed(pairs):  # the new pairs (i, t, L) come last
+            i, j, L = pair
+            if j != t:
+                break
+            rank[pair] = (sum(L) + max(excess[i], excess[t]), g.ring.key(L))
+        return stop is not None and stop(g)
+
+    for g in gens:
+        if g and add(rings._primitive(g), g.total_degree()):
+            return G
+    while pairs:
+        pair = min(pairs, key=rank.__getitem__)
+        pairs.remove(pair)
+        i, j, _ = pair
+        r = rings.pair_normal_form(entries[i], entries[j], lead)
+        if r and (keep is None or keep(r)) and add(rings._primitive(r), rank[pair][0]):
+            return G
+    return G
+
+
+@pytest.fixture
+def s_pairs(monkeypatch):
+    """The lead words of each S-pair `pair_normal_form` reduces, in order."""
+    seen = []
+    real = rings.pair_normal_form
+
+    def recording(f, g, lead):
+        seen.append((f[0], g[0]))
+        return real(f, g, lead)
+
+    monkeypatch.setattr(rings, "pair_normal_form", recording)
+    return seen
+
+
+def assert_same_run(s_pairs, gens, keep=None, stop=None):
+    """Both loops reduce the same S-pairs in the same order and return the
+    same basis list, element for element; returns that basis."""
+    s_pairs.clear()
+    got = buchberger(gens, keep, stop)
+    heap_order = list(s_pairs)
+    s_pairs.clear()
+    assert got == list_min_buchberger(gens, keep, stop), gens
+    assert heap_order == s_pairs, gens
+    return got
+
+
+def random_ideal(rng, ring, ngens, max_exp):
+    """Two to `ngens` polynomials of up to three terms."""
+    return [
+        sum(
+            (
+                ring.monomial(
+                    tuple(rng.randint(0, max_exp) for _ in ring.names), rng.choice([-3, -1, 1, 2])
+                )
+                for _ in range(rng.randint(1, 3))
+            ),
+            ring.zero(),
+        )
+        for _ in range(rng.randint(2, ngens))
+    ]
+
+
+@pytest.mark.parametrize("order", ["degrevlex", "lex", "weighted:3,1,2,1", "elim:1", "elim:2"])
+def test_buchberger_matches_list_min_reference(s_pairs, order):
+    # the heap takes the pairs in the order min over the pair list does
+    ring = GradedRing(["x", "y", "z", "w"], [0, 0, 0, 0], order)
+    rng = random.Random(sum(map(ord, order)))
+    sizes = []
+    for _ in range(25):
+        sizes.append(len(assert_same_run(s_pairs, random_ideal(rng, ring, 4, 2))))
+    assert max(sizes) > 6
+
+
+@pytest.mark.parametrize("nvars", [3, 5])
+def test_buchberger_pair_order_is_exact_near_the_exponent_bound(s_pairs, nvars):
+    # monomials with fields near 2**32 - 1: every S-pair reduces to zero,
+    # and the pairs are taken by lcm degrees past 2**33 - 1, which a degree
+    # read off a word as word % (2**33 - 1) would wrap
+    top_exp = 2**EXP_BITS - 1
+    ring = GradedRing([f"x{k}" for k in range(nvars)], [0] * nvars)
+    values = [0, 1, 2**31, top_exp - 1, top_exp]
+    rng = random.Random(nvars)
+    reduced = top = 0
+    for _ in range(20):
+        exps = [tuple(rng.choice(values) for _ in range(nvars)) for _ in range(rng.randint(3, 9))]
+        assert_same_run(s_pairs, [ring.monomial(e) for e in exps])
+        reduced += len(s_pairs)
+        top = max([top] + [sum(tuple_lcm(a, b)) for a in exps for b in exps])
+    assert reduced > 50 and top >= 2**33 - 1
+
+
+def test_buchberger_matches_list_min_reference_on_scaled_ideals(s_pairs):
+    # exponents scaled by 2**30: an ideal whose computation keeps every
+    # exponent below 4 stays below the bound, and its basis is the scaled
+    # basis of the unscaled ideal; the others raise OverflowError in both
+    # loops
+    scale = 2**30
+    ring = GradedRing(["x", "y", "z", "w"], [0, 0, 0, 0])
+
+    def scaled(g):
+        return Polynomial(ring, {tuple(scale * e for e in m): c for m, c in g.terms.items()})
+
+    rng = random.Random(31)
+    done = 0
+    for _ in range(30):
+        gens = random_ideal(rng, ring, 3, 2)
+        big = [scaled(g) for g in gens]
+        try:
+            got = assert_same_run(s_pairs, big)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                list_min_buchberger(big)
+            continue
+        assert got == [scaled(g) for g in buchberger(gens)], gens
+        done += 1
+    assert done >= 10
+
+
+def test_buchberger_matches_list_min_reference_with_keep_and_stop(s_pairs):
+    # the position-ring vectors `unit_certificate` passes, with its keep and stop
+    rng = random.Random(23)
+    stopped = 0
+    for ring in (GradedRing(["x", "y"], [0, 0]), GradedRing(["x", "y", "z"], [0, 0, 0])):
+        n = ring.nvars
+        for _ in range(20):
+            gens = random_ideal(rng, ring, 4, 2)
+            rank = len(gens) + 1
+            mring = _position_ring(ring, rank)
+            live = [(i, g) for i, g in enumerate(gens) if g]
+            vecs = [_encode({0: g, i + 1: ring.one()}, mring, rank) for i, g in live]
+            keep = lambda r: r.lm()[n]
+            stop = lambda g: not any(g.lm()[:n])
+            stopped += stop(assert_same_run(s_pairs, vecs, keep, stop)[-1])
+    assert 0 < stopped < 40
+
+
+def per_element_reduce_groebner(G):
+    """`reduce_groebner` with a fresh index of the other elements for each one, as a reference."""
+    if not G:
+        return []
+    key = G[0].ring.key
+    G = sorted((g.monic() for g in G if g), key=lambda g: key(g.lm()))
+    minimal = []
+    for g in G:
+        if not any(all(a <= b for a, b in zip(h.lm(), g.lm())) for h in minimal):
+            minimal.append(g)
+    entries = [lead_entry(g) for g in minimal]
+    reduced = []
+    for i, g in enumerate(minimal):
+        r = normal_form_list(g, LeadIndex(entries[:i] + entries[i + 1 :]))
+        if r:
+            reduced.append(r.monic())
+    return sorted(reduced, key=lambda g: key(g.lm()), reverse=True)
+
+
+@pytest.mark.parametrize("order", ["degrevlex", "lex", "elim:2"])
+def test_reduce_groebner_matches_per_element_indexes(order):
+    # on Groebner bases and on arbitrary lists, where tails still reduce
+    # by the first other lead that divides them
+    ring = GradedRing(["x", "y", "z"], [0, 0, 0], order)
+    rng = random.Random(sum(map(ord, order)))
+    for _ in range(30):
+        gens = random_ideal(rng, ring, 5, 2)
+        for G in (gens, buchberger(gens)):
+            assert reduce_groebner(G) == per_element_reduce_groebner(G), G
 
 
 def term_mul_s_polynomial(f, g):
     """The S-polynomial as two scaled copies, a negation and a sum, as a reference."""
     lf, lg = f.lm(), g.lm()
-    L = _exp_lcm(lf, lg)
+    L = tuple_lcm(lf, lg)
     qf = tuple(b - a for a, b in zip(lf, L))
     qg = tuple(b - a for a, b in zip(lg, L))
     return f.term_mul(1 / f.lc(), qf) - g.term_mul(1 / g.lc(), qg)
