@@ -32,36 +32,6 @@ from uhat.rings import (
 
 
 @dataclass(frozen=True)
-class InfinitesimalMatrix:
-    """Derivative values of ring generators under a filtration subspace.
-
-    Rows follow the Lie basis order restricted to the subspace; columns are
-    the ring generators (differentials of the presentation).
-    """
-
-    basis_indices: tuple  # lie basis indices, weight order
-    generators: tuple  # ring generator names
-    entries: tuple  # rows of Polynomial
-
-    def evaluate(self, point):
-        return [[p.evaluate(point) for p in row] for row in self.entries]
-
-
-@dataclass(frozen=True)
-class PresentedModuleMap:
-    """Matrix presentation of one relative map along the weight filtration.
-
-    `domain_generators` are kernel generators of the previous filtration
-    stage written over the generator differentials; `pairing[mu][j]` is the
-    value of the j-th generator against the mu-th new basis vector.
-    """
-
-    domain_generators: tuple  # tuple of tuples of Polynomial, coords over dg
-    target_rank: int
-    pairing: tuple  # target_rank rows, one column per domain generator
-
-
-@dataclass(frozen=True)
 class FittingChain:
     target_rank: int
     ideals: dict  # k -> Ideal (generators stored as normal forms)
@@ -71,16 +41,19 @@ class FittingChain:
 
 
 def infinitesimal_matrix(action, upto_level=None):
-    """Pairing matrix of the filtration subspace u_i on the chart algebra."""
+    """Pairing matrix of the filtration subspace u_i on the chart algebra.
+
+    One row per Lie basis vector of u_i, in weight order, one column per
+    ring generator (the differentials of the presentation).
+    """
     lie = action.lie
     if upto_level is None:
         upto_level = lie.nlevels
-    rows = lie.filtration_indices(upto_level)
     names = action.ring.names
-    entries = tuple(
-        tuple(action.image_of_generator(i, g) for g in names) for i in rows
+    return tuple(
+        tuple(action.image_of_generator(i, g) for g in names)
+        for i in lie.filtration_indices(upto_level)
     )
-    return InfinitesimalMatrix(tuple(rows), tuple(names), entries)
 
 
 def kernel_generators(action, upto_level):
@@ -95,7 +68,7 @@ def kernel_generators(action, upto_level):
     if upto_level == 0 or not action.lie.filtration_indices(upto_level):
         return [tuple(ring.one() if i == j else ring.zero() for j in range(n)) for i in range(n)]
     mat = infinitesimal_matrix(action, upto_level)
-    fmap = FreeModuleMap(n, len(mat.basis_indices), mat.entries)
+    fmap = FreeModuleMap(n, len(mat), mat)
     rels = action.algebra.relations.groebner()
     return [tuple(v) for v in syzygy_kernel(fmap, rels)]
 
@@ -110,14 +83,20 @@ def pair_coordinates(action, coords, mu):
 
 
 def relative_map(action, i):
-    """The map from the level-(i-1) kernel into the level-i dual block."""
+    """The map from the level-(i-1) kernel into the level-i dual block.
+
+    It is presented by its pairing matrix: entry [mu][j] pairs the j-th
+    generator of `kernel_generators(action, i - 1)` with the mu-th basis
+    vector of level i, so the target rank is the number of rows.
+    """
     lie = action.lie
     if not 1 <= i <= lie.nlevels:
         raise ValueError(f"level {i} out of range")
-    level_rows = lie.level_indices(i - 1)
     domain = kernel_generators(action, i - 1)
-    pairing = tuple(tuple(pair_coordinates(action, gen, mu) for gen in domain) for mu in level_rows)
-    return PresentedModuleMap(tuple(domain), len(level_rows), pairing)
+    return tuple(
+        tuple(pair_coordinates(action, gen, mu) for gen in domain)
+        for mu in lie.level_indices(i - 1)
+    )
 
 
 def fitting_chain_from_matrix(algebra, rows, target_rank):
@@ -138,10 +117,6 @@ def fitting_chain_from_matrix(algebra, rows, target_rank):
     return FittingChain(target_rank, ideals)
 
 
-def fitting_chain(algebra, pmap):
-    return fitting_chain_from_matrix(algebra, pmap.pairing, pmap.target_rank)
-
-
 @dataclass(frozen=True)
 class LevelData:
     """Relative map of one filtration level and what its Fitting chain decides.
@@ -151,7 +126,7 @@ class LevelData:
     for the unit test and for later membership tests.
     """
 
-    pmap: PresentedModuleMap
+    pairing: tuple  # the relative map's matrix, from `relative_map`
     chain: FittingChain
     k: int
     unit_ideal: Ideal
@@ -171,10 +146,10 @@ def level_data(action):
         algebra = action.algebra
         data = {}
         for i in range(1, action.lie.nlevels + 1):
-            pmap = relative_map(action, i)
-            chain = fitting_chain(algebra, pmap)
+            pairing = relative_map(action, i)
+            chain = fitting_chain_from_matrix(algebra, pairing, len(pairing))
             k = min_nonzero_fitting(chain)
-            data[i] = LevelData(pmap, chain, k, algebra.ideal(chain.ideal(k).generators))
+            data[i] = LevelData(pairing, chain, k, algebra.ideal(chain.ideal(k).generators))
         action._level_data = data
     return action._level_data
 
@@ -208,10 +183,9 @@ def stabiliser_at_point(action, upto_level, point):
     if bad:
         raise ValueError(f"point violates relation {bad[0][0]} (value {bad[0][1]})")
     mat = infinitesimal_matrix(action, upto_level)
-    if not mat.basis_indices:
+    if not mat:
         return 0, []
-    rows = mat.evaluate(point)
-    basis = left_nullspace(rows)
+    basis = left_nullspace([[p.evaluate(point) for p in row] for row in mat])
     return len(basis), basis
 
 
@@ -227,10 +201,9 @@ def relative_stabiliser_dim(action, i, point):
     if bad:
         raise ValueError(f"point violates relation {bad[0][0]} (value {bad[0][1]})")
     d = level_data(action)[i]
-    if d.pmap.target_rank == 0:
+    if not d.pairing:
         return 0
-    rows = [[p.evaluate(point) for p in row] for row in d.pmap.pairing]
-    dim = d.pmap.target_rank - matrix_rank(rows)
+    dim = len(d.pairing) - matrix_rank([[p.evaluate(point) for p in row] for row in d.pairing])
     for k in range(-1, d.chain.target_rank + 1):
         vanish = all(g.evaluate(point) == 0 for g in d.chain.ideal(k).generators)
         if (dim > k) != vanish:
@@ -252,10 +225,9 @@ def check_ss_eq_s(action):
     if algebra.is_empty():
         return True, {"empty_chart": True}
     mat = infinitesimal_matrix(action)
-    r = len(mat.basis_indices)
-    if r == 0:
+    if not mat:
         return True, {"vacuous": True, "detail": "zero-dimensional group"}
-    minors = [algebra.nf(m) for m in minors_ideal_generators([list(x) for x in mat.entries], r)]
+    minors = [algebra.nf(m) for m in minors_ideal_generators([list(x) for x in mat], len(mat))]
     minors = [m for m in minors if m]
     gens = minors + list(algebra.relations.generators)
     cert = unit_certificate(gens) if minors else None
@@ -310,14 +282,14 @@ def enumerate_kernel_linear(action, upto_level, degree):
     algebra = action.algebra
     ring = action.ring
     mat = infinitesimal_matrix(action, upto_level)
-    ncols = len(mat.generators)
+    ncols = ring.nvars
     monos = [m for d in range(degree + 1) for m in ring.monomials_of_degree(d)]
     # unknown (j, m) is the coefficient of m in coordinate j; equation
     # (ri, mm) is the coefficient of mm in the pairing with row ri
     columns = [
         [
             ((ri, mm), c)
-            for ri, row in enumerate(mat.entries)
+            for ri, row in enumerate(mat)
             for mm, c in algebra.nf(row[j].term_mul(Fraction(1), m)).terms.items()
         ]
         for j in range(ncols)
@@ -344,17 +316,17 @@ def verify_snake_exactness(action, i, degree=2):
     lie = action.lie
     mat_i = infinitesimal_matrix(action, i)
     rows_prev = len(lie.filtration_indices(i - 1))
-    rows_all = len(mat_i.basis_indices)
+    rows_all = len(mat_i)
     r_i = rows_all - rows_prev
-    pmap = level_data(action)[i].pmap
+    pairing = level_data(action)[i].pairing
     rels = algebra.relations.groebner()
     # spans of the full pairing in A^{rows_all} and of the relative pairing in A^{r_i}
-    big = lead_index(module_groebner(column_span(mat_i.entries, rels), ring, rows_all))
-    small = lead_index(module_groebner(column_span(pmap.pairing, rels), ring, r_i))
+    big = lead_index(module_groebner(column_span(mat_i, rels), ring, rows_all))
+    small = lead_index(module_groebner(column_span(pairing, rels), ring, r_i))
 
     # image of the relative cokernel lies in the kernel of the projection
-    for col in range(len(pmap.domain_generators)):
-        v = {rows_prev + mu: pmap.pairing[mu][col] for mu in range(r_i) if pmap.pairing[mu][col]}
+    for column in zip(*pairing):
+        v = {rows_prev + mu: p for mu, p in enumerate(column) if p}
         if module_normal_form(v, big, ring, rows_all):
             return False
 

@@ -39,81 +39,37 @@ def _unit_rows(n, cols):
     return [[int(j == i) for j in range(n)] for i in cols]
 
 
-class MonomialOrder:
-    """Total order on exponent tuples, named by its tag.
+def order_rows(tag, n):
+    """Weight matrix of the monomial order `tag` on n variables.
 
-    `rows(n)` is its weight matrix on n variables: e precedes f when the
-    first row r with r.e != r.f has r.e < r.f.
+    e precedes f when the first row r with r.e != r.f has r.e < r.f.  A tag
+    is `degrevlex`, `lex`, `weighted:w1,...,wn` (nonnegative weights, then
+    degrevlex), `elim:k` (degrevlex on the first k variables, then on the
+    rest) or, from `_position_ring`, `pot{rank}:{tag}` (the last rank
+    variables first, then `tag` on the others).  ValueError unless `tag` is
+    spelled exactly so and fits n variables.
     """
-
-    def __init__(self, tag):
-        self.tag = tag
-
-    def rows(self, n):
-        """Weight matrix on n variables; ValueError when the tag misfits n."""
-        kind, _, arg = self.tag.partition(":")
-        if kind == "degrevlex":
-            return _grevlex_rows(n, 0, n)
-        if kind == "lex":
-            return _unit_rows(n, range(n))
-        if kind == "weighted":
-            w = [int(x) for x in arg.split(",")] if arg else []
-            if len(w) != n:
-                raise ValueError(f"order {self.tag!r} needs one weight per variable ({n})")
-            return [w] + _grevlex_rows(n, 0, n)
-        if kind == "elim":
-            k = int(arg)
-            if not 0 <= k <= n:
-                raise ValueError(f"order {self.tag!r} needs a block within the {n} variables")
-            return _grevlex_rows(n, 0, k) + _grevlex_rows(n, k, n)
-        if not kind.startswith("pot"):
-            raise ValueError(f"unknown monomial order {self.tag!r}")
-        # pot{rank}:{base tag}, from `_position_ring`: positions first, then the base order
+    kind, _, arg = tag.partition(":")
+    if tag == "degrevlex":
+        return _grevlex_rows(n, 0, n)
+    if tag == "lex":
+        return _unit_rows(n, range(n))
+    if kind == "weighted":
+        w = [int(x) for x in arg.split(",")] if arg else []
+        if len(w) != n or min(w, default=0) < 0 or ",".join(map(str, w)) != arg:
+            raise ValueError(f"order {tag!r} needs one nonnegative weight per variable ({n})")
+        return [w] + _grevlex_rows(n, 0, n)
+    if kind == "elim":
+        k = int(arg)
+        if not 0 <= k <= n or str(k) != arg:
+            raise ValueError(f"order {tag!r} needs a block within the {n} variables")
+        return _grevlex_rows(n, 0, k) + _grevlex_rows(n, k, n)
+    if kind.startswith("pot"):
         rank = int(kind[3:])
-        base = MonomialOrder(arg).rows(n - rank)
+        if not 0 <= rank <= n or f"pot{rank}" != kind:
+            raise ValueError(f"order {tag!r} needs its {rank} positions among the {n} variables")
+        base = order_rows(arg, n - rank)
         return _unit_rows(n, range(n - rank, n)) + [r + [0] * rank for r in base]
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.tag == other.tag
-
-    def __hash__(self):
-        return hash(self.tag)
-
-    def __repr__(self):
-        return f"MonomialOrder({self.tag})"
-
-
-def degrevlex_order():
-    return MonomialOrder("degrevlex")
-
-
-def lex_order():
-    return MonomialOrder("lex")
-
-
-def weighted_order(weights):
-    """Graded order by a nonnegative weight vector, degrevlex tie-break."""
-    w = tuple(int(x) for x in weights)
-    if any(x < 0 for x in w):
-        raise ValueError("weighted monomial order needs nonnegative weights")
-    return MonomialOrder("weighted:" + ",".join(map(str, w)))
-
-
-def elimination_order(nfirst):
-    """Block order eliminating the first `nfirst` variables."""
-    return MonomialOrder(f"elim:{nfirst}")
-
-
-_ORDER_FACTORIES = {"degrevlex": degrevlex_order, "lex": lex_order}
-
-
-def order_from_tag(tag):
-    if tag in _ORDER_FACTORIES:
-        return _ORDER_FACTORIES[tag]()
-    if tag.startswith("weighted:"):
-        return weighted_order(tag.split(":", 1)[1].split(","))
-    if tag.startswith("elim:"):
-        return elimination_order(int(tag.split(":", 1)[1]))
     raise ValueError(f"unknown monomial order {tag!r}")
 
 
@@ -133,13 +89,13 @@ class GradedRing:
             raise ValueError("variable names must be distinct")
         self.names = names
         self.weights = weights
-        self.order = order_from_tag(order) if isinstance(order, str) else order
+        self.order = order
         self._index = {n: i for i, n in enumerate(names)}
         # key(e) = sum e_j * cols[j]: column j of the weight rows in balanced
         # fields, each wider than twice the largest |row . e| for exponents
         # below 2**EXP_BITS, so comparing keys compares the rows
         # lexicographically
-        rows = self.order.rows(len(names))
+        rows = order_rows(order, len(names))
         width = max((sum(map(abs, r)) for r in rows), default=0).bit_length() + EXP_BITS + 1
         self._cols = tuple(
             sum(r[j] << (width * (len(rows) - 1 - i)) for i, r in enumerate(rows))
@@ -150,8 +106,7 @@ class GradedRing:
         self.guard = sum(1 << (s + EXP_BITS) for s in self._shifts)
         # the fields of the position variables of a `pot{rank}:` ring; word &
         # positions is a term's position part, 0 in every other ring
-        kind = self.order.tag.partition(":")[0]
-        rank = int(kind[3:]) if kind.startswith("pot") else 0
+        rank = int(order[3 : order.index(":")]) if order.startswith("pot") else 0
         field = (1 << EXP_BITS) - 1
         self.positions = sum(field << s for s in self._shifts[len(names) - rank :])
 
@@ -168,11 +123,11 @@ class GradedRing:
         )
 
     def __hash__(self):
-        return hash((self.names, self.weights, self.order.tag))
+        return hash((self.names, self.weights, self.order))
 
     def __repr__(self):
         vs = ", ".join(f"{n}:{w}" for n, w in zip(self.names, self.weights))
-        return f"GradedRing({vs}; {self.order.tag})"
+        return f"GradedRing({vs}; {self.order})"
 
     def index(self, name):
         return self._index[name]
@@ -230,7 +185,7 @@ class GradedRing:
         It keeps this ring's order, a weighted order giving the new
         variables weight 0.
         """
-        order = self.order.tag
+        order = self.order
         if order.startswith("weighted:"):
             order += ",0" * len(names)
         return GradedRing(
@@ -924,7 +879,7 @@ def eliminate(ideal, keep):
     work = GradedRing(
         perm_names,
         [ring.weights[ring.index(n)] for n in perm_names],
-        elimination_order(len(drop)),
+        f"elim:{len(drop)}",
     )
     gb = groebner_basis([g.map_ring(work) for g in ideal.generators])
     sub = ring.subring([n for n in ring.names if n in keep])
@@ -1032,7 +987,7 @@ def _position_ring(ring, rank):
     return GradedRing(
         ring.names + tuple(f"@e{k}" for k in range(rank)),
         ring.weights + (0,) * rank,
-        MonomialOrder(f"pot{rank}:{ring.order.tag}"),
+        f"pot{rank}:{ring.order}",
     )
 
 

@@ -244,6 +244,17 @@ def test_reversed_bracket_is_a_duplicate_at_its_line(combo):
     assert str(err.value) == "duplicate bracket [b, a] (line 8)"
 
 
+def test_second_order_line_is_a_duplicate_at_its_line(tmp_path, capsys):
+    text = "[ring]\norder: lex\norder: weighted:1,2\nvariables: x:0, y:-1\n"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == "duplicate ring order (line 3)"
+    bad = tmp_path / "bad.uhat"
+    bad.write_text(text + "\n[lie]\nweight 1: xi\n\n[action]\nxi.y = x\n")
+    assert run_cli("analyze", "--scenario", str(bad)) == 2
+    assert "duplicate ring order (line 3)" in capsys.readouterr().err
+
+
 def test_bad_scenario_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.uhat"
     bad.write_text("[ring]\nvariables: x:0\n\n[lie]\nweight 1: xi\n\n[action]\nxi.x = x\n")
@@ -258,6 +269,8 @@ def test_bad_scenario_is_input_error(tmp_path, capsys):
         "variables: x:0, y:-1, y:-2\n",
         "variables: x:0, y:-1, @e0:-2\n",
         "order: elim:7\nvariables: x:0, y:-1, z:-2\n",
+        "order: pot1:degrevlex\nvariables: x:0, y:-1, z:-2\n",
+        "order: degrevlex:junk\nvariables: x:0, y:-1, z:-2\n",
     ]:
         bad.write_text("[ring]\n" + ring + tail)
         capsys.readouterr()
