@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
-from operator import lshift, mul
+from operator import mul
 
 
 # ---------------------------------------------------------------------------
@@ -35,25 +35,24 @@ def _grevlex_rows(n, lo, hi):
     return rows + [[-int(j == i) for j in range(n)] for i in range(hi - 1, lo, -1)]
 
 
-def _unit_rows(n, cols):
-    return [[int(j == i) for j in range(n)] for i in cols]
-
-
 def order_rows(tag, n):
     """Weight matrix of the monomial order `tag` on n variables.
 
     e precedes f when the first row r with r.e != r.f has r.e < r.f.  A tag
     is `degrevlex`, `lex`, `weighted:w1,...,wn` (nonnegative weights, then
     degrevlex), `elim:k` (degrevlex on the first k variables, then on the
-    rest) or, from `_position_ring`, `pot{rank}:{tag}` (the last rank
-    variables first, then `tag` on the others).  ValueError unless `tag` is
-    spelled exactly so and fits n variables.
+    rest) or, from `_position_ring`, `pot{rank}:{tag}`: one position row
+    with weights rank, ..., 1 on the last rank variables @e0, ..., so a term
+    in position 0 leads, then `tag` on the others.  The position row orders
+    module terms, which carry at most one position variable with exponent
+    1; it ties products of positions such as @e0*@e2 and @e1^2.
+    ValueError unless `tag` is spelled exactly so and fits n variables.
     """
     kind, _, arg = tag.partition(":")
     if tag == "degrevlex":
         return _grevlex_rows(n, 0, n)
     if tag == "lex":
-        return _unit_rows(n, range(n))
+        return [[int(j == i) for j in range(n)] for i in range(n)]
     if kind == "weighted":
         w = [int(x) for x in arg.split(",")] if arg else []
         if len(w) != n or min(w, default=0) < 0 or ",".join(map(str, w)) != arg:
@@ -69,7 +68,7 @@ def order_rows(tag, n):
         if not 0 <= rank <= n or f"pot{rank}" != kind:
             raise ValueError(f"order {tag!r} needs its {rank} positions among the {n} variables")
         base = order_rows(arg, n - rank)
-        return _unit_rows(n, range(n - rank, n)) + [r + [0] * rank for r in base]
+        return [[0] * (n - rank) + list(range(rank, 0, -1))] + [r + [0] * rank for r in base]
     raise ValueError(f"unknown monomial order {tag!r}")
 
 
@@ -78,7 +77,12 @@ def order_rows(tag, n):
 
 
 class GradedRing:
-    """Polynomial ring with named variables carrying integer weights."""
+    """Polynomial ring with named variables carrying integer weights.
+
+    A `pot{rank}:` ring (see `_position_ring`) ends in rank position
+    variables.  Its exponent words and order keys are exact on module terms
+    only: tuples whose position part holds at most one 1.
+    """
 
     def __init__(self, names, weights, order="degrevlex"):
         names = tuple(names)
@@ -101,14 +105,24 @@ class GradedRing:
             sum(r[j] << (width * (len(rows) - 1 - i)) for i, r in enumerate(rows))
             for j in range(len(names))
         )
-        # exponent words: e_j in bits (EXP_BITS + 1) * j onwards, plus a guard bit
-        self._shifts = tuple((EXP_BITS + 1) * j for j in range(len(names)))
-        self.guard = sum(1 << (s + EXP_BITS) for s in self._shifts)
-        # the fields of the position variables of a `pot{rank}:` ring; word &
-        # positions is a term's position part, 0 in every other ring
+        # exponent words: base exponent e_j in bits (EXP_BITS + 1) * j
+        # onwards; in a `pot{rank}:` ring, position k is the value k + 1 of
+        # one field above them; every field has a guard bit above it
         rank = int(order[3 : order.index(":")]) if order.startswith("pot") else 0
-        field = (1 << EXP_BITS) - 1
-        self.positions = sum(field << s for s in self._shifts[len(names) - rank :])
+        self._nbase = nbase = len(names) - rank
+        self._shifts = tuple((EXP_BITS + 1) * j for j in range(nbase))
+        self._top = top = (EXP_BITS + 1) * nbase
+        self._units = tuple(1 << s for s in self._shifts) + tuple(
+            (k + 1) << top for k in range(rank)
+        )
+        self.guard = sum(1 << (s + EXP_BITS) for s in self._shifts + ((top,) if rank else ()))
+        # the position field; word & positions is a term's position part, 0
+        # in every other ring
+        self.positions = ((1 << EXP_BITS) - 1) << top if rank else 0
+        # the position part of the tuple of a word, by its position field
+        self._parts = ((0,) * rank,) + tuple(
+            tuple(int(j == k) for j in range(rank)) for k in range(rank)
+        )
 
     @property
     def nvars(self):
@@ -140,18 +154,23 @@ class GradedRing:
         return sum(map(mul, e, self._cols))
 
     def pack(self, e):
-        """Exponent word of e, every guard bit clear; OverflowError past the exponent bound.
+        """Exponent word of e, every guard bit clear.
 
-        For words a and b of this ring, a divides b iff (b - a) & guard == 0,
-        and a + b is the word of the product unless it sets a guard bit.
+        OverflowError past the exponent bound; ValueError when e has more
+        than one position variable or a position exponent above 1.  For
+        words a and b of this ring in one position, a divides b iff
+        (b - a) & guard == 0, and a + b is the word of the product unless
+        it sets a guard bit or a and b both have a position.
         """
         if max(e, default=0) >> EXP_BITS:
             raise OverflowError(f"exponent of {e} not below 2**{EXP_BITS}")
-        return sum(map(lshift, e, self._shifts))
+        if sum(e[self._nbase :]) > 1:
+            raise ValueError(f"{e} is not a module term: positions sum above 1")
+        return sum(map(mul, e, self._units))
 
     def unpack(self, w):
         mask = (1 << EXP_BITS) - 1
-        return tuple([(w >> s) & mask for s in self._shifts])
+        return tuple([(w >> s) & mask for s in self._shifts]) + self._parts[w >> self._top]
 
     def zero(self):
         return Polynomial(self, {})
@@ -183,9 +202,12 @@ class GradedRing:
         """New ring with extra variables appended.
 
         It keeps this ring's order, a weighted order giving the new
-        variables weight 0.
+        variables weight 0.  ValueError on a `pot{rank}:` ring, whose last
+        rank variables must stay its positions.
         """
         order = self.order
+        if order.startswith("pot"):
+            raise ValueError(f"cannot append variables after the positions of {order!r}")
         if order.startswith("weighted:"):
             order += ",0" * len(names)
         return GradedRing(
@@ -435,7 +457,8 @@ def _word_lcm(a, b, guard):
 
     (a | guard) - b keeps a field's guard bit iff a's field is at least b's,
     as no field borrows from the next, and g - (g >> EXP_BITS) widens each
-    kept bit to a mask of its field.  Exact for all words below the bound.
+    kept bit to a mask of its field.  Exact for all words below the bound;
+    in a position ring, for words in one position.
     """
     g = ((a | guard) - b) & guard
     return b ^ ((a ^ b) & (g - (g >> EXP_BITS)))
@@ -447,15 +470,17 @@ def lead_entry(g):
     lc and the tail's (key, word, coefficient) triples are the terms of
     `_primitive(g)`, integers with content 1 and lc > 0; a reducer scaled by
     a nonzero constant leaves every remainder as it is.  span is the word of
-    each variable's largest exponent in g, so x^q * g stays below the
-    exponent bound iff span + word(q) sets no guard bit.
+    each base variable's largest exponent in g, with no position part, so
+    x^q * g stays below the exponent bound iff span + word(q) sets no guard
+    bit, for a base monomial x^q.
     """
     ring = g.ring
     lm = g.lm()
     terms = _integer_terms(g)
     lc = terms.pop(lm)
     tail = [(ring.key(m), ring.pack(m), c) for m, c in terms.items()]
-    span = ring.pack([max(col) for col in zip(*g.terms)])
+    n = ring._nbase
+    span = ring.pack([max(col) for col in zip(*g.terms)][:n] + [0] * (ring.nvars - n))
     return (ring.pack(lm), ring.key(lm), lc, tail, span, g)
 
 
@@ -463,7 +488,8 @@ MEMO_BOUND = 2**14
 """Words a `LeadIndex` memo holds before it is cleared.
 
 Measured on the benchmark sweep's heaviest `module_groebner` call (a
-17-variable position ring, 88-byte words, CPython 3.11): a full memo takes
+17-variable position ring, 88-byte words when each position had its own
+word field, CPython 3.11): a full memo takes
 about 2.0 MB (the dict and its keys) and raised the sweep's peak RSS by
 about 1.4 MB; without a bound, that call's memo grows to 86 k words and
 10 MB.
@@ -517,12 +543,12 @@ def _check_span(ring, span, q):
         raise OverflowError(f"a reduction makes an exponent of 2**{EXP_BITS} or more")
 
 
-def _reduce(ring, work, words, den, lead):
-    """The reduction kernel: remainder of sum(work[k] x^words[k]) / den under `lead`.
+def _reduce(ring, work, den, lead):
+    """The reduction kernel: remainder of the pending terms over `den` under `lead`.
 
-    `work` maps the order key of each pending term to its integer numerator
-    over the common denominator `den`, and `words` maps the key to the
-    term's exponent word.  The lead term is popped from a heap of negated
+    `work` holds one record per pending term: it maps the negated order key
+    of the term to [integer numerator over the common denominator `den`,
+    exponent word].  The lead term is popped from a heap of those negated
     keys; stale heap entries of terms that cancelled are skipped.  Every
     term has one position part (see `_encode`), and a lead in another
     position never divides it, so only the bucket of the popped word's
@@ -534,23 +560,23 @@ def _reduce(ring, work, words, den, lead):
     reducer's span sets a guard bit.  Reducing numerator a by an
     entry with lead coefficient c scales every pending numerator and `den`
     by c / gcd(a, c), then subtracts a / gcd(a, c) times x^q times the
-    entry's tail, so the lead cancels and every numerator stays an integer.
-    Keys are linear, so a new term's key is a tail key plus key(popped) -
-    key(lead).  A remainder term keeps the denominator of the moment it was
-    popped; only remainder terms are decoded back to exponent tuples and
-    Fractions.
+    entry's tail, so the lead cancels and every numerator stays an integer;
+    c = 1 needs no gcd.  Keys are linear, so a new term's negated key is
+    -(tail key) - key(popped) + key(lead).  A remainder term keeps the
+    denominator of the moment it was popped; only remainder terms are
+    decoded back to exponent tuples and Fractions.
     """
     guard, positions = ring.guard, ring.positions
     buckets, memo, bound = lead.buckets, lead.memo, MEMO_BOUND
-    heap = [-k for k in work]
+    heap = list(work)
     heapify(heap)
     rem = []
     while heap:
-        k = -heappop(heap)
-        a = work.pop(k, None)
-        if a is None:
+        k = heappop(heap)
+        record = work.pop(k, None)
+        if record is None:
             continue
-        m = words[k]
+        a, m = record
         entry = memo.get(m, 0)
         if entry.__class__ is int:
             # a miss, or no divisor among the first `entry` entries of the bucket
@@ -573,26 +599,26 @@ def _reduce(ring, work, words, den, lead):
         q = m - lw
         if (span + q) & guard:
             _check_span(ring, span, q)
-        h = gcd(a, lc)
-        if h != lc:
-            s = lc // h
-            den *= s
-            for t in work:
-                work[t] *= s
-        a //= h
-        dk = k - lk
+        if lc != 1:
+            h = gcd(a, lc)
+            if h != lc:
+                s = lc // h
+                den *= s
+                for record in work.values():
+                    record[0] *= s
+            a //= h
+        dk = k + lk
         for tk, tw, tc in tail:
-            t = tk + dk
-            c = work.get(t)
-            if c is None:
-                assert t < k
-                work[t] = -a * tc
-                words[t] = tw + q
-                heappush(heap, -t)
+            t = dk - tk
+            record = work.get(t)
+            if record is None:
+                assert t > k
+                work[t] = [-a * tc, tw + q]
+                heappush(heap, t)
             else:
-                c -= a * tc
+                c = record[0] - a * tc
                 if c:
-                    work[t] = c
+                    record[0] = c
                 else:
                     del work[t]
     return Polynomial(ring, {ring.unpack(w): Fraction(a, d) for w, a, d in rem}, False)
@@ -615,12 +641,8 @@ def normal_form_list(p, lead):
         return p
     ring = p.ring
     den, nums = _numerators(p)
-    work, words = {}, {}
-    for m, a in nums.items():
-        k = ring.key(m)
-        work[k] = a
-        words[k] = ring.pack(m)
-    return _reduce(ring, work, words, den, lead)
+    work = {-ring.key(m): [a, ring.pack(m)] for m, a in nums.items()}
+    return _reduce(ring, work, den, lead)
 
 
 def pair_normal_form(f, g, lead):
@@ -641,22 +663,25 @@ def pair_normal_form(f, g, lead):
     wl = _word_lcm(wf, wg, ring.guard)
     kl = ring.key(ring.unpack(wl))
     h = gcd(cf, cg)
-    work, words = {}, {}
+    work = {}
     sides = (
-        (tail_f, span_f, wl - wf, kl - kf, cg // h),
-        (tail_g, span_g, wl - wg, kl - kg, -cf // h),
+        (tail_f, span_f, wl - wf, kf - kl, cg // h),
+        (tail_g, span_g, wl - wg, kg - kl, -cf // h),
     )
     for tail, span, q, dk, s in sides:
         _check_span(ring, span, q)
         for tk, tw, tc in tail:
-            t = tk + dk
-            c = work.get(t, 0) + s * tc
-            if c:
-                work[t] = c
-                words[t] = tw + q
+            t = dk - tk
+            record = work.get(t)
+            if record is None:
+                work[t] = [s * tc, tw + q]
             else:
-                del work[t]
-    return _reduce(ring, work, words, cf // h * cg, lead)
+                c = record[0] + s * tc
+                if c:
+                    record[0] = c
+                else:
+                    del work[t]
+    return _reduce(ring, work, cf // h * cg, lead)
 
 
 def _numerators(p):
@@ -694,7 +719,10 @@ def _update_pairs(words, pairs, guard):
     lcm L is deleted when lm_t divides L and neither lcm(lm_i, lm_t) nor
     lcm(lm_j, lm_t) equals L.  Divisibility is the kernel's test: a divides
     b iff (b - a) & guard == 0.  The kept new pairs are added to `pairs` in
-    increasing i and returned as (i, L).
+    increasing i and returned as (i, L).  In a position ring every lead
+    must lie in one position, as in `unit_certificate`: the one position
+    field makes the lcm and the divisibility test of two words in
+    different positions meaningless.
     """
     t = len(words) - 1
     b = words[t]
@@ -979,10 +1007,13 @@ def _position_ring(ring, rank):
     polynomial reduction kernel and its S-pairs serve modules too (Moeller &
     Mora).  The order compares the position part first, position 0 highest,
     and then the base exponents: position over term.  Every term of an
-    encoded vector has exactly one position variable, with exponent 1; the
-    ring's `positions` mask reads it off a word, and the kernel keeps it one
-    per term, as it multiplies only by base monomials and `pair_normal_form`
-    refuses leads in different positions.
+    encoded vector has exactly one position variable, with exponent 1, and
+    the kernel keeps it one per term, as it multiplies only by base
+    monomials and `pair_normal_form` refuses leads in different positions.
+    So all positions share one word field, holding position k as k + 1,
+    and one key row, with weights rank, ..., 1 (see `GradedRing`): a word
+    has the base ring's fields plus one, a key its rows plus one, and the
+    ring's `positions` mask reads the position off a word.
     """
     return GradedRing(
         ring.names + tuple(f"@e{k}" for k in range(rank)),

@@ -519,3 +519,38 @@ def test_random_sweep_slice_blows_up_and_verifies():
             for mu in range(len(bs)):
                 for p in action.lie.pbw_monomials_of_weight(w, exact=True):
                     assert beta_check(action, cd, els, level, mu, p), (action.ring.names, level, mu)
+
+
+# S-pairs `module_groebner` reduces during `blowup --with-quotient`, over all
+# its calls, and how many of them leave a nonzero remainder; its pairs are
+# taken last in, first out
+@pytest.mark.parametrize(
+    "name, calls, pinned, nonzero", [("heisenberg_scaled", 2, 901, 47), ("two_weight", 2, 57, 13)]
+)
+def test_module_groebner_s_pair_count_is_pinned(monkeypatch, capsys, name, calls, pinned, nonzero):
+    counts = {"calls": 0, "pairs": 0, "nonzero": 0}
+    inside = False
+    real_module_groebner, real_pair_normal_form = rings.module_groebner, rings.pair_normal_form
+
+    def module_groebner(gens, ring, rank):
+        nonlocal inside
+        counts["calls"] += 1
+        inside = True
+        try:
+            return real_module_groebner(gens, ring, rank)
+        finally:
+            inside = False
+
+    def pair_normal_form(f, g, lead):
+        r = real_pair_normal_form(f, g, lead)
+        if inside:
+            counts["pairs"] += 1
+            counts["nonzero"] += bool(r)
+        return r
+
+    monkeypatch.setattr(rings, "module_groebner", module_groebner)
+    monkeypatch.setattr(rings, "pair_normal_form", pair_normal_form)
+    path = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.uhat"
+    assert main(["blowup", "--scenario", str(path), "--with-quotient"]) == 0
+    capsys.readouterr()
+    assert counts == {"calls": calls, "pairs": pinned, "nonzero": nonzero}

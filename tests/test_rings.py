@@ -201,11 +201,11 @@ def test_normal_form_list_matches_plain_reduction(order):
         terms = {m: Fraction(rng.choice([-3, -1, 1, 2])) for m in rng.sample(monos, nterms)}
         return Polynomial(ring, terms)
 
-    rank = 3
-    mring = _position_ring(ring, rank)
+    mrings = {rank: _position_ring(ring, rank) for rank in (1, 3, 5)}
 
-    def rand_vector():
-        return _encode({pos: rand_poly(2) for pos in rng.sample(range(rank), 2)}, mring, rank)
+    def rand_vector(rank):
+        positions = rng.sample(range(rank), min(rank, 2))
+        return _encode({pos: rand_poly(2) for pos in positions}, mrings[rank], rank)
 
     order_matters = 0
     for _ in range(60):
@@ -214,12 +214,13 @@ def test_normal_form_list_matches_plain_reduction(order):
         got = normal_form_list(p, lead_index(basis))
         assert got == plain_normal_form(p, basis), (basis, p)
         order_matters += got != plain_normal_form(p, basis[::-1])
-        vbasis = [rand_vector() for _ in range(rng.randint(2, 4))]
-        v = rand_vector() * rand_poly(2).map_ring(mring)
-        got = normal_form_list(v, lead_index(vbasis))
-        assert got == plain_normal_form(v, vbasis), (vbasis, v)
-        order_matters += got != plain_normal_form(v, vbasis[::-1])
-    assert order_matters > 20
+        for rank, mring in mrings.items():
+            vbasis = [rand_vector(rank) for _ in range(rng.randint(2, 4))]
+            v = rand_vector(rank) * rand_poly(2).map_ring(mring)
+            got = normal_form_list(v, lead_index(vbasis))
+            assert got == plain_normal_form(v, vbasis), (vbasis, v)
+            order_matters += got != plain_normal_form(v, vbasis[::-1])
+    assert order_matters > 40
 
 
 def assert_memo_exact(lead, ring):
@@ -1061,7 +1062,9 @@ def old_position_key(base, n):
 def test_packed_key_orders_as_the_tuple_keys(nvars, order, rank):
     # the tuple keys the orders had before they became weight matrices; the
     # integer key must order every pair of exponent tuples the same way,
-    # up to exponents just below the bound
+    # up to exponents just below the bound.  Over the position ring the
+    # tuples are module terms, one position variable with exponent 1, which
+    # are all that its one position row orders as the old tuple key did
     tag = order if order != "weighted" else "weighted:" + ",".join(map(str, WEIGHTS[:nvars]))
     ring = GradedRing([f"v{i}" for i in range(nvars)], [0] * nvars, tag)
     old = OLD_KEYS[order](nvars)
@@ -1074,13 +1077,16 @@ def test_packed_key_orders_as_the_tuple_keys(nvars, order, rank):
     exps = []
     for _ in range(70):
         if exps and rng.random() < 0.4:  # a permutation ties every degree row
-            e = list(rng.choice(exps))
+            e = list(rng.choice(exps)[:nvars])
             rng.shuffle(e)
         else:
             e = [
                 rng.choice(values) if rng.random() < 0.8 else rng.randrange(top)
-                for _ in range(ring.nvars)
+                for _ in range(nvars)
             ]
+        if rank:
+            e += [0] * rank
+            e[nvars + rng.randrange(rank)] = 1
         exps.append(tuple(e))
     keys = [ring.key(e) for e in exps]
     olds = [old(e) for e in exps]
@@ -1089,8 +1095,51 @@ def test_packed_key_orders_as_the_tuple_keys(nvars, order, rank):
             want = (olds[a] > olds[b]) - (olds[a] < olds[b])
             assert (keys[a] > keys[b]) - (keys[a] < keys[b]) == want, (exps[a], exps[b])
     if ring.nvars:
-        # linear: the key of a product is the sum of the keys
-        assert ring.key(tuple(map(sum, zip(exps[0], exps[1])))) == keys[0] + keys[1]
+        # linear: the key of a term times a base monomial is the sum of the keys
+        base = exps[1][:nvars] + (0,) * rank
+        assert ring.key(tuple(map(sum, zip(exps[0], base)))) == keys[0] + ring.key(base)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 5, 9])
+def test_position_ring_packs_one_position_field(rank):
+    # every position shares one word field, holding position k as k + 1,
+    # and one key row; words round-trip at the exponent bound, and within a
+    # position one subtraction tests divisibility of the base exponents
+    base = GradedRing(["x", "y", "z"], [0, -1, -2], "degrevlex")
+    n = base.nvars
+    ring = _position_ring(base, rank)
+    assert bin(ring.guard).count("1") == n + 1
+    assert len(rings.order_rows(ring.order, ring.nvars)) == 1 + len(rings.order_rows("degrevlex", n))
+    top = 2**EXP_BITS - 1
+    rng = random.Random(rank)
+    values = [0, 1, 2, top - 1, top]
+
+    def term(pos):
+        e = [rng.choice(values) for _ in range(n)] + [0] * rank
+        e[n + pos] = 1
+        return tuple(e)
+
+    for pos in range(rank):
+        e = term(pos)
+        w = ring.pack(e)
+        assert ring.unpack(w) == e
+        assert w & ring.positions == (pos + 1) << (EXP_BITS + 1) * n
+        assert not w & ring.guard
+    no_position = (top,) * n + (0,) * rank
+    assert ring.unpack(ring.pack(no_position)) == no_position
+    divides = 0
+    for _ in range(200):
+        pos = rng.randrange(rank)
+        a, b = term(pos), term(pos)
+        want = all(x <= y for x, y in zip(a, b))
+        assert (not (ring.pack(b) - ring.pack(a)) & ring.guard) == want, (a, b)
+        divides += want
+    assert divides > 10
+    with pytest.raises(ValueError):
+        ring.pack((0,) * n + (2,) + (0,) * (rank - 1))  # @e0^2
+    if rank > 1:
+        with pytest.raises(ValueError):
+            ring.pack((0,) * n + (1, 1) + (0,) * (rank - 2))  # @e0*@e1
 
 
 def test_exponent_bound_raises_instead_of_wrapping():
@@ -1148,6 +1197,14 @@ def test_ring_rejects_an_order_that_misfits_its_variables(names, order):
 def test_extended_weighted_ring_gives_new_variables_weight_zero():
     R = GradedRing(["x", "y"], [0, -1], "weighted:1,3")
     assert R.extended(["t"], [0]).order == "weighted:1,3,0"
+
+
+def test_extended_position_ring_is_refused():
+    # new variables would follow the positions, and the order would take
+    # the last `rank` variables, new ones among them, as the positions
+    mring = _position_ring(GradedRing(["x", "y"], [0, -1]), 2)
+    with pytest.raises(ValueError):
+        mring.extended(["t"], [0])
 
 
 # -- fitting chain helper sanity (increasing chain)
