@@ -259,16 +259,6 @@ def E_operator(action, witness, mu, row):
     return action.algebra.nf(determinant(rows))
 
 
-def verify_determinantal_sum(action, witness, h, lie_element):
-    """Check sum_mu (xi_mu . h) E_mu(A) = (A . h) a^(i) exactly."""
-    row = [action.apply_vector(lie_element, f) for f in witness.functions]
-    lhs = action.ring.zero()
-    for mu, r in enumerate(witness.split_rows):
-        lhs = lhs + action.apply_basis(r, h) * E_operator(action, witness, mu, row)
-    rhs = action.apply_vector(lie_element, h) * witness.a
-    return action.algebra.equal(lhs, rhs)
-
-
 # ---------------------------------------------------------------------------
 # the recursive elements and their certificates
 

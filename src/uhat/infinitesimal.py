@@ -11,21 +11,13 @@ stabiliser dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from uhat.rings import (
     FreeModuleMap,
     Ideal,
-    Polynomial,
-    column_span,
-    lead_index,
     left_nullspace,
     matrix_rank,
     minors_ideal_generators,
-    module_groebner,
-    module_normal_form,
-    right_nullspace,
-    sparse_system,
     syzygy_kernel,
     unit_certificate,
 )
@@ -99,21 +91,19 @@ def relative_map(action, i):
     )
 
 
+def _nonzero_minors(algebra, rows, size):
+    """Normal forms of the size x size minors of `rows` that are not zero, in order."""
+    minors = (algebra.nf(m) for m in minors_ideal_generators(rows, size))
+    return [m for m in minors if m]
+
+
 def fitting_chain_from_matrix(algebra, rows, target_rank):
     """Fitting ideals of the cokernel presented by the given matrix."""
     ring = algebra.ring
     ideals = {}
     for k in range(-1, target_rank + 1):
         size = target_rank - k
-        if size <= 0:
-            ideals[k] = Ideal(ring, [ring.one()])
-            continue
-        gens = []
-        for m in minors_ideal_generators([list(r) for r in rows], size):
-            m = algebra.nf(m)
-            if m:
-                gens.append(m)
-        ideals[k] = Ideal(ring, gens)
+        ideals[k] = Ideal(ring, _nonzero_minors(algebra, rows, size) if size > 0 else [ring.one()])
     return FittingChain(target_rank, ideals)
 
 
@@ -227,8 +217,7 @@ def check_ss_eq_s(action):
     mat = infinitesimal_matrix(action)
     if not mat:
         return True, {"vacuous": True, "detail": "zero-dimensional group"}
-    minors = [algebra.nf(m) for m in minors_ideal_generators([list(x) for x in mat], len(mat))]
-    minors = [m for m in minors if m]
+    minors = _nonzero_minors(algebra, mat, len(mat))
     gens = minors + list(algebra.relations.generators)
     cert = unit_certificate(gens) if minors else None
     if cert is not None:
@@ -270,71 +259,3 @@ def check_cdrs(action):
         if not (below_zero and unit):
             report["holds"] = False
     return report
-
-
-def enumerate_kernel_linear(action, upto_level, degree):
-    """Degree-bounded kernel vectors of the filtration pairing, by linear algebra.
-
-    Independent oracle for syzygy completeness: unknowns are the rational
-    coefficients of each coordinate polynomial up to the degree bound, and
-    the pairing conditions reduce to an exact linear system in them.
-    """
-    algebra = action.algebra
-    ring = action.ring
-    mat = infinitesimal_matrix(action, upto_level)
-    ncols = ring.nvars
-    monos = [m for d in range(degree + 1) for m in ring.monomials_of_degree(d)]
-    # unknown (j, m) is the coefficient of m in coordinate j; equation
-    # (ri, mm) is the coefficient of mm in the pairing with row ri
-    columns = [
-        [
-            ((ri, mm), c)
-            for ri, row in enumerate(mat)
-            for mm, c in algebra.nf(row[j].term_mul(Fraction(1), m)).terms.items()
-        ]
-        for j in range(ncols)
-        for m in monos
-    ]
-    rows, _ = sparse_system(columns)
-    n = len(monos)
-    return [
-        tuple(Polynomial(ring, dict(zip(monos, vec[j * n : (j + 1) * n]))) for j in range(ncols))
-        for vec in right_nullspace(rows)
-    ]
-
-
-def verify_snake_exactness(action, i, degree=2):
-    """Exactness of coker(relative map) -> Q(u_i) -> Q(u_{i-1}) -> 0, truncated.
-
-    Surjectivity on the right is by construction; the content checked here
-    is that the kernel of the projection is exactly the image of the
-    relative cokernel, i.e. that the computed kernel generators are
-    complete up to the degree bound.
-    """
-    algebra = action.algebra
-    ring = action.ring
-    lie = action.lie
-    mat_i = infinitesimal_matrix(action, i)
-    rows_prev = len(lie.filtration_indices(i - 1))
-    rows_all = len(mat_i)
-    r_i = rows_all - rows_prev
-    pairing = level_data(action)[i].pairing
-    rels = algebra.relations.groebner()
-    # spans of the full pairing in A^{rows_all} and of the relative pairing in A^{r_i}
-    big = lead_index(module_groebner(column_span(mat_i, rels), ring, rows_all))
-    small = lead_index(module_groebner(column_span(pairing, rels), ring, r_i))
-
-    # image of the relative cokernel lies in the kernel of the projection
-    for column in zip(*pairing):
-        v = {rows_prev + mu: p for mu, p in enumerate(column) if p}
-        if module_normal_form(v, big, ring, rows_all):
-            return False
-
-    # completeness: every degree-bounded kernel vector pairs into the span
-    level_rows = lie.level_indices(i - 1)
-    for coords in enumerate_kernel_linear(action, i - 1, degree):
-        vals = [pair_coordinates(action, coords, mu) for mu in level_rows]
-        v = {pos: val for pos, val in enumerate(vals) if val}
-        if v and module_normal_form(v, small, ring, r_i):
-            return False
-    return True

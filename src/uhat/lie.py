@@ -1,4 +1,4 @@
-"""Graded Lie algebras, derivation actions, PBW words and coactions.
+"""Graded Lie algebras, derivation actions, PBW words and the group law.
 
 The Lie algebras here carry a one-parameter grading with strictly positive
 weights, so every derivation action on a non-positively graded algebra is
@@ -405,31 +405,6 @@ class DerivationAction:
                             }
                         )
         return report
-
-
-# ---------------------------------------------------------------------------
-# coaction expansion
-
-
-def coaction_expand(action, f):
-    """Expansion of g.f over exponential coordinates of the second kind.
-
-    Returns the finite list of pairs (alpha, f_alpha) with
-    f_alpha = (1/alpha!) xi^alpha . f, so the zeroth component is f itself
-    and the expansion is exact by nilpotency of the graded action.
-    """
-    f = action.algebra.nf(f)
-    lie = action.lie
-    if f.is_zero():
-        return [((0,) * lie.dim, f)]
-    bound = max(0, -f.min_weight())
-    out = []
-    for alpha in lie.pbw_monomials_of_weight(bound, exact=False):
-        comp = action.apply_pbw(alpha, f)
-        if alpha == (0,) * lie.dim or not comp.is_zero():
-            fact = math.prod(math.factorial(a) for a in alpha)
-            out.append((alpha, comp * Fraction(1, fact)))
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1049,7 +1049,7 @@ def module_groebner(gens, ring, rank):
     """Buchberger for submodules of a free module, position-over-term order.
 
     `gens` are vectors {pos: poly}; the basis is returned encoded over the
-    position ring, and its `lead_index` is what `module_normal_form` takes.
+    position ring, as `_encode` writes a vector.
     Only pairs whose leads share a position are formed; they are taken last
     in, first out, and this order fixes which syzygy generators
     `syzygy_kernel` returns.  Each S-polynomial is reduced by the basis
@@ -1072,11 +1072,6 @@ def module_groebner(gens, ring, rank):
             pos.append(entries[t][0] & mring.positions)
             pairs.extend((k, t) for k in range(t) if pos[k] == pos[t])
     return G
-
-
-def module_normal_form(v, lead, ring, rank):
-    """Remainder of the vector v under `lead`, the `lead_index` of an encoded basis."""
-    return _decode(normal_form_list(_encode(v, _position_ring(ring, rank), rank), lead), ring)
 
 
 def column_span(rows, relations):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from uhat.rings import GradedRing, Ideal, PresentedAlgebra
+from uhat.rings import EXP_BITS, GradedRing, Ideal, PresentedAlgebra
 from uhat.lie import DerivationAction, GradedLieAlgebra
 
 
@@ -83,12 +83,16 @@ def parse_polynomial(text, ring, line=None, offset=0):
     """Parse infix polynomial syntax: +, -, *, ^ and rationals p/q.
 
     `offset` is the index of `text` in its source line, so diagnostics
-    give columns of the line.
+    give columns of the line.  A result with an exponent of 2**EXP_BITS or
+    more is refused, as the ring cannot pack it.
     """
     toks = _Tokens(text, line, offset)
     result = _expr(toks, ring)
     if toks.peek() is not None:
         toks.error(f"trailing input {toks.text[toks.pos:]!r}")
+    top = max((e for m in result.terms for e in m), default=0)
+    if top >> EXP_BITS:
+        toks.error(f"exponent {top} is not below 2**{EXP_BITS}", 0)
     return result
 
 
@@ -240,8 +244,7 @@ def parse_scenario(text):
                         )
                     if any(name == n for n, _ in variables):
                         raise ScenarioError(f"duplicate variable {name!r}", lineno)
-                    if name.startswith("@"):
-                        raise ScenarioError(f"variable name {name!r}: '@' names are reserved", lineno)
+                    _check_name(name, "variable", lineno)
                     variables.append((name, w))
             elif line.lower().startswith("order:"):
                 if order_line is not None:
@@ -261,6 +264,8 @@ def parse_scenario(text):
                 except (IndexError, ValueError):
                     raise ScenarioError("expected 'weight <int>: names'", lineno)
                 block = [n.strip() for n in names.split(",") if n.strip()]
+                for name in block:
+                    _check_name(name, "basis vector", lineno)
                 lie_weights.append(w)
                 lie_basis.append(block)
             elif line.lower().startswith("bracket"):
@@ -338,6 +343,15 @@ def parse_scenario(text):
                 raise ScenarioError(f"unknown ring generator {gen!r}", lineno)
             table[vec][gen] = parse_polynomial(src, ring, lineno, offset)
     return Scenario(ring, rels, lie, table, options)
+
+
+def _check_name(name, kind, lineno):
+    """Refuse a name expressions cannot read back: a letter or '_', then letters, digits or '_'."""
+    if not (name.replace("_", "a").isalnum() and (name[0] == "_" or name[0].isalpha())):
+        raise ScenarioError(
+            f"{kind} name {name!r} must be a letter or '_' followed by letters, digits or '_'",
+            lineno,
+        )
 
 
 def _parse_combination(text, lineno, offset):

@@ -1,0 +1,131 @@
+"""Independent oracles that the tests use to cross-check the package.
+
+Each function recomputes from definitions something the tool decides by
+other means: the coaction by its nilpotent expansion, the determinantal
+sum by cofactor expansion, the kernel of a pairing matrix by linear algebra
+on bounded-degree coefficients, and the exactness of the snake sequence by
+module membership.  No command runs them, and the package checks each
+certificate where it emits it, so they live here rather than in `uhat`.
+"""
+
+import math
+from fractions import Fraction
+
+from uhat.blowup import E_operator
+from uhat.infinitesimal import infinitesimal_matrix, level_data, pair_coordinates
+from uhat.rings import (
+    Polynomial,
+    _decode,
+    _encode,
+    _position_ring,
+    column_span,
+    lead_index,
+    module_groebner,
+    normal_form_list,
+    right_nullspace,
+    sparse_system,
+)
+
+
+def module_normal_form(v, lead, ring, rank):
+    """Remainder of the vector v under `lead`, the `lead_index` of an encoded basis."""
+    return _decode(normal_form_list(_encode(v, _position_ring(ring, rank), rank), lead), ring)
+
+
+def coaction_expand(action, f):
+    """Expansion of g.f over exponential coordinates of the second kind.
+
+    Returns the finite list of pairs (alpha, f_alpha) with
+    f_alpha = (1/alpha!) xi^alpha . f, so the zeroth component is f itself
+    and the expansion is exact by nilpotency of the graded action.
+    """
+    f = action.algebra.nf(f)
+    lie = action.lie
+    if f.is_zero():
+        return [((0,) * lie.dim, f)]
+    bound = max(0, -f.min_weight())
+    out = []
+    for alpha in lie.pbw_monomials_of_weight(bound, exact=False):
+        comp = action.apply_pbw(alpha, f)
+        if alpha == (0,) * lie.dim or not comp.is_zero():
+            fact = math.prod(math.factorial(a) for a in alpha)
+            out.append((alpha, comp * Fraction(1, fact)))
+    return sorted(out)
+
+
+def verify_determinantal_sum(action, witness, h, lie_element):
+    """Check sum_mu (xi_mu . h) E_mu(A) = (A . h) a^(i) exactly."""
+    row = [action.apply_vector(lie_element, f) for f in witness.functions]
+    lhs = action.ring.zero()
+    for mu, r in enumerate(witness.split_rows):
+        lhs = lhs + action.apply_basis(r, h) * E_operator(action, witness, mu, row)
+    rhs = action.apply_vector(lie_element, h) * witness.a
+    return action.algebra.equal(lhs, rhs)
+
+
+def enumerate_kernel_linear(action, upto_level, degree):
+    """Degree-bounded kernel vectors of the filtration pairing, by linear algebra.
+
+    Independent oracle for syzygy completeness: unknowns are the rational
+    coefficients of each coordinate polynomial up to the degree bound, and
+    the pairing conditions reduce to an exact linear system in them.
+    """
+    algebra = action.algebra
+    ring = action.ring
+    mat = infinitesimal_matrix(action, upto_level)
+    ncols = ring.nvars
+    monos = [m for d in range(degree + 1) for m in ring.monomials_of_degree(d)]
+    # unknown (j, m) is the coefficient of m in coordinate j; equation
+    # (ri, mm) is the coefficient of mm in the pairing with row ri
+    columns = [
+        [
+            ((ri, mm), c)
+            for ri, row in enumerate(mat)
+            for mm, c in algebra.nf(row[j].term_mul(Fraction(1), m)).terms.items()
+        ]
+        for j in range(ncols)
+        for m in monos
+    ]
+    rows, _ = sparse_system(columns)
+    n = len(monos)
+    return [
+        tuple(Polynomial(ring, dict(zip(monos, vec[j * n : (j + 1) * n]))) for j in range(ncols))
+        for vec in right_nullspace(rows)
+    ]
+
+
+def verify_snake_exactness(action, i, degree=2):
+    """Exactness of coker(relative map) -> Q(u_i) -> Q(u_{i-1}) -> 0, truncated.
+
+    Surjectivity on the right is by construction; the content checked here
+    is that the kernel of the projection is exactly the image of the
+    relative cokernel, i.e. that the computed kernel generators are
+    complete up to the degree bound.
+    """
+    algebra = action.algebra
+    ring = action.ring
+    lie = action.lie
+    mat_i = infinitesimal_matrix(action, i)
+    rows_prev = len(lie.filtration_indices(i - 1))
+    rows_all = len(mat_i)
+    r_i = rows_all - rows_prev
+    pairing = level_data(action)[i].pairing
+    rels = algebra.relations.groebner()
+    # spans of the full pairing in A^{rows_all} and of the relative pairing in A^{r_i}
+    big = lead_index(module_groebner(column_span(mat_i, rels), ring, rows_all))
+    small = lead_index(module_groebner(column_span(pairing, rels), ring, r_i))
+
+    # image of the relative cokernel lies in the kernel of the projection
+    for column in zip(*pairing):
+        v = {rows_prev + mu: p for mu, p in enumerate(column) if p}
+        if module_normal_form(v, big, ring, rows_all):
+            return False
+
+    # completeness: every degree-bounded kernel vector pairs into the span
+    level_rows = lie.level_indices(i - 1)
+    for coords in enumerate_kernel_linear(action, i - 1, degree):
+        vals = [pair_coordinates(action, coords, mu) for mu in level_rows]
+        v = {pos: val for pos, val in enumerate(vals) if val}
+        if v and module_normal_form(v, small, ring, r_i):
+            return False
+    return True

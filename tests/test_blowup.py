@@ -22,7 +22,6 @@ from uhat.blowup import (
     find_j_members,
     j_membership,
     verify_chart_cdrs,
-    verify_determinantal_sum,
 )
 
 from conftest import (
@@ -35,6 +34,7 @@ from conftest import (
     sweep_script,
     two_weight_chain,
 )
+from oracles import verify_determinantal_sum, verify_snake_exactness
 
 
 # -- WUU
@@ -457,6 +457,14 @@ def test_chart_heisenberg_scaled_full_pipeline():
 def test_chart_derivation_tables_validate():
     for label, chart in blowup_charts():
         assert chart.action.validate() == [], label
+
+
+def test_chart_kernels_are_complete_to_degree_two():
+    # every degree <= 2 kernel vector of each chart level lies in the span
+    # of the computed syzygy generators
+    for label, chart in blowup_charts():
+        for i in range(1, chart.action.lie.nlevels + 1):
+            assert verify_snake_exactness(chart.action, i, degree=2), (label, i)
 
 
 def test_blowup_repairs_every_failing_fixture():

@@ -8,7 +8,6 @@ from uhat.lie import DerivationAction, GradedLieAlgebra
 from uhat.infinitesimal import (
     check_cdrs,
     check_ss_eq_s,
-    enumerate_kernel_linear,
     fitting_chain_from_matrix,
     infinitesimal_matrix,
     kernel_generators,
@@ -16,10 +15,10 @@ from uhat.infinitesimal import (
     relative_map,
     relative_stabiliser_dim,
     stabiliser_at_point,
-    verify_snake_exactness,
 )
 
 from conftest import heisenberg_free, one_weight_free, one_weight_jump, rank_drop_pair, two_weight_chain
+from oracles import enumerate_kernel_linear, verify_snake_exactness
 
 
 # -- matrices

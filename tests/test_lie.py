@@ -8,7 +8,6 @@ from uhat.rings import GradedRing, Ideal, PresentedAlgebra, right_nullspace
 from uhat.lie import (
     DerivationAction,
     GradedLieAlgebra,
-    coaction_expand,
     comult_coefficients,
     free_complete_bracket,
     group_law,
@@ -18,6 +17,7 @@ from uhat.lie import (
 )
 
 from conftest import heisenberg_free, one_weight_jump, two_weight_chain
+from oracles import coaction_expand
 
 
 # -- validation

@@ -1,0 +1,41 @@
+"""Every module-level function in `src/uhat` is used by the program itself.
+
+A function that only tests call belongs in `tests/oracles.py`, not in the
+package.  The program is `src/`, `scripts/` and `perfbench/`; a name that
+appears there only in its own `def` line is flagged.  Functions that
+`tests/test_acceptance.py` imports from the package are exempt.
+"""
+
+import ast
+import pathlib
+import re
+from collections import Counter
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PROGRAM = ("src", "scripts", "perfbench")
+
+
+def acceptance_imports():
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("uhat")
+        for alias in node.names
+    }
+
+
+def test_every_package_function_is_used_by_the_program():
+    sources = [p for d in PROGRAM for p in sorted((ROOT / d).rglob("*.py"))]
+    text = "\n".join(p.read_text(encoding="utf-8") for p in sources)
+    uses = Counter(re.findall(r"\w+", text))
+    defs = Counter(re.findall(r"^def (\w+)\(", text, re.MULTILINE))
+    exempt = acceptance_imports()
+    unused = []
+    for path in sorted((ROOT / "src" / "uhat").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            if not isinstance(node, ast.FunctionDef) or node.name in exempt:
+                continue
+            if uses[node.name] == defs[node.name]:
+                unused.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert unused == []

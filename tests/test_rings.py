@@ -28,7 +28,6 @@ from uhat.rings import (
     matrix_rank,
     minors_ideal_generators,
     module_groebner,
-    module_normal_form,
     normal_form_list,
     pair_normal_form,
     reduce_groebner,
@@ -41,6 +40,8 @@ from uhat.rings import (
 from uhat import rings
 from uhat.lie import GradedLieAlgebra
 from uhat.scenario import parse_polynomial
+
+from oracles import module_normal_form
 
 
 R2 = GradedRing(["x", "y"], [0, -1])

@@ -271,6 +271,9 @@ def test_bad_scenario_is_input_error(tmp_path, capsys):
         "order: elim:7\nvariables: x:0, y:-1, z:-2\n",
         "order: pot1:degrevlex\nvariables: x:0, y:-1, z:-2\n",
         "order: degrevlex:junk\nvariables: x:0, y:-1, z:-2\n",
+        "variables: :0, y:-1\n",
+        "variables: x y:0\n",
+        "variables: 1x:0, y:-1\n",
     ]:
         bad.write_text("[ring]\n" + ring + tail)
         capsys.readouterr()
@@ -288,6 +291,13 @@ def test_bad_scenario_is_input_error(tmp_path, capsys):
         capsys.readouterr()
         assert run_cli("analyze", "--scenario", str(bad)) == 2, lie
         assert capsys.readouterr().err.startswith("input error")
+    # and so is a basis vector name that a bracket combination cannot read back
+    for name in ["a b", "2a"]:
+        bad.write_text(head.replace("weight 1: xi2", f"weight 1: xi2, {name}") + "\n[action]\nxi2.y = x\n")
+        capsys.readouterr()
+        assert run_cli("analyze", "--scenario", str(bad)) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and "(line 6)" in err, err
     # an option the format does not have is reported with its line
     bad.write_text(head + "\n[options]\npbw_bound = 6\n")
     capsys.readouterr()
@@ -315,6 +325,28 @@ def test_action_entry_diagnostic_gives_the_column_of_the_line():
     with pytest.raises(ScenarioError) as err:
         parse_scenario(head + "b.y = x + w\n")
     assert (err.value.line, err.value.column) == (8, 11)
+
+
+@pytest.mark.parametrize(
+    "section, line",
+    [
+        ("[action]\na.y = x^99999999999\n", 7),
+        ("[relations]\nx^4294967296\n", 7),
+        ("[action]\na.y = x^2147483648 * x^2147483648\n", 7),
+    ],
+    ids=["action-entry", "relation", "product"],
+)
+def test_exponent_past_the_bound_is_input_error(tmp_path, capsys, section, line):
+    head = "[ring]\nvariables: x:0, y:-1\n\n[lie]\nweight 1: a\n"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(head + section)
+    assert err.value.line == line and "not below 2**32" in str(err.value)
+    bad = tmp_path / "bad.uhat"
+    bad.write_text(head + section)
+    for command in ("analyze", "quotient", "blowup"):
+        capsys.readouterr()
+        assert run_cli(command, "--scenario", str(bad)) == 2, command
+        assert capsys.readouterr().err.startswith("input error"), command
 
 
 @pytest.mark.parametrize(
