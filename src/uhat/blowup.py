@@ -19,12 +19,13 @@ from uhat.rings import (
     Polynomial,
     PresentedAlgebra,
     determinant,
+    matrix_rank,
     right_nullspace,
     sparse_system,
 )
 from uhat.rings import eliminate as ring_eliminate
 from uhat.lie import DerivationAction, binom_multi, multi_range, pbw_word
-from uhat.infinitesimal import check_cdrs, level_data, stabiliser_at_point, validate_point
+from uhat.infinitesimal import check_cdrs, infinitesimal_matrix, level_data, validate_point
 from uhat.quotient import BoundExhausted
 
 
@@ -134,8 +135,10 @@ def _witness_point(action, ks, rng, sample_count):
     rng = rng or random.Random(0)
     ring = action.ring
     neg = set(negative_weight_variables(ring))
-    partial = list(ks)
-    targets = [sum(partial[: i + 1]) for i in range(len(ks))]
+    # the stabiliser of u_i at a point has dimension k_1 + ... + k_i there,
+    # the corank of u_i's pairing matrix evaluated at the point
+    targets = list(itertools.accumulate(ks))
+    mats = [infinitesimal_matrix(action, i) for i in range(1, action.lie.nlevels + 1)]
     for trial in range(sample_count):
         # ring-variable order keeps the report independent of set hashing
         point = {
@@ -144,13 +147,10 @@ def _witness_point(action, ks, rng, sample_count):
         }
         if validate_point(action.algebra, point):
             continue
-        ok = True
-        for i in range(1, action.lie.nlevels + 1):
-            dim, _ = stabiliser_at_point(action, i, point)
-            if dim != targets[i - 1]:
-                ok = False
-                break
-        if ok:
+        if all(
+            len(mat) - matrix_rank([[p.evaluate(point) for p in row] for row in mat]) == target
+            for mat, target in zip(mats, targets)
+        ):
             return point
     return None
 
@@ -356,7 +356,7 @@ def beta_values(action, centre_data, level, mu, p):
     n = lie.nlevels
     last_level = max(lie.levels[idx] for idx, e in enumerate(p) if e)
     w_last = lie.weights[last_level]
-    bracket = lie.complete_bracket_pbw(p)
+    bracket = lie.complete_bracket_word(pbw_word(p))
     row = [action.apply_vector(bracket, f) for f in fns]
     total = E_operator(action, wit, mu, row) * w_last
     if level == n:

@@ -1,7 +1,8 @@
 """Command line driver: analyze, quotient, blowup and identities.
 
 Exit codes: 0 success, 1 condition refusal, 2 input error, 3 bound
-exhaustion.  Reports are printed as indented text and can additionally be
+exhaustion (a search bound, or a computed exponent past the packing
+bound).  Reports are printed as indented text and can additionally be
 written as JSON; for a fixed scenario and seed they are byte-identical
 across runs.
 """
@@ -128,8 +129,9 @@ def _chain_summary(chain):
     }
 
 
-def _analysis(scenario, action):
-    report = {"scenario": None, "levels": {}}
+def cmd_analyze(args):
+    scenario, action = _load(args)
+    report = {"scenario": args.scenario, "levels": {}}
     for i, d in inf.level_data(action).items():
         report["levels"][f"level_{i}"] = {
             "weight": action.lie.weights[i - 1],
@@ -147,13 +149,6 @@ def _analysis(scenario, action):
     report["ss_eq_s"] = {"holds": ss, "certificate": cert}
     report["cdrs"] = cdrs
     report["wuu"] = {"holds": wuu, **winfo}
-    return report
-
-
-def cmd_analyze(args):
-    scenario, action = _load(args)
-    report = _analysis(scenario, action)
-    report["scenario"] = args.scenario
     report["command"] = "analyze"
     emit(report, args.json)
     return EXIT_OK
@@ -176,14 +171,14 @@ def cmd_quotient(args):
     verification = qt.verify_quotient(chain)
     stages = [
         {
-            "level": stage.level,
-            "weight": stage.weight,
+            "level": number,
+            "weight": stage.slices.weight,
             "split": [stage.action_in.lie.basis_names[i] for i in stage.slices.split],
             "slices": [str(f) for f in stage.slices.functions],
             "invariant_generators": {k: str(v) for k, v in stage.inclusion.items()},
             "relations": [str(g) for g in stage.algebra_out.relations.generators],
         }
-        for stage in chain.stages
+        for number, stage in enumerate(chain.stages, 1)
     ]
     report = _report(args, stages=stages, **_chain_summary(chain), verification=verification)
     emit(report, args.json)
@@ -374,7 +369,8 @@ def main(argv=None):
     except (ScenarioError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except qt.BoundExhausted as exc:
+    except (qt.BoundExhausted, OverflowError) as exc:
+        # OverflowError: a computed exponent reached 2**EXP_BITS, the packing bound
         print(f"bound exhausted: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except (qt.StageError, bl.NoBlowupNeeded, bl.VerificationFailed) as exc:

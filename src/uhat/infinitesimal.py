@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from uhat.rings import (
     FreeModuleMap,
     Ideal,
-    left_nullspace,
     matrix_rank,
     minors_ideal_generators,
     syzygy_kernel,
@@ -162,23 +161,6 @@ def validate_point(algebra, point):
     return bad
 
 
-def stabiliser_at_point(action, upto_level, point):
-    """Stabiliser subspace at a rational point, via exact rank computation.
-
-    Returns (dimension, basis) where each basis element is a coefficient
-    vector over the subspace basis.  Points violating a relation are
-    rejected.
-    """
-    bad = validate_point(action.algebra, point)
-    if bad:
-        raise ValueError(f"point violates relation {bad[0][0]} (value {bad[0][1]})")
-    mat = infinitesimal_matrix(action, upto_level)
-    if not mat:
-        return 0, []
-    basis = left_nullspace([[p.evaluate(point) for p in row] for row in mat])
-    return len(basis), basis
-
-
 def relative_stabiliser_dim(action, i, point):
     """Dimension of the relative stabiliser at a point, with a Fitting check.
 
@@ -187,6 +169,8 @@ def relative_stabiliser_dim(action, i, point):
     Fitting chain at the point (dim > k iff every generator of Fit_k
     vanishes there).
     """
+    if not 1 <= i <= action.lie.nlevels:
+        raise ValueError(f"level {i} out of range")
     bad = validate_point(action.algebra, point)
     if bad:
         raise ValueError(f"point violates relation {bad[0][0]} (value {bad[0][1]})")

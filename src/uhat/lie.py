@@ -251,10 +251,6 @@ class GradedLieAlgebra:
             el = self.bracket({word[i]: Fraction(1)}, el)
         return el
 
-    def complete_bracket_pbw(self, exp):
-        """Complete bracket of a PBW monomial with respect to the basis order."""
-        return self.complete_bracket_word(pbw_word(exp))
-
     def pbw_weight(self, exp):
         return sum(self.weight_of(i) * e for i, e in enumerate(exp))
 

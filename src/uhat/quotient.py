@@ -184,13 +184,31 @@ def dixmier_project(action, split, functions, g):
 
 @dataclass
 class QuotientStage:
-    level: int
-    weight: int
+    """One stage of the chain: the slices of a level and the invariant ring they cut out.
+
+    `values` gives, for each input generator, what its projection equals
+    over the ring of `algebra_out`: a new generator (its own or an earlier
+    duplicate's) or a constant.
+    """
+
     slices: SliceSet
     action_in: DerivationAction
     algebra_out: PresentedAlgebra
     inclusion: dict  # new generator name -> representative polynomial in action_in.algebra
+    values: dict  # input generator -> its projection over algebra_out.ring
     reconstruction: dict  # original generator -> list of (multi-index, poly over algebra_out)
+
+    def rewrite(self, p):
+        """p over the new generators if substituting back gives p (p is invariant), else None.
+
+        The projection is a ring homomorphism fixing the invariants, so an
+        invariant p equals p evaluated at `values`.
+        """
+        algebra = self.action_in.algebra
+        expr = p.substitute(self.values, self.algebra_out.ring)
+        if algebra.equal(expr.substitute(self.inclusion, algebra.ring), p):
+            return expr
+        return None
 
 
 @dataclass
@@ -209,46 +227,8 @@ class QuotientChain:
         return sum(len(s.slices.functions) for s in self.stages)
 
 
-class _StageContext:
-    """An invariant subring presented by the projections of the generators.
-
-    `values` gives, for each input generator, what its projection equals:
-    the name of a new generator (its own or an earlier duplicate's) or a
-    constant.  The projection is a ring homomorphism fixing the invariants,
-    so an invariant p equals p evaluated at those values.
-    """
-
-    def __init__(self, algebra, images, values):
-        self.algebra = algebra
-        self.images = dict(images)
-        names_new = [name for name, _ in images]
-        weights_new = [next(iter(rep.weight_decompose()), 0) for _, rep in images]
-        self.out_ring = GradedRing(names_new, weights_new)
-        # the invariant images may reuse input generator names, so the
-        # graph ideal carries reserved internal names for the new block
-        internal = [f"@{t}" for t in range(len(images))]
-        big = algebra.ring.extended(internal, weights_new)
-        graph = [g.map_ring(big) for g in algebra.relations.generators]
-        for iname, (_, rep) in zip(internal, images):
-            graph.append(big.var(iname) - rep.map_ring(big))
-        to_public = dict(zip(internal, names_new))
-        kept = eliminate(Ideal(big, graph), internal).generators
-        rels = [g.map_ring(self.out_ring, to_public) for g in kept]
-        self.out_algebra = PresentedAlgebra(self.out_ring, Ideal(self.out_ring, rels))
-        self.values = {
-            name: self.out_ring.var(v) if isinstance(v, str) else v for name, v in values.items()
-        }
-
-    def rewrite(self, p):
-        """p over the new generators if substituting back gives p (p is invariant), else None."""
-        expr = p.substitute(self.values, self.out_ring)
-        if self.algebra.equal(expr.substitute(self.images, self.algebra.ring), p):
-            return expr
-        return None
-
-
 def invariant_presentation(action, slices):
-    """Present the invariant ring of one level and set up reconstruction.
+    """Present the invariant ring of one level as a `QuotientStage`, with reconstruction.
 
     Generators are the projections of the ring generators (the projection is
     a ring homomorphism onto the invariants, so these always generate);
@@ -263,45 +243,59 @@ def invariant_presentation(action, slices):
     if problems:
         raise StageError(f"projection preconditions violated: {problems}")
 
-    images = []
+    images = {}
     values = {}  # generator -> name of the generator of its projection, or a constant
     for name in ring.names:
         p = dixmier_project(action, split, functions, ring.var(name))
         if not any(sum(m) for m in p.terms):
             values[name] = p.terms.get((0,) * ring.nvars, 0)
             continue
-        dup = next((q_name for q_name, q in images if p == q), None)
+        dup = next((q_name for q_name, q in images.items() if p == q), None)
         if dup is None:
-            images.append((name, p))
+            images[name] = p
         values[name] = dup or name
-    ctx = _StageContext(algebra, images, values)
+    weights = [next(iter(rep.weight_decompose()), 0) for rep in images.values()]
+    out_ring = GradedRing(list(images), weights)
+    # the invariant images may reuse input generator names, so the graph
+    # ideal carries reserved internal names for the new block
+    internal = [f"@{t}" for t in range(len(images))]
+    big = ring.extended(internal, weights)
+    graph = [g.map_ring(big) for g in algebra.relations.generators]
+    graph += [big.var(iname) - rep.map_ring(big) for iname, rep in zip(internal, images.values())]
+    to_public = dict(zip(internal, out_ring.names))
+    kept = eliminate(Ideal(big, graph), internal).generators
+    rels = [g.map_ring(out_ring, to_public) for g in kept]
+    values = {name: out_ring.var(v) if isinstance(v, str) else v for name, v in values.items()}
 
     # pi is a ring homomorphism sending each generator to its value, so the
     # projection of xi^n . x over the new generators is a substitution
     reconstruction = {}
     for name in ring.names:
         table = _derivative_table(action, split, ring.var(name))
-        pieces = ((n, deriv.substitute(ctx.values, ctx.out_ring)) for n, deriv in table.items())
+        pieces = ((n, deriv.substitute(values, out_ring)) for n, deriv in table.items())
         reconstruction[name] = [(n, expr) for n, expr in pieces if not expr.is_zero()]
-    return ctx, dict(images), reconstruction
+    out = PresentedAlgebra(out_ring, Ideal(out_ring, rels))
+    return QuotientStage(slices, action, out, images, values, reconstruction)
 
 
-def _reconstructed(action, slices, pieces, inclusion):
-    """Evaluate reconstruction data back in the input algebra."""
-    ring = action.ring
+def _reconstructed(stage, name):
+    """Evaluate the reconstruction of generator `name` back in the input algebra."""
+    algebra = stage.action_in.algebra
+    ring = algebra.ring
     total = ring.zero()
-    for n, expr in pieces:
+    for n, expr in stage.reconstruction[name]:
         coeff = Fraction(1, math.prod(math.factorial(e) for e in n))
         fn = ring.one()
-        for f, e in zip(slices.functions, n):
+        for f, e in zip(stage.slices.functions, n):
             if e:
                 fn = fn * f**e
-        total = total + expr.substitute(inclusion, ring) * fn * coeff
-    return action.algebra.nf(total)
+        total = total + expr.substitute(stage.inclusion, ring) * fn * coeff
+    return algebra.nf(total)
 
 
-def _induced_action(action, ctx, inclusion):
+def _induced_action(stage):
     """Descend the remaining filtration to the invariant presentation."""
+    action = stage.action_in
     lie = action.lie
     if lie.nlevels <= 1:
         return None
@@ -326,18 +320,18 @@ def _induced_action(action, ctx, inclusion):
     for name in sub_basis:
         i = lie.index(name)
         row = {}
-        for new_name, rep in inclusion.items():
+        for new_name, rep in stage.inclusion.items():
             img = action.apply_basis(i, rep)
             if action.algebra.is_zero(img):
                 continue
-            expr = ctx.rewrite(img)
+            expr = stage.rewrite(img)
             if expr is None:
                 raise StageError(
                     f"induced image {name}.{new_name} does not descend to the invariant ring"
                 )
             row[new_name] = expr
         table[name] = row
-    return DerivationAction(ctx.out_algebra, sub_lie, table)
+    return DerivationAction(stage.algebra_out, sub_lie, table)
 
 
 def staged_quotient(action, degree_bound=8):
@@ -353,40 +347,28 @@ def staged_quotient(action, degree_bound=8):
         raise StageError("constant-rank condition fails; run the blow-up first")
     chain = QuotientChain(action)
     current = action
-    level_offset = 0
     while current is not None and current.lie.nlevels > 0:
         if current.algebra.is_empty():
             break
-        stage_level = level_offset + 1
+        stage_level = len(chain.stages) + 1
         if stage_level > 1 and not check_cdrs(current)["holds"]:
             raise StageError(f"induced action at stage {stage_level} lost the constant-rank condition")
         slices = find_slices(current, 1, degree_bound)
-        ctx, inclusion, reconstruction = invariant_presentation(current, slices)
-        violations = []
-        for name in current.ring.names:
-            got = _reconstructed(current, slices, reconstruction[name], inclusion)
-            if not current.algebra.equal(got, current.ring.var(name)):
-                violations.append(name)
+        stage = invariant_presentation(current, slices)
+        violations = [
+            name
+            for name in current.ring.names
+            if not current.algebra.equal(_reconstructed(stage, name), current.ring.var(name))
+        ]
         if violations:
             raise StageError(f"reconstruction failed at stage {stage_level} for {violations}")
-        induced = _induced_action(current, ctx, inclusion)
+        induced = _induced_action(stage)
         if induced is not None:
             bad = induced.validate()
             if bad:
                 raise StageError(f"induced action invalid at stage {stage_level}: {bad[:1]}")
-        chain.stages.append(
-            QuotientStage(
-                level=stage_level,
-                weight=current.lie.weights[0],
-                slices=slices,
-                action_in=current,
-                algebra_out=ctx.out_algebra,
-                inclusion=inclusion,
-                reconstruction=reconstruction,
-            )
-        )
+        chain.stages.append(stage)
         current = induced
-        level_offset += 1
     return chain
 
 
@@ -399,7 +381,7 @@ def verify_quotient(chain):
     exactly.  Failures are reported, not raised.
     """
     failures = []
-    for stage in chain.stages:
+    for number, stage in enumerate(chain.stages, 1):
         action = stage.action_in
         algebra = action.algebra
         level_rows = action.lie.level_indices(0)
@@ -409,7 +391,7 @@ def verify_quotient(chain):
                 if not algebra.is_zero(img):
                     failures.append(
                         {
-                            "stage": stage.level,
+                            "stage": number,
                             "kind": "not-invariant",
                             "generator": name,
                             "vector": action.lie.basis_names[mu],
@@ -421,9 +403,8 @@ def verify_quotient(chain):
             rows = [[action.apply_basis(mu, f) for f in fs] for mu in stage.slices.split]
             det = algebra.nf(determinant(rows))
             if det != algebra.ring.one():
-                failures.append({"stage": stage.level, "kind": "slice-determinant", "det": str(det)})
+                failures.append({"stage": number, "kind": "slice-determinant", "det": str(det)})
         for name in action.ring.names:
-            got = _reconstructed(action, stage.slices, stage.reconstruction[name], stage.inclusion)
-            if not algebra.equal(got, action.ring.var(name)):
-                failures.append({"stage": stage.level, "kind": "reconstruction", "generator": name})
+            if not algebra.equal(_reconstructed(stage, name), action.ring.var(name)):
+                failures.append({"stage": number, "kind": "reconstruction", "generator": name})
     return {"ok": not failures, "failures": failures, "affine_dimension": chain.affine_dimension}

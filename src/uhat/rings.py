@@ -487,12 +487,12 @@ def lead_entry(g):
 MEMO_BOUND = 2**14
 """Words a `LeadIndex` memo holds before it is cleared.
 
-Measured on the benchmark sweep's heaviest `module_groebner` call (a
-17-variable position ring, 88-byte words when each position had its own
-word field, CPython 3.11): a full memo takes
-about 2.0 MB (the dict and its keys) and raised the sweep's peak RSS by
-about 1.4 MB; without a bound, that call's memo grows to 86 k words and
-10 MB.
+Measured on the benchmark sweep's heaviest `module_groebner` call (8 base
+variables and 9 positions, so 60-byte words, CPython 3.11): a full memo
+takes about 1.6 MB (the dict and its keys) and raises the peak RSS of the
+sweep's seven instances, run in one process, by about 1.5 MB (18.7 MB with
+a bound of 1); without a bound, that call's memo grows to 86 k words and
+7.8 MB.
 """
 
 
@@ -1074,24 +1074,13 @@ def module_groebner(gens, ring, rank):
     return G
 
 
-def column_span(rows, relations):
-    """Vectors spanning the column span of a matrix modulo the relations.
-
-    Vector j is column j of `rows` ({row: entry}, empty for a zero column),
-    and then come f*e_i for each nonzero relation f and each row i, in that
-    order; `module_groebner` takes them as they are and drops zero vectors.
-    """
-    ncols = len(rows[0]) if rows else 0
-    out = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
-    out.extend({i: f} for f in relations if f for i in range(len(rows)))
-    return out
-
-
 def syzygy_kernel(fmap, relations=None):
     """Generators of the kernel of a free-module map over R or R/relations.
 
     Standard elimination computation: track cofactors in extra positions and
     keep the Groebner elements supported entirely on the cofactor block.
+    The module is spanned by column j plus e_{r+j} for each column j, then
+    f*e_i for each nonzero relation f and each row i, in that order.
     Returns a list of vectors (length = domain rank).
     """
     r, s = fmap.codomain_rank, fmap.domain_rank
@@ -1106,9 +1095,11 @@ def syzygy_kernel(fmap, relations=None):
             break
     if ring is None:
         raise ValueError("empty map needs at least one entry to fix the ring")
-    gens = column_span(fmap.matrix, relations or ())
-    for j in range(s):
-        gens[j][r + j] = ring.one()
+    gens = [
+        {**{i: row[j] for i, row in enumerate(fmap.matrix) if row[j]}, r + j: ring.one()}
+        for j in range(s)
+    ]
+    gens += [{i: f} for f in relations or () if f for i in range(r)]
     out = []
     for g in module_groebner(gens, ring, r + s):
         v = _decode(g, ring)
@@ -1217,14 +1208,6 @@ def right_nullspace(rows):
             v[pc] = -red[rowi][fc]
         basis.append(v)
     return basis
-
-
-def left_nullspace(rows):
-    """Basis of {v : v M = 0}."""
-    if not rows:
-        return []
-    t = [list(col) for col in zip(*rows)]
-    return right_nullspace(t)
 
 
 def sparse_system(columns, keys=()):

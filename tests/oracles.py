@@ -18,13 +18,20 @@ from uhat.rings import (
     _decode,
     _encode,
     _position_ring,
-    column_span,
     lead_index,
     module_groebner,
     normal_form_list,
     right_nullspace,
     sparse_system,
 )
+
+
+def column_span(rows, relations):
+    """The columns of `rows` as vectors {row: entry}, then f*e_i per nonzero relation f, row i."""
+    ncols = len(rows[0]) if rows else 0
+    out = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
+    out.extend({i: f} for f in relations if f for i in range(len(rows)))
+    return out
 
 
 def module_normal_form(v, lead, ring, rank):

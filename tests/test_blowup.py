@@ -53,6 +53,26 @@ def test_wuu_two_weight(chain3):
     assert ok and info["k_vector"] == (0, 0)
 
 
+@pytest.mark.parametrize(
+    "root, relation, first, seeded",
+    [(1, False, "3", "-2"), (2, True, "-2", "-2")],
+    ids=["random-trials", "relation-skip"],
+)
+def test_wuu_witness_search_past_the_first_trial(root, relation, first, seeded):
+    # a.y = x - root: trial 0's all-ones point drops the pairing's rank when
+    # root = 1 and violates x^2 - 4 when root = 2, so the witness comes from
+    # the random trials
+    R = GradedRing(["x", "y"], [0, -1])
+    x = R.var("x")
+    A = PresentedAlgebra(R, Ideal(R, [x**2 - 4] if relation else []))
+    act = DerivationAction(A, GradedLieAlgebra([1], [["a"]]), {"a": {"y": x - root}})
+    assert act.validate() == []
+    _, info = check_wuu(act, reduced=True)
+    assert info["witness"] == {"x": first, "y": "0"}
+    _, info = check_wuu(act, reduced=True, rng=random.Random(1))
+    assert info["witness"] == {"x": seeded, "y": "0"}
+
+
 def test_wuu_fails_when_product_is_negative_weight():
     # xi.z = y gives Fit_0 = <y>, entirely of negative weight, so the
     # minimal-rank locus misses the weight-zero stratum

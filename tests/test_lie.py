@@ -119,7 +119,7 @@ def test_complete_bracket_identity_on_singletons():
 def test_complete_bracket_abelian_vanishes():
     L = GradedLieAlgebra([1], [["a", "b"]])
     assert L.complete_bracket_word((0, 1)) == {}
-    assert L.complete_bracket_pbw((2, 1)) == {}
+    assert L.complete_bracket_word(pbw_word((2, 1))) == {}
 
 
 def test_complete_bracket_heisenberg_sign():
@@ -130,7 +130,7 @@ def test_complete_bracket_heisenberg_sign():
 
 def test_complete_bracket_preserves_weight():
     L = GradedLieAlgebra([2, 1], [["c"], ["p", "q"]], {("p", "q"): {"c": 1}})
-    el = L.complete_bracket_pbw((0, 1, 1))
+    el = L.complete_bracket_word(pbw_word((0, 1, 1)))
     assert {L.weight_of(i) for i in el} == {2}
 
 

@@ -3,10 +3,12 @@
 A function that only tests call belongs in `tests/oracles.py`, not in the
 package.  The program is `src/`, `scripts/` and `perfbench/`; a name that
 appears there only in its own `def` line is flagged.  Functions that
-`tests/test_acceptance.py` imports from the package are exempt.
+`tests/test_acceptance.py` imports from the package are exempt.  Every
+span that `perfbench/tracing.py` wraps resolves in the package.
 """
 
 import ast
+import importlib
 import pathlib
 import re
 from collections import Counter
@@ -39,3 +41,24 @@ def test_every_package_function_is_used_by_the_program():
             if uses[node.name] == defs[node.name]:
                 unused.append(f"{path.name}:{node.lineno}: {node.name}")
     assert unused == []
+
+
+def test_every_traced_span_resolves():
+    # the benchmark wraps each `module.function` or `module.Class.method` in
+    # SPANS; a span that no longer resolves would read zero there
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    spans = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["SPANS"]
+    )
+    missing = []
+    for mod, names in spans.items():
+        for name in names:
+            owner = importlib.import_module(f"uhat.{mod}")
+            for attr in name.split("."):
+                owner = getattr(owner, attr, None)
+            if not callable(owner):
+                missing.append(f"{mod}.{name}")
+    assert spans and missing == []

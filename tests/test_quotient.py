@@ -236,17 +236,17 @@ def test_triangular_instances_satisfy_projection_laws(seed):
 
 def test_invariant_presentation_free_translation(ga_free):
     s = find_slices(ga_free, 1, 4)
-    ctx, inclusion, recon = invariant_presentation(ga_free, s)
-    assert list(inclusion) == ["x"]
-    assert str(inclusion["x"]) == "x"
-    assert ctx.out_algebra.relations.generators == ()
+    stage = invariant_presentation(ga_free, s)
+    assert list(stage.inclusion) == ["x"]
+    assert str(stage.inclusion["x"]) == "x"
+    assert stage.algebra_out.relations.generators == ()
     # reconstruction of y: only the first derivative survives, y = f1
-    pieces = recon["y"]
+    pieces = stage.reconstruction["y"]
     assert len(pieces) == 1 and pieces[0][0] == (1,)
     # x is invariant and y is not, so only x rewrites over the invariants
     R = ga_free.ring
-    assert str(ctx.rewrite(R.var("x") ** 2 - 3)) == "x^2 - 3"
-    assert ctx.rewrite(R.var("y")) is None
+    assert str(stage.rewrite(R.var("x") ** 2 - 3)) == "x^2 - 3"
+    assert stage.rewrite(R.var("y")) is None
 
 
 def test_reconstruction_pieces_are_projected_derivatives():

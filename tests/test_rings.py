@@ -18,13 +18,11 @@ from uhat.rings import (
     _update_pairs,
     add_lead,
     buchberger,
-    column_span,
     determinant,
     eliminate,
     groebner_basis,
     lead_entry,
     lead_index,
-    left_nullspace,
     matrix_rank,
     minors_ideal_generators,
     module_groebner,
@@ -871,13 +869,6 @@ def test_syzygy_scaled_projection():
     assert vectors == {("1", "0", "0"), ("0", "1", "0")}
 
 
-def test_column_span_lists_columns_then_relation_multiples():
-    zero = R2.zero()
-    span = column_span(((X, zero), (Y, zero)), [zero, Y])
-    # the zero column stays in place; zero relations are skipped
-    assert span == [{0: X, 1: Y}, {}, {0: Y}, {1: Y}]
-
-
 def test_syzygy_zero_and_identity_maps():
     zero = R2.zero()
     one = R2.one()
@@ -990,8 +981,6 @@ def test_rank_nullspaces_solve():
     assert matrix_rank(rows) == 1
     rn = right_nullspace(rows)
     assert len(rn) == 1 and rn[0][0] * 1 + rn[0][1] * 2 == 0
-    ln = left_nullspace(rows)
-    assert len(ln) == 1 and ln[0][0] * 1 + ln[0][1] * 2 == 0
     sol = solve_linear([[Fraction(1), Fraction(1)]], [Fraction(3)])
     assert sol == [Fraction(3), Fraction(0)]
     assert solve_linear([[Fraction(0)]], [Fraction(1)]) is None

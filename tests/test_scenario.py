@@ -395,6 +395,21 @@ def test_bound_exhaustion_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["analyze", "blowup"])
+def test_computed_exponent_past_the_bound_is_bound_exhaustion(tmp_path, capsys, command):
+    # every exponent parses, but the ss=s minor (and the blow-up's witness
+    # minor) is x^8589934590, past the 2**32 packing bound
+    path = tmp_path / "overflow.uhat"
+    path.write_text(
+        "[ring]\nvariables: x:0, y:-1, z:-2\n\n[lie]\nweight 2: a\nweight 1: b\n\n"
+        "[action]\na.z = x^4294967295\nb.y = x^4294967295\nb.z = y\n"
+    )
+    assert run_cli(command, "--scenario", str(path)) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("bound exhausted: ") and out.err.count("\n") == 1, out.err
+
+
 @pytest.mark.parametrize(
     "command, name, extra, code, keys",
     [
@@ -442,7 +457,7 @@ def test_non_invariant_projection_exits_1(monkeypatch):
     # search bound
     import uhat.quotient as qt
 
-    monkeypatch.setattr(qt._StageContext, "rewrite", lambda self, p: None)
+    monkeypatch.setattr(qt.QuotientStage, "rewrite", lambda self, p: None)
     assert run_cli("quotient", "--scenario", str(SCENARIOS / "heisenberg_free.uhat")) == 1
 
 
