@@ -91,8 +91,17 @@ def relative_map(action, i):
 
 
 def _nonzero_minors(algebra, rows, size):
-    """Normal forms of the size x size minors of `rows` that are not zero, in order."""
-    minors = (algebra.nf(m) for m in minors_ideal_generators(rows, size))
+    """Normal forms of the size x size minors of `rows` that are not zero, in order.
+
+    The minors are listed over the nonzero rows and columns only.  The skip
+    is exact: a minor through a zero row or column is zero, so its normal
+    form would be dropped anyway, and `itertools.combinations` over the
+    remaining indices yields the remaining minors in their order over the
+    whole matrix.
+    """
+    cols = [col for col in zip(*rows) if any(col)]
+    live = [row for row in zip(*cols) if any(row)]
+    minors = (algebra.nf(m) for m in minors_ideal_generators(live, size))
     return [m for m in minors if m]
 
 
@@ -152,7 +161,13 @@ def min_nonzero_fitting(chain):
 
 
 def validate_point(algebra, point):
-    """Check a rational point against the relations; return violations."""
+    """Check a rational point against the relations; return violations.
+
+    Raises ValueError when the point lacks a coordinate of the ring.
+    """
+    missing = [n for n in algebra.ring.names if n not in point]
+    if missing:
+        raise ValueError(f"point lacks coordinates {', '.join(missing)}")
     bad = []
     for rel in algebra.relations.generators:
         v = rel.evaluate(point)

@@ -3,9 +3,10 @@
 Each function recomputes from definitions something the tool decides by
 other means: the coaction by its nilpotent expansion, the determinantal
 sum by cofactor expansion, the kernel of a pairing matrix by linear algebra
-on bounded-degree coefficients, and the exactness of the snake sequence by
-module membership.  No command runs them, and the package checks each
-certificate where it emits it, so they live here rather than in `uhat`.
+on bounded-degree coefficients, the exactness of the snake sequence by
+module membership, and the nonzero minors of a matrix by reducing every
+minor.  No command runs them, and the package checks each certificate
+where it emits it, so they live here rather than in `uhat`.
 """
 
 import math
@@ -19,6 +20,7 @@ from uhat.rings import (
     _encode,
     _position_ring,
     lead_index,
+    minors_ideal_generators,
     module_groebner,
     normal_form_list,
     right_nullspace,
@@ -32,6 +34,12 @@ def column_span(rows, relations):
     out = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
     out.extend({i: f} for f in relations if f for i in range(len(rows)))
     return out
+
+
+def every_nonzero_minor(algebra, rows, size):
+    """Nonzero normal forms of all size x size minors of `rows`, zero rows and columns included."""
+    minors = (algebra.nf(m) for m in minors_ideal_generators(rows, size))
+    return [m for m in minors if m]
 
 
 def module_normal_form(v, lead, ring, rank):

@@ -531,6 +531,32 @@ def test_buchberger_s_pair_count_is_pinned(monkeypatch, capsys, name, pinned, lc
     assert reduced == pinned < lcm_order
 
 
+# determinants `minors_ideal_generators` expands for one command; listing the
+# minors through zero rows and columns as well expanded 1532, 17 and 32
+@pytest.mark.parametrize(
+    "name, command, pinned, every_minor",
+    [
+        ("heisenberg_scaled", "blowup --with-quotient", 82, 1532),
+        ("heisenberg_scaled", "analyze", 7, 17),
+        ("two_weight", "blowup --with-quotient", 12, 32),
+    ],
+)
+def test_fitting_minor_count_is_pinned(monkeypatch, capsys, name, command, pinned, every_minor):
+    calls = 0
+    real_determinant = rings.determinant
+
+    def determinant(rows):
+        nonlocal calls
+        calls += 1
+        return real_determinant(rows)
+
+    monkeypatch.setattr(rings, "determinant", determinant)
+    path = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.uhat"
+    assert main([*command.split(), "--scenario", str(path)]) == 0
+    capsys.readouterr()
+    assert calls == pinned < every_minor
+
+
 def test_random_sweep_slice_blows_up_and_verifies():
     # the first six instances of the sweep script from seed 1; the seventh
     # (four variables, one long module syzygy computation) is left to the

@@ -6,6 +6,7 @@ import pytest
 from uhat.rings import GradedRing, Ideal, PresentedAlgebra, groebner_basis
 from uhat.lie import DerivationAction, GradedLieAlgebra
 from uhat.infinitesimal import (
+    _nonzero_minors,
     check_cdrs,
     check_ss_eq_s,
     fitting_chain_from_matrix,
@@ -14,10 +15,11 @@ from uhat.infinitesimal import (
     min_nonzero_fitting,
     relative_map,
     relative_stabiliser_dim,
+    validate_point,
 )
 
 from conftest import heisenberg_free, one_weight_free, one_weight_jump, rank_drop_pair, two_weight_chain
-from oracles import enumerate_kernel_linear, verify_snake_exactness
+from oracles import enumerate_kernel_linear, every_nonzero_minor, verify_snake_exactness
 
 
 # -- matrices
@@ -156,6 +158,42 @@ def test_fitting_presentation_invariance_randomized():
             assert chain.ideal(k).groebner() == chain2.ideal(k).groebner()
 
 
+def test_nonzero_minors_skip_zero_rows_and_columns_exactly():
+    # x^2 = x, so normal forms drop minors that are nonzero polynomials
+    rng = random.Random(22)
+    R = GradedRing(["x", "y"], [0, 0])
+    x, y = R.var("x"), R.var("y")
+    A = PresentedAlgebra(R, Ideal(R, [x * x - x]))
+    pool = [R.zero(), R.one(), x, y, x - 1, x * y, x + y]
+
+    def with_zero_lines(core, nrows, ncols):
+        # the core's entries in order, at random row and column positions
+        rs = sorted(rng.sample(range(nrows), len(core)))
+        cs = sorted(rng.sample(range(ncols), len(core[0])))
+        mat = [[R.zero()] * ncols for _ in range(nrows)]
+        for r, row in zip(rs, core):
+            for c, entry in zip(cs, row):
+                mat[r][c] = entry
+        return tuple(map(tuple, mat))
+
+    zero = ((R.zero(),) * 3,) * 2
+    for size in range(1, 4):
+        assert _nonzero_minors(A, zero, size) == []
+    # one live column under the 2 x 2 minors of a 2 x 4 matrix
+    thin = with_zero_lines([[x], [y]], 2, 4)
+    assert _nonzero_minors(A, thin, 2) == [] and _nonzero_minors(A, thin, 1) == [x, y]
+    maximal_nonzero = 0
+    for _ in range(40):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        core = [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+        mat = with_zero_lines(core, rows + rng.randint(0, 1), cols + rng.randint(0, 3))
+        # up to one past the row count; len(mat) gives the maximal minors of check_ss_eq_s
+        for size in range(1, len(mat) + 2):
+            assert _nonzero_minors(A, mat, size) == every_nonzero_minor(A, mat, size), (mat, size)
+        maximal_nonzero += bool(_nonzero_minors(A, mat, len(mat)))
+    assert maximal_nonzero >= 5
+
+
 def test_fitting_surjection_monotonicity(ga_jump):
     # quotient the target by adding new relation columns: Fit_k only grows
     pairing = relative_map(ga_jump, 1)
@@ -194,6 +232,18 @@ def test_point_violating_relation_rejected():
     act = DerivationAction(A, L, {"xi": {"y": R.var("x")}})
     with pytest.raises(ValueError):
         relative_stabiliser_dim(act, 1, {"x": Fraction(2), "y": Fraction(0)})
+
+
+def test_relative_stabiliser_dim_names_a_missing_coordinate(ga_jump):
+    with pytest.raises(ValueError, match="point lacks coordinates y"):
+        relative_stabiliser_dim(ga_jump, 1, {"x": Fraction(1)})
+
+
+def test_validate_point_names_a_missing_coordinate():
+    R = GradedRing(["x", "y"], [0, -1])
+    A = PresentedAlgebra(R, Ideal(R, [R.var("x") ** 2 - R.var("x")]))
+    with pytest.raises(ValueError, match="point lacks coordinates y"):
+        validate_point(A, {"x": Fraction(2)})
 
 
 def test_relative_stabiliser_dim_refuses_a_level_out_of_range(ga_jump):
