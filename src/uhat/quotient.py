@@ -50,7 +50,6 @@ class SliceSet:
     delta_{mu nu} exactly for mu, nu over the split.
     """
 
-    level: int
     weight: int
     split: tuple
     functions: tuple
@@ -72,7 +71,7 @@ def find_slices(action, level, degree_bound):
     data = level_data(action)[level]
     need = len(rows) - data.k
     if need == 0:
-        return SliceSet(level, w, (), ())
+        return SliceSet(w, (), ())
     for deg in range(1, degree_bound + 1):
         monos = algebra.standard_monomials(weight=-w, max_degree=deg)
         if not monos:
@@ -80,7 +79,7 @@ def find_slices(action, level, degree_bound):
         for split in itertools.combinations(rows, need):
             fns = _solve_slice_system(action, split, monos)
             if fns is not None:
-                return SliceSet(level, w, split, tuple(fns))
+                return SliceSet(w, split, tuple(fns))
     raise BoundExhausted(
         f"no slice functions of degree <= {degree_bound} at level {level}",
         degree_bound,
@@ -167,19 +166,21 @@ def dixmier_project(action, split, functions, g):
     nilpotency.  With commuting derivations and exact slice identities this
     is a ring homomorphism fixing invariants and killing the slices.
     """
-    algebra = action.algebra
-    table = _derivative_table(action, split, g)
-    out = action.ring.zero()
-    for n, deriv in table.items():
-        if deriv.is_zero():
-            continue
-        coeff = Fraction((-1) ** sum(n), math.prod(math.factorial(e) for e in n))
-        fn = action.ring.one()
+    pieces = [(n, d) for n, d in _derivative_table(action, split, g).items() if not d.is_zero()]
+    return action.algebra.nf(_slice_sum(pieces, functions, -1, action.ring))
+
+
+def _slice_sum(pieces, functions, sign, ring):
+    """sum over (n, piece) of (sign^{|n|}/n!) piece f^n, f the slice functions."""
+    total = ring.zero()
+    for n, piece in pieces:
+        coeff = Fraction(sign ** sum(n), math.prod(math.factorial(e) for e in n))
+        fn = ring.one()
         for f, e in zip(functions, n):
             if e:
                 fn = fn * f**e
-        out = out + deriv * fn * coeff
-    return algebra.nf(out)
+        total = total + piece * fn * coeff
+    return total
 
 
 @dataclass
@@ -282,15 +283,8 @@ def _reconstructed(stage, name):
     """Evaluate the reconstruction of generator `name` back in the input algebra."""
     algebra = stage.action_in.algebra
     ring = algebra.ring
-    total = ring.zero()
-    for n, expr in stage.reconstruction[name]:
-        coeff = Fraction(1, math.prod(math.factorial(e) for e in n))
-        fn = ring.one()
-        for f, e in zip(stage.slices.functions, n):
-            if e:
-                fn = fn * f**e
-        total = total + expr.substitute(stage.inclusion, ring) * fn * coeff
-    return algebra.nf(total)
+    pieces = [(n, expr.substitute(stage.inclusion, ring)) for n, expr in stage.reconstruction[name]]
+    return algebra.nf(_slice_sum(pieces, stage.slices.functions, 1, ring))
 
 
 def _induced_action(stage):

@@ -216,11 +216,6 @@ class GradedRing:
             order,
         )
 
-    def subring(self, names):
-        """Ring on the given variables, with their weights, under degrevlex."""
-        keep = tuple(names)
-        return GradedRing(keep, tuple(self.weights[self.index(n)] for n in keep))
-
     def monomials_of_degree(self, deg):
         """All exponent tuples of total degree exactly deg."""
         if self.nvars == 0:
@@ -467,9 +462,10 @@ def _word_lcm(a, b, guard):
 def lead_entry(g):
     """One entry of a lead index: (lead word, lead key, lc, tail, span, g).
 
-    lc and the tail's (key, word, coefficient) triples are the terms of
-    `_primitive(g)`, integers with content 1 and lc > 0; a reducer scaled by
-    a nonzero constant leaves every remainder as it is.  span is the word of
+    lc and the tail's (key, word, coefficient) triples are the terms of g
+    scaled to integers with content 1 and lc > 0 (`_integer_terms`), so this
+    is the one place a basis element is scaled; a reducer scaled by a
+    nonzero constant leaves every remainder as it is.  span is the word of
     each base variable's largest exponent in g, with no position part, so
     x^q * g stays below the exponent bound iff span + word(q) sets no guard
     bit, for a base monomial x^q.
@@ -499,6 +495,10 @@ a bound of 1); without a bound, that call's memo grows to 86 k words and
 class LeadIndex:
     """Lead entries of a basis, bucketed by position, with a first-divisor memo.
 
+    `LeadIndex(basis)` indexes the nonzero elements of `basis` in list
+    order, and `add(g)` appends the `lead_entry` of one more nonzero g and
+    returns it, so callers never build entries themselves.
+
     `buckets` maps the position part of each lead word (`ring.positions`)
     to the `lead_entry` of every element led in that position, in basis
     order; a ring without positions has the one bucket 0.  Buckets are only
@@ -516,26 +516,18 @@ class LeadIndex:
 
     __slots__ = ("buckets", "memo")
 
-    def __init__(self, entries=()):
+    def __init__(self, basis=()):
         self.buckets = {}
         self.memo = {}
-        for entry in entries:
-            self.append(entry)
+        for g in basis:
+            if g:
+                self.add(g)
 
-    def append(self, entry):
-        """Append a `lead_entry` to its position's bucket and return it."""
-        self.buckets.setdefault(entry[0] & entry[5].ring.positions, []).append(entry)
+    def add(self, g):
+        """Append the entry of a nonzero g to its position's bucket; return the entry."""
+        entry = lead_entry(g)
+        self.buckets.setdefault(entry[0] & g.ring.positions, []).append(entry)
         return entry
-
-
-def lead_index(basis):
-    """`LeadIndex` of the nonzero elements of `basis`, in list order."""
-    return LeadIndex(lead_entry(g) for g in basis if g)
-
-
-def add_lead(lead, g):
-    """Append the entry of a nonzero g to `lead`; return the entry."""
-    return lead.append(lead_entry(g))
 
 
 def _check_span(ring, span, q):
@@ -629,7 +621,7 @@ def normal_form_list(p, lead):
 
     `lead` is a `LeadIndex`: one `lead_entry` per basis element, bucketed
     by the position part of its lead, with a memo of the divisor found for
-    each word reduced so far; a Buchberger loop calls `add_lead` whenever it
+    each word reduced so far; a Buchberger loop calls its `add` whenever it
     appends to its basis, so no call rebuilds it or loses its memo.  Each
     term is reduced by the first divisor in basis order among the leads in
     its position.  So the remainder depends on the basis order, unless the
@@ -699,13 +691,6 @@ def _integer_terms(p):
     return {m: c // content for m, c in terms.items()}
 
 
-def _primitive(p):
-    """Scale to integer coefficients with positive leading sign and content 1."""
-    if not p:
-        return p
-    return Polynomial(p.ring, {m: Fraction(c) for m, c in _integer_terms(p).items()}, False)
-
-
 def _update_pairs(words, pairs, guard):
     """Gebauer-Moeller pair update after appending the element t led by words[t].
 
@@ -750,15 +735,15 @@ def _update_pairs(words, pairs, guard):
 def buchberger(gens, keep=None, stop=None):
     """Groebner basis via Buchberger with Gebauer-Moeller pair pruning.
 
-    Basis elements are kept primitive over the integers so coefficient
-    growth stays bounded.  Pairs are selected by sugar (Giovini, Mora,
-    Niesi, Robbiano & Traverso, "One sugar cube, please", 1991), ties
-    broken by the smallest lcm and then by the pair formed first.  Each
-    pair enters a heap keyed by (sugar, lcm key, t, i) when `_update_pairs`
-    forms it as (i, t), so the key is computed once; a pair the update later
-    deletes leaves the pending `pairs` at once and the heap when it is
-    popped.  The selection order changes which basis comes out but not its
-    reduced form, which is canonical.
+    Index entries are primitive over the integers, so coefficient growth
+    stays bounded; elements are returned unscaled.  Pairs are selected by
+    sugar (Giovini, Mora, Niesi, Robbiano & Traverso, "One sugar cube,
+    please", 1991), ties broken by the smallest lcm and then by the pair
+    formed first.  Each pair enters a heap keyed by (sugar, lcm key, t, i)
+    when `_update_pairs` forms it as (i, t), so the key is computed once; a
+    pair the update later deletes leaves the pending `pairs` at once and the
+    heap when it is popped.  The selection order changes which basis comes
+    out but not its reduced form, which is canonical.
 
     A nonzero remainder r joins the basis only if `keep(r)` holds, and the
     basis is returned as soon as `stop(g)` holds for an appended element g,
@@ -772,7 +757,7 @@ def buchberger(gens, keep=None, stop=None):
         t = len(G)
         ring = g.ring
         G.append(g)
-        entries.append(add_lead(lead, g))
+        entries.append(lead.add(g))
         words.append(entries[t][0])
         excess.append(sugar - sum(g.lm()))  # sugar above the lead's degree
         for i, L in _update_pairs(words, pairs, ring.guard):
@@ -781,14 +766,14 @@ def buchberger(gens, keep=None, stop=None):
         return stop is not None and stop(g)
 
     for g in gens:
-        if g and add(_primitive(g), g.total_degree()):
+        if g and add(g, g.total_degree()):
             return G
     while heap:
         sugar, _, j, i = heappop(heap)
         if pairs.pop((i, j), None) is None:
             continue  # deleted by an update after it was formed
         r = pair_normal_form(entries[i], entries[j], lead)
-        if r and (keep is None or keep(r)) and add(_primitive(r), sugar):
+        if r and (keep is None or keep(r)) and add(r, sugar):
             return G
     return G
 
@@ -814,7 +799,7 @@ def reduce_groebner(G):
         if all((w - v) & ring.guard for v in words):
             minimal.append(g)
             words.append(w)
-    lead = lead_index(minimal)
+    lead = LeadIndex(minimal)
     reduced = []
     for g in minimal:
         lm = g.lm()
@@ -879,7 +864,7 @@ class Ideal:
 
     def normal_form(self, p):
         if self._lead is None:
-            self._lead = lead_index(self.groebner())
+            self._lead = LeadIndex(self.groebner())
         return normal_form_list(p, self._lead)
 
     def contains(self, p):
@@ -903,14 +888,14 @@ def eliminate(ideal, keep):
     ring = ideal.ring
     keep = list(keep)
     drop = [n for n in ring.names if n not in keep]
-    perm_names = drop + [n for n in ring.names if n in keep]
+    names = [n for n in ring.names if n in keep]
     work = GradedRing(
-        perm_names,
-        [ring.weights[ring.index(n)] for n in perm_names],
+        drop + names,
+        [ring.weights[ring.index(n)] for n in drop + names],
         f"elim:{len(drop)}",
     )
     gb = groebner_basis([g.map_ring(work) for g in ideal.generators])
-    sub = ring.subring([n for n in ring.names if n in keep])
+    sub = GradedRing(names, [ring.weights[ring.index(n)] for n in names])
     kept = []
     for g in gb:
         if all(all(m[i] == 0 for i in range(len(drop))) for m in g.terms):
@@ -1026,7 +1011,7 @@ def _encode(v, mring, rank):
     """The vector {pos: p} over `_position_ring`: each term of p times @e{pos}.
 
     So each term carries one position variable with exponent 1, the one
-    position part by which `lead_index` buckets its leads.
+    position part by which `LeadIndex` buckets its leads.
     """
     terms = {}
     for pos, p in v.items():
@@ -1059,7 +1044,7 @@ def module_groebner(gens, ring, rank):
     mring = _position_ring(ring, rank)
     G = [g for g in (_encode(v, mring, rank) for v in gens) if g]
     lead = LeadIndex()
-    entries = [add_lead(lead, g) for g in G]
+    entries = [lead.add(g) for g in G]
     pos = [e[0] & mring.positions for e in entries]  # position part of each lead
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G)) if pos[i] == pos[j]]
     while pairs:
@@ -1068,7 +1053,7 @@ def module_groebner(gens, ring, rank):
         if r:
             t = len(G)
             G.append(r)
-            entries.append(add_lead(lead, r))
+            entries.append(lead.add(r))
             pos.append(entries[t][0] & mring.positions)
             pairs.extend((k, t) for k in range(t) if pos[k] == pos[t])
     return G
@@ -1086,13 +1071,7 @@ def syzygy_kernel(fmap, relations=None):
     r, s = fmap.codomain_rank, fmap.domain_rank
     if s == 0:
         return []
-    ring = None
-    for row in fmap.matrix:
-        for p in row:
-            ring = p.ring
-            break
-        if ring:
-            break
+    ring = next((row[0].ring for row in fmap.matrix), None)
     if ring is None:
         raise ValueError("empty map needs at least one entry to fix the ring")
     gens = [

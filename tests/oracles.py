@@ -15,11 +15,11 @@ from fractions import Fraction
 from uhat.blowup import E_operator
 from uhat.infinitesimal import infinitesimal_matrix, level_data, pair_coordinates
 from uhat.rings import (
+    LeadIndex,
     Polynomial,
     _decode,
     _encode,
     _position_ring,
-    lead_index,
     minors_ideal_generators,
     module_groebner,
     normal_form_list,
@@ -43,7 +43,7 @@ def every_nonzero_minor(algebra, rows, size):
 
 
 def module_normal_form(v, lead, ring, rank):
-    """Remainder of the vector v under `lead`, the `lead_index` of an encoded basis."""
+    """Remainder of the vector v under `lead`, the `LeadIndex` of an encoded basis."""
     return _decode(normal_form_list(_encode(v, _position_ring(ring, rank), rank), lead), ring)
 
 
@@ -127,8 +127,8 @@ def verify_snake_exactness(action, i, degree=2):
     pairing = level_data(action)[i].pairing
     rels = algebra.relations.groebner()
     # spans of the full pairing in A^{rows_all} and of the relative pairing in A^{r_i}
-    big = lead_index(module_groebner(column_span(mat_i, rels), ring, rows_all))
-    small = lead_index(module_groebner(column_span(pairing, rels), ring, r_i))
+    big = LeadIndex(module_groebner(column_span(mat_i, rels), ring, rows_all))
+    small = LeadIndex(module_groebner(column_span(pairing, rels), ring, r_i))
 
     # image of the relative cokernel lies in the kernel of the projection
     for column in zip(*pairing):

@@ -101,7 +101,7 @@ def test_projection_is_multiplicative(ga_free):
 def test_projection_precondition_violation_reported(ga_jump):
     R = ga_jump.ring
     with pytest.raises(StageError):
-        invariant_presentation(ga_jump, SliceSet(1, 1, (0,), (R.var("y"),)))
+        invariant_presentation(ga_jump, SliceSet(1, (0,), (R.var("y"),)))
 
 
 # -- random commuting-slice instances via triangular automorphisms

@@ -587,3 +587,50 @@ def test_console_entry_point_runs():
     proc = run_cli_process("analyze", "--scenario", str(SCENARIOS / "one_weight_free.uhat"))
     assert proc.returncode == 0
     assert "ss_eq_s" in proc.stdout
+
+
+VERDICTS = (
+    ("k_vector",),
+    ("ss_eq_s", "holds"),
+    ("cdrs", "holds"),
+    ("chart_cdrs", "holds"),
+    ("verification", "ok"),
+    ("chart_quotient", "verification_ok"),
+    ("affine_dimension",),
+    ("chart_quotient", "affine_dimension"),
+)
+
+
+def route_verdicts(path, tmp_path):
+    """Exit code and `VERDICTS` fields (None where absent) of analyze, quotient
+    and blowup --with-quotient on one scenario file, run in-process."""
+    out = {}
+    for command in (["analyze"], ["quotient"], ["blowup", "--with-quotient"]):
+        report = tmp_path / "report.json"
+        report.unlink(missing_ok=True)
+        code = run_cli(*command, "--scenario", str(path), "--json", str(report))
+        data = json.loads(report.read_text()) if report.exists() else {}
+        fields = []
+        for keys in VERDICTS:
+            value = data
+            for key in keys:
+                value = value.get(key) if isinstance(value, dict) else None
+            fields.append(value)
+        out[command[0]] = (code, fields)
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.uhat")), ids=lambda p: p.stem)
+def test_verdicts_do_not_depend_on_the_monomial_order(path, tmp_path, capsys):
+    # Fitting ideals, unit tests and quotients are ideal-theoretic, so the
+    # order only changes which bases are printed, never a verdict
+    text = path.read_text()
+    assert text.count("order: degrevlex\n") == 1
+    nvars = load_scenario(path).ring.nvars
+    want = route_verdicts(path, tmp_path)
+    assert want["analyze"][0] == 0 and want["analyze"][1][0] is not None
+    for order in ("lex", "weighted:" + ",".join(["1"] * nvars)):
+        other = tmp_path / path.name
+        other.write_text(text.replace("order: degrevlex\n", f"order: {order}\n"))
+        assert load_scenario(other).ring.order == order
+        assert route_verdicts(other, tmp_path) == want, order
