@@ -60,7 +60,7 @@ class _Tokens:
 
     def take_int(self):
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             self.error("expected an integer")
@@ -107,13 +107,13 @@ def _atom(toks, ring):
             toks.error("expected ')'")
         toks.pos += 1
         return e
-    if c.isdigit():
+    if c.isdecimal():
         return ring.const(toks.take_rational())
     if c.isalpha() or c in "_@":
         start = toks.pos
         name = toks.take_name()
         if name not in ring._index:
-            toks.error(f"unknown variable {name!r}", start)
+            toks.error(f"unknown name {name!r}", start)
         return ring.var(name)
     toks.error(f"unexpected character {c!r}")
 
@@ -122,7 +122,7 @@ def _factor(toks, ring):
     base = _atom(toks, ring)
     if toks.peek() == "^":
         toks.pos += 1
-        if toks.peek() is None or not toks.peek().isdigit():
+        if toks.peek() is None or not toks.peek().isdecimal():
             toks.error("expected an integer exponent")
         return base ** toks.take_int()
     return base
@@ -203,7 +203,6 @@ def parse_scenario(text):
     lie_weights = []
     lie_basis = []
     brackets = {}
-    bracket_lines = {}
     action_table = {}
     options = Options()
     seen_sections = set()
@@ -280,9 +279,7 @@ def parse_scenario(text):
                     raise ScenarioError("brackets take exactly two arguments", lineno)
                 if (names[0], names[1]) in brackets or (names[1], names[0]) in brackets:
                     raise ScenarioError(f"duplicate bracket [{names[0]}, {names[1]}]", lineno)
-                combo_text, offset = _expression(raw, raw.index("=") + 1)
-                brackets[(names[0], names[1])] = _parse_combination(combo_text, lineno, offset)
-                bracket_lines[(names[0], names[1])] = lineno
+                brackets[(names[0], names[1])] = (*_expression(raw, raw.index("=") + 1), lineno)
             else:
                 raise ScenarioError(f"unexpected lie entry {line!r}", lineno)
         elif section == "action":
@@ -321,13 +318,18 @@ def parse_scenario(text):
     except ValueError as exc:
         raise ScenarioError(f"bad monomial order {order!r}: {exc}", order_line)
     rels = [(src, parse_polynomial(src, ring, lineno, offset)) for src, offset, lineno in relations]
-    basis_names = {n for block in lie_basis for n in block}
-    for (a, b), combo in brackets.items():
-        for name in (a, b, *combo):
-            if name not in basis_names:
-                raise ScenarioError(
-                    f"unknown basis vector {name!r} in bracket", bracket_lines[(a, b)]
-                )
+    # a combination is a linear polynomial in the basis vectors
+    basis_names = list(dict.fromkeys(n for block in lie_basis for n in block))
+    basis = GradedRing(basis_names, [0] * len(basis_names))
+    for (a, b), (src, offset, lineno) in brackets.items():
+        for name in (a, b):
+            if name not in basis._index:
+                raise ScenarioError(f"unknown basis vector {name!r} in bracket", lineno)
+        combo = parse_polynomial(src, basis, lineno, offset)
+        if any(sum(m) != 1 for m in combo.terms):
+            message = f"bracket combination {src!r} is not linear in the basis vectors"
+            raise ScenarioError(message, lineno, offset + 1)
+        brackets[(a, b)] = {basis.names[m.index(1)]: c for m, c in combo.terms.items()}
     try:
         lie = GradedLieAlgebra(lie_weights, lie_basis, brackets)
     except ValueError as exc:
@@ -352,39 +354,6 @@ def _check_name(name, kind, lineno):
             f"{kind} name {name!r} must be a letter or '_' followed by letters, digits or '_'",
             lineno,
         )
-
-
-def _parse_combination(text, lineno, offset):
-    """Rational linear combination of basis names, e.g. '1/2 c + d - e'."""
-    if text == "0":
-        return {}
-    toks = _Tokens(text, lineno, offset)
-    combo = {}
-    sign = 1
-    while True:
-        c = toks.peek()
-        if c is None:
-            break
-        if c == "+":
-            toks.pos += 1
-            sign = 1
-            continue
-        if c == "-":
-            toks.pos += 1
-            sign = -1
-            continue
-        coeff = Fraction(1)
-        if c.isdigit():
-            coeff = toks.take_rational()
-            if toks.peek() == "*":
-                toks.pos += 1
-        c = toks.peek()
-        if c is None or not (c.isalpha() or c == "_"):
-            toks.error("expected a basis vector name")
-        name = toks.take_name()
-        combo[name] = combo.get(name, Fraction(0)) + sign * coeff
-        sign = 1
-    return {k: v for k, v in combo.items() if v}
 
 
 def _expression(raw, start):

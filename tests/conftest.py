@@ -4,74 +4,44 @@ import pathlib
 
 import pytest
 
-from uhat.rings import GradedRing, PresentedAlgebra
-from uhat.lie import DerivationAction, GradedLieAlgebra
+from uhat.scenario import load_scenario
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _scenario_action(name):
+    """A fresh derivation action from `scenarios/<name>.uhat`."""
+    return load_scenario(SCENARIOS / f"{name}.uhat").build()
 
 
 def one_weight_jump():
     """Q[x,y], xi.y = x: the stabiliser jumps along x = 0."""
-    R = GradedRing(["x", "y"], [0, -1])
-    A = PresentedAlgebra(R)
-    L = GradedLieAlgebra([1], [["xi"]])
-    return DerivationAction(A, L, {"xi": {"y": R.var("x")}})
+    return _scenario_action("one_weight")
 
 
 def one_weight_free():
     """Q[x,y], xi.y = 1: free translation."""
-    R = GradedRing(["x", "y"], [0, -1])
-    A = PresentedAlgebra(R)
-    L = GradedLieAlgebra([1], [["xi"]])
-    return DerivationAction(A, L, {"xi": {"y": R.one()}})
+    return _scenario_action("one_weight_free")
 
 
 def two_weight_chain():
     """Q[x,y,z], xi2: z->y->x->0 at weight 1, xi1: z->x at weight 2."""
-    R = GradedRing(["x", "y", "z"], [0, -1, -2])
-    A = PresentedAlgebra(R)
-    L = GradedLieAlgebra([2, 1], [["xi1"], ["xi2"]])
-    return DerivationAction(
-        A, L, {"xi1": {"z": R.var("x")}, "xi2": {"z": R.var("y"), "y": R.var("x")}}
-    )
+    return _scenario_action("two_weight")
 
 
 def heisenberg_free():
     """Heisenberg translating its own coordinate ring (free action)."""
-    R = GradedRing(["p", "q", "c"], [-1, -1, -2])
-    A = PresentedAlgebra(R)
-    L = GradedLieAlgebra([2, 1], [["e_c"], ["e_p", "e_q"]], {("e_p", "e_q"): {"e_c": 1}})
-    return DerivationAction(
-        A,
-        L,
-        {"e_c": {"c": R.one()}, "e_p": {"p": R.one()}, "e_q": {"q": R.one(), "c": R.var("p")}},
-    )
+    return _scenario_action("heisenberg_free")
 
 
 def heisenberg_scaled():
     """Heisenberg action damped by powers of a weight-zero coordinate."""
-    R = GradedRing(["x", "p", "q", "c"], [0, -1, -1, -2])
-    A = PresentedAlgebra(R)
-    L = GradedLieAlgebra([2, 1], [["e_c"], ["e_p", "e_q"]], {("e_p", "e_q"): {"e_c": 1}})
-    x = R.var("x")
-    return DerivationAction(
-        A,
-        L,
-        {
-            "e_c": {"c": x * x},
-            "e_p": {"p": x},
-            "e_q": {"q": x, "c": x * R.var("p")},
-        },
-    )
+    return _scenario_action("heisenberg_scaled")
 
 
 def rank_drop_pair():
     """Two one-weight vectors, one acting by zero: minimal Fitting index 1."""
-    R = GradedRing(["x", "y"], [0, -1])
-    A = PresentedAlgebra(R)
-    L = GradedLieAlgebra([1], [["xi1", "xi2"]])
-    return DerivationAction(A, L, {"xi1": {"y": R.var("x")}})
-
-
-SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+    return _scenario_action("rank_drop_pair")
 
 
 @functools.cache
@@ -88,7 +58,7 @@ def sweep_script():
 def blowup_charts():
     """(label, chart) for the four failing scenario files and the first six sweep instances."""
     from uhat.blowup import build_chart, centre, construct_b
-    from uhat.scenario import Options, load_scenario
+    from uhat.scenario import Options
 
     actions = []
     for name in ("one_weight", "two_weight", "rank_drop_pair", "heisenberg_scaled"):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import uhat.lie
 from uhat.cli import main
@@ -70,9 +71,13 @@ def test_scenario_sources_are_parsed_once(monkeypatch):
         return genuine(text, ring, *position)
 
     monkeypatch.setattr(sc, "parse_polynomial", counting)
-    scenario = load_scenario(SCENARIOS / "heisenberg_scaled.uhat")
+    path = SCENARIOS / "heisenberg_scaled.uhat"
+    scenario = load_scenario(path)
     scenario.build()
-    sources = len(scenario.relations) + sum(len(row) for row in scenario.action_table.values())
+    brackets = path.read_text().count("\nbracket ")
+    assert brackets == 1
+    sources = brackets + len(scenario.relations)
+    sources += sum(len(row) for row in scenario.action_table.values())
     assert len(parsed) == sources
 
 
@@ -317,6 +322,86 @@ def test_zero_denominator_in_a_bracket_is_input_error(tmp_path, capsys):
     assert "zero denominator (line 7, column 20)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        # a bracket combination is a linear polynomial in the basis vectors
+        ("bracket [a, b] = c - - d\n", "unexpected character '-' (line 7, column 22)"),
+        ("bracket [a, b] = c d\n", "trailing input 'd' (line 7, column 20)"),
+        ("bracket [a, b] = c +\n", "unexpected end of expression (line 7, column 21)"),
+        ("bracket [a, b] = - - c\n", "unexpected character '-' (line 7, column 20)"),
+        (
+            "bracket [a, b] = c + 1\n",
+            "bracket combination 'c + 1' is not linear in the basis vectors (line 7, column 18)",
+        ),
+        (
+            "bracket [a, b] = c*d\n",
+            "bracket combination 'c*d' is not linear in the basis vectors (line 7, column 18)",
+        ),
+        # '²'.isdigit() holds, but int('²') raises: numbers take decimal digits only
+        ("[relations]\nx - ²\n", "unexpected character '²' (line 8, column 5)"),
+        ("[action]\nb.y = ²*x\n", "unexpected character '²' (line 8, column 7)"),
+        ("[action]\nb.y = x^²\n", "expected an integer exponent (line 8, column 9)"),
+        ("bracket [a, b] = ²*c\n", "unexpected character '²' (line 7, column 18)"),
+    ],
+    ids=[
+        "bracket-doubled-sign",
+        "bracket-juxtaposed-names",
+        "bracket-dangling-operator",
+        "bracket-leading-doubled-sign",
+        "bracket-constant-term",
+        "bracket-quadratic-term",
+        "superscript-in-relation",
+        "superscript-in-action-entry",
+        "superscript-exponent",
+        "superscript-in-bracket",
+    ],
+)
+def test_malformed_expression_is_input_error_at_its_column(tmp_path, capsys, entry, message):
+    text = "[ring]\nvariables: x:0, y:-1\n\n[lie]\nweight 2: c, d\nweight 1: a, b\n" + entry
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == message
+    bad = tmp_path / "bad.uhat"
+    bad.write_text(text)
+    assert run_cli("analyze", "--scenario", str(bad)) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+# one line of this scenario at a time takes a random fragment in place of its default
+FUZZED_SCENARIO = """[ring]
+variables: x:0, y:-1, w:{weight}
+[relations]
+{relation}
+[lie]
+weight {block}
+weight 1: b
+bracket [a, b] = {bracket}
+[action]
+b.y = {action}
+[options]
+seed = {seed}
+"""
+FUZZ_DEFAULTS = {
+    "weight": "-2",
+    "relation": "",
+    "block": "2: a",
+    "bracket": "0",
+    "action": "x",
+    "seed": "1",
+}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_DEFAULTS)), st.text("xywab019 +-*/^():,²٣½é", max_size=8))
+def test_scenario_parser_raises_only_scenario_errors(slot, fragment):
+    text = FUZZED_SCENARIO.format(**{**FUZZ_DEFAULTS, slot: fragment})
+    try:
+        parse_scenario(text).build()
+    except ScenarioError:
+        pass
+
+
 def test_action_entry_diagnostic_gives_the_column_of_the_line():
     head = "[ring]\nvariables: x:0, y:-1\n\n[lie]\nweight 1: b\n\n[action]\n"
     with pytest.raises(ScenarioError) as err:
@@ -350,20 +435,22 @@ def test_exponent_past_the_bound_is_input_error(tmp_path, capsys, section, line)
 
 
 @pytest.mark.parametrize(
-    "entries, line",
+    "entries, message",
     [
-        ("bracket [a, q] = a\n", 7),
-        ("bracket [b, d] = a\nbracket [a, b] = q\n", 8),
-        ("\n[action]\nb.y = x\n\nc.y = x\nc.x = y\n", 11),
+        ("bracket [a, q] = a\n", "unknown basis vector 'q' in bracket (line 7)"),
+        ("bracket [b, d] = a\nbracket [a, b] = q\n", "unknown name 'q' (line 8, column 18)"),
+        (
+            "\n[action]\nb.y = x\n\nc.y = x\nc.x = y\n",
+            "unknown basis vector 'c' in action table (line 11)",
+        ),
     ],
     ids=["bracket-argument", "bracket-combination", "action-row"],
 )
-def test_unknown_basis_vector_diagnostic_gives_its_line(entries, line):
+def test_unknown_basis_vector_diagnostic_gives_its_line(entries, message):
     head = "[ring]\nvariables: x:0, y:-1\n\n[lie]\nweight 2: a\nweight 1: b, d\n"
     with pytest.raises(ScenarioError) as err:
         parse_scenario(head + entries)
-    assert "unknown basis vector" in str(err.value)
-    assert err.value.line == line
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("option", ["degree_bound", "sample_count", "j_search_degree"])
