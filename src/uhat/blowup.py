@@ -20,8 +20,6 @@ from uhat.rings import (
     PresentedAlgebra,
     determinant,
     matrix_rank,
-    right_nullspace,
-    sparse_system,
 )
 from uhat.rings import eliminate as ring_eliminate
 from uhat.lie import DerivationAction, binom_multi, multi_range, pbw_word
@@ -101,13 +99,17 @@ def product_fitting_ideal(action, start=1):
     return Ideal(action.ring, gens)
 
 
-def check_wuu(action, reduced=False, rng=None, sample_count=20):
+WITNESS_TRIALS = 20  # sampled points before the witness search gives up
+
+
+def check_wuu(action, reduced=False, rng=None):
     """Whether the weight-zero stratum meets the minimal-rank locus.
 
     Decided exactly: the product of the minimal nonzero Fitting ideals must
     not be contained in relations + negative-weight part.  With the reduced
     flag a rational witness point with the expected stabiliser dimension
-    pattern is searched for by sampling the weight-zero locus.
+    pattern is searched for among `WITNESS_TRIALS` points sampled from the
+    weight-zero locus.
     """
     algebra = action.algebra
     ring = action.ring
@@ -122,14 +124,14 @@ def check_wuu(action, reduced=False, rng=None, sample_count=20):
         return False, info
     info["weight_zero_generator"] = str(nonzero[0])
     if reduced:
-        witness = _witness_point(action, ks, rng, sample_count)
+        witness = _witness_point(action, ks, rng)
         info["witness"] = (
             {n: str(v) for n, v in witness.items()} if witness is not None else None
         )
     return True, info
 
 
-def _witness_point(action, ks, rng, sample_count):
+def _witness_point(action, ks, rng):
     import random
 
     rng = rng or random.Random(0)
@@ -139,7 +141,7 @@ def _witness_point(action, ks, rng, sample_count):
     # the corank of u_i's pairing matrix evaluated at the point
     targets = list(itertools.accumulate(ks))
     mats = [infinitesimal_matrix(action, i) for i in range(1, action.lie.nlevels + 1)]
-    for trial in range(sample_count):
+    for trial in range(WITNESS_TRIALS):
         # ring-variable order keeps the report independent of set hashing
         point = {
             n: Fraction(0) if n in neg else Fraction(rng.randint(-3, 3) if trial else 1)
@@ -405,38 +407,13 @@ class BlowupChart:
     scaled_b_names: dict = field(default_factory=dict)  # level -> list of chart names
 
 
-def find_j_members(action, ideal, weight, degree):
-    """Degree-bounded sweep members of one weight, by exact linear algebra.
-
-    Unknown coefficients over the standard monomials of the given weight are
-    constrained by membership of every iterated derivative in the ideal.
-    """
-    algebra = action.algebra
-    ring = action.ring
-    monos = algebra.standard_monomials(weight=weight, max_degree=degree)
-    if not monos:
-        return []
-    nf = algebra.ideal(ideal.generators).normal_form
-    pbws = action.lie.pbw_monomials_of_weight(max(0, -weight), exact=False)
-    columns = [
-        [
-            ((p, mm), c)
-            for p in pbws
-            for mm, c in nf(action.apply_pbw(p, ring.monomial(m))).terms.items()
-        ]
-        for m in monos
-    ]
-    rows, _ = sparse_system(columns)
-    return [Polynomial(ring, dict(zip(monos, vec))) for vec in right_nullspace(rows)]
-
-
-def build_chart(action, centre_data, elements, j_search_degree=0):
+def build_chart(action, centre_data, elements):
     """Present the affine blow-up chart at the witness product.
 
     Chart generators are fractions g/a for the canonical sweep members (the
-    witness product itself and the prefix-scaled level elements), the sweep
-    members found up to `j_search_degree`, closed under the basis derivations.  Relations come
-    from saturating the graph ideal by `a` through an adjoined inverse.
+    witness product itself and the prefix-scaled level elements), closed
+    under the basis derivations.  Relations come from saturating the graph
+    ideal by `a` through an adjoined inverse.
     """
     algebra = action.algebra
     ring = action.ring
@@ -469,11 +446,6 @@ def build_chart(action, centre_data, elements, j_search_degree=0):
         for b in bs:
             names.append(push(prefix * b))
         scaled_names[i] = names
-    if j_search_degree:
-        weights_seen = sorted({w for w in ring.weights if w < 0} | {0})
-        for w in weights_seen:
-            for g in find_j_members(action, centre_data.centre_ideal, w, j_search_degree):
-                push(g)
 
     # close the member list under the basis derivations so the extended
     # action is expressible on chart generators: xi.t_g = scale * t_{xi.g}

@@ -31,6 +31,8 @@ EXIT_REFUSED = 1
 EXIT_INPUT = 2
 EXIT_BOUND = 3
 
+WEIGHT_SAMPLES = 5  # random weight tuples per letter count in `identities`
+
 
 def _render(node, indent=0):
     pad = "  " * indent
@@ -95,14 +97,8 @@ def _load(args):
 
 
 def _check_wuu(scenario, action):
-    """The stratum condition, sampled with the scenario's options."""
-    opts = scenario.options
-    return bl.check_wuu(
-        action,
-        reduced=opts.reduced,
-        rng=random.Random(opts.seed),
-        sample_count=opts.sample_count,
-    )
+    """The stratum condition, with a witness point sampled from the scenario's seed."""
+    return bl.check_wuu(action, reduced=True, rng=random.Random(scenario.options.seed))
 
 
 def _report(args, **fields):
@@ -199,9 +195,7 @@ def cmd_blowup(args):
     try:
         cd = bl.centre(action, scenario.options.degree_bound)
         elements = bl.construct_b(action, cd)
-        chart = bl.build_chart(
-            action, cd, elements, j_search_degree=scenario.options.j_search_degree
-        )
+        chart = bl.build_chart(action, cd, elements)
     except qt.BoundExhausted as exc:
         return _exhausted(args, exc)
     chart_report = bl.verify_chart_cdrs(chart)
@@ -237,7 +231,7 @@ def cmd_blowup(args):
 
 
 def cmd_identities(args):
-    for flag in ("letters", "max_total", "weight_samples", "comult_degree"):
+    for flag in ("letters", "max_total", "comult_degree"):
         value = getattr(args, flag)
         if value < 0:
             raise ScenarioError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
@@ -246,9 +240,7 @@ def cmd_identities(args):
     ok_all = True
     brackets = {}  # complete-bracket memo, shared by both identities for this run only
     for n in range(1, args.letters + 1):
-        tuples = []
-        for _ in range(args.weight_samples):
-            tuples.append(tuple(rng.randint(1, 9) for _ in range(n)))
+        tuples = [tuple(rng.randint(1, 9) for _ in range(n)) for _ in range(WEIGHT_SAMPLES)]
         checked = 0
         failed = []
         for k in multi_range((args.max_total,) * n):
@@ -359,7 +351,6 @@ def main(argv=None):
     common(p, needs_scenario=False)
     p.add_argument("--max-total", type=int, default=4, help="bound on |k|")
     p.add_argument("--letters", type=int, default=3)
-    p.add_argument("--weight-samples", type=int, default=5)
     p.add_argument("--comult-degree", type=int, default=4)
     p.set_defaults(func=cmd_identities)
 

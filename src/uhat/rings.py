@@ -942,19 +942,18 @@ class PresentedAlgebra:
         """
         return Ideal(self.ring, list(gens) + list(self.relations.generators))
 
-    def standard_monomials(self, weight=None, max_degree=8):
-        """Monomials not divisible by any leading relation monomial.
+    def standard_monomials(self, weight, max_degree):
+        """Monomials of one lambda-weight not divisible by any leading relation monomial.
 
-        Restricted to a fixed lambda-weight when `weight` is given; these
-        form a basis of the corresponding finite-dimensional slice of the
-        algebra.
+        Up to `max_degree` they form a basis of that weight's
+        finite-dimensional slice of the algebra.
         """
         ring = self.ring
         leads = [ring.pack(g.lm()) for g in self.relations.groebner()]
         out = []
         for d in range(max_degree + 1):
             for m in ring.monomials_of_degree(d):
-                if weight is not None and ring.monomial_weight(m) != weight:
+                if ring.monomial_weight(m) != weight:
                     continue
                 w = ring.pack(m)
                 if all((w - l) & ring.guard for l in leads):
@@ -1172,23 +1171,6 @@ def matrix_rank(rows):
     return len(rref(rows)[1])
 
 
-def right_nullspace(rows):
-    """Basis of {x : M x = 0} as column vectors (lists of Fractions)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for rowi, pc in enumerate(pivots):
-            v[pc] = -red[rowi][fc]
-        basis.append(v)
-    return basis
-
-
 def sparse_system(columns, keys=()):
     """Dense rows of the linear system with the given sparse columns.
 
@@ -1196,7 +1178,7 @@ def sparse_system(columns, keys=()):
     such as a dict's items(); repeated keys sum.  `keys` are indexed first,
     so a right-hand side may name a key that no column has.  Returns
     (rows, index), index mapping each key to its row.  Without any equation
-    there is one zero row, so `right_nullspace` leaves every unknown free.
+    there is one zero row, so every unknown stays free.
     """
     index = {}
     for key in keys:

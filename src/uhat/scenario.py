@@ -159,10 +159,7 @@ def _expr(toks, ring):
 @dataclass
 class Options:
     degree_bound: int = 8
-    reduced: bool = True
-    sample_count: int = 20
     seed: int = 1
-    j_search_degree: int = 0
 
 
 @dataclass
@@ -206,6 +203,7 @@ def parse_scenario(text):
     action_table = {}
     options = Options()
     seen_sections = set()
+    seen_options = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -296,20 +294,18 @@ def parse_scenario(text):
                 raise ScenarioError("expected 'key = value'", lineno)
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
+            if key not in ("degree_bound", "seed"):
+                raise ScenarioError(f"unknown option {key!r}", lineno)
+            if key in seen_options:
+                raise ScenarioError(f"duplicate option {key!r}", lineno)
+            seen_options.add(key)
             try:
-                if key in ("degree_bound", "sample_count", "seed", "j_search_degree"):
-                    number = int(val)
-                    if number < 0 and key != "seed":
-                        raise ScenarioError(f"option {key!r} must be >= 0, got {number}", lineno)
-                    setattr(options, key, number)
-                elif key == "reduced":
-                    if val.lower() not in ("true", "false"):
-                        raise ValueError(val)
-                    options.reduced = val.lower() == "true"
-                else:
-                    raise ScenarioError(f"unknown option {key!r}", lineno)
+                number = int(val)
             except ValueError:
                 raise ScenarioError(f"bad value {val!r} for option {key!r}", lineno)
+            if number < 0 and key != "seed":
+                raise ScenarioError(f"option {key!r} must be >= 0, got {number}", lineno)
+            setattr(options, key, number)
 
     if not variables:
         raise ScenarioError("missing [ring] variables")

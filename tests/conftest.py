@@ -72,7 +72,7 @@ def blowup_charts():
     for label, action, options in actions:
         cd = centre(action, options.degree_bound)
         elements = construct_b(action, cd)
-        chart = build_chart(action, cd, elements, j_search_degree=options.j_search_degree)
+        chart = build_chart(action, cd, elements)
         charts.append((label, chart))
     return charts
 

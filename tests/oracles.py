@@ -5,7 +5,8 @@ other means: the coaction by its nilpotent expansion, the determinantal
 sum by cofactor expansion, the kernel of a pairing matrix by linear algebra
 on bounded-degree coefficients, the exactness of the snake sequence by
 module membership, and the nonzero minors of a matrix by reducing every
-minor.  No command runs them, and the package checks each certificate
+minor; `right_nullspace` is the exact linear algebra the kernel oracle
+solves with.  No command runs them, and the package checks each certificate
 where it emits it, so they live here rather than in `uhat`.
 """
 
@@ -23,7 +24,7 @@ from uhat.rings import (
     minors_ideal_generators,
     module_groebner,
     normal_form_list,
-    right_nullspace,
+    rref,
     sparse_system,
 )
 
@@ -34,6 +35,23 @@ def column_span(rows, relations):
     out = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
     out.extend({i: f} for f in relations if f for i in range(len(rows)))
     return out
+
+
+def right_nullspace(rows):
+    """Basis of {x : M x = 0} as column vectors (lists of Fractions)."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red, pivots = rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for rowi, pc in enumerate(pivots):
+            v[pc] = -red[rowi][fc]
+        basis.append(v)
+    return basis
 
 
 def every_nonzero_minor(algebra, rows, size):

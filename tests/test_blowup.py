@@ -19,7 +19,6 @@ from uhat.blowup import (
     check_wuu,
     construct_b,
     E_operator,
-    find_j_members,
     j_membership,
     verify_chart_cdrs,
 )
@@ -170,26 +169,6 @@ def test_j_membership_is_an_ideal(chain3):
     test = Ideal(R, list(cd.centre_ideal.generators))
     for g in members:
         assert test.contains(g)
-
-
-def test_j_search_linear_algebra(chain3):
-    cd = centre(chain3)
-    R = chain3.ring
-    found = find_j_members(chain3, cd.centre_ideal, -1, 2)
-    # x*y is the only weight -1 sweep member with degree <= 2
-    assert [str(g) for g in found] == ["x*y"]
-
-
-def test_j_search_members_are_pinned(chain3):
-    cd = centre(chain3)
-    pinned = {
-        0: ["x^2", "x^3"],
-        -1: ["x*y", "x^2*y"],
-        -2: ["x*z", "y^2", "x^2*z", "x*y^2"],
-        -3: ["y*z", "x*y*z", "y^3"],
-    }
-    for w, want in pinned.items():
-        assert [str(g) for g in find_j_members(chain3, cd.centre_ideal, w, 3)] == want, w
 
 
 # -- determinantal operators

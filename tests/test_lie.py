@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uhat.rings import GradedRing, Ideal, PresentedAlgebra, right_nullspace
+from uhat.rings import GradedRing, Ideal, PresentedAlgebra
 from uhat.lie import (
     DerivationAction,
     GradedLieAlgebra,
@@ -17,7 +17,7 @@ from uhat.lie import (
 )
 
 from conftest import heisenberg_free, one_weight_jump, two_weight_chain
-from oracles import coaction_expand
+from oracles import coaction_expand, right_nullspace
 
 
 # -- validation

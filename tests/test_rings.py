@@ -27,7 +27,6 @@ from uhat.rings import (
     normal_form_list,
     pair_normal_form,
     reduce_groebner,
-    right_nullspace,
     solve_linear,
     sparse_system,
     syzygy_kernel,
@@ -37,7 +36,7 @@ from uhat import rings
 from uhat.lie import GradedLieAlgebra
 from uhat.scenario import parse_polynomial
 
-from oracles import module_normal_form
+from oracles import module_normal_form, right_nullspace
 
 
 R2 = GradedRing(["x", "y"], [0, -1])

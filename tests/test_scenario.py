@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -11,6 +12,7 @@ import uhat.lie
 from uhat.cli import main
 from uhat.rings import GradedRing
 from uhat.scenario import (
+    Options,
     ScenarioError,
     load_scenario,
     parse_polynomial,
@@ -453,7 +455,7 @@ def test_unknown_basis_vector_diagnostic_gives_its_line(entries, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("option", ["degree_bound", "sample_count", "j_search_degree"])
+@pytest.mark.parametrize("option", ["degree_bound"])
 def test_negative_count_option_is_input_error(tmp_path, capsys, option):
     head = "[ring]\nvariables: x:0\n\n[options]\n"
     assert getattr(parse_scenario(head + f"{option} = 0\n").options, option) == 0
@@ -462,6 +464,44 @@ def test_negative_count_option_is_input_error(tmp_path, capsys, option):
     assert run_cli("analyze", "--scenario", str(bad)) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error") and option in err and "(line 5)" in err, err
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        # a removed option is refused even at its old default value
+        ("reduced = true", "unknown option 'reduced' (line 12)"),
+        ("sample_count = 20", "unknown option 'sample_count' (line 12)"),
+        ("j_search_degree = 0", "unknown option 'j_search_degree' (line 12)"),
+        ("seed = 5", "duplicate option 'seed' (line 12)"),
+        ("degree_bound = 3\ndegree_bound = 4", "duplicate option 'degree_bound' (line 13)"),
+    ],
+    ids=["reduced", "sample_count", "j_search_degree", "repeated-seed", "repeated-degree_bound"],
+)
+def test_option_error_is_input_error_at_its_line(tmp_path, capsys, entries, message):
+    text = "[ring]\nvariables: x:0, y:-1\n\n[lie]\nweight 1: xi\n\n[action]\nxi.y = x\n"
+    text += f"\n[options]\nseed = 1\n{entries}\n"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == message
+    bad = tmp_path / "bad.uhat"
+    bad.write_text(text)
+    assert run_cli("analyze", "--scenario", str(bad)) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_readme_scenario_example_sets_every_option():
+    # the documented format is the parsed one: README's example builds, and
+    # its [options] block gives each field of Options once, at its default
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert readme.count("```ini\n") == 1
+    example = readme.split("```ini\n")[1].split("```")[0]
+    scenario = parse_scenario(example)
+    scenario.build()
+    block = example.split("[options]\n")[1]
+    keys = [line.split("=")[0].strip() for line in block.splitlines() if "=" in line]
+    assert keys == [f.name for f in dataclasses.fields(Options)]
+    assert scenario.options == Options()
 
 
 def test_negative_degree_bound_flag_is_input_error(capsys):
@@ -636,9 +676,9 @@ def test_identities_command():
     assert run_cli("identities", "--max-total", "2", "--letters", "2", "--comult-degree", "2") == 0
 
 
-@pytest.mark.parametrize("flag", ["--letters", "--max-total", "--weight-samples", "--comult-degree"])
+@pytest.mark.parametrize("flag", ["--letters", "--max-total", "--comult-degree"])
 def test_negative_identities_count_is_input_error(capsys, flag):
-    small = ["--letters", "1", "--max-total", "1", "--weight-samples", "1", "--comult-degree", "1"]
+    small = ["--letters", "1", "--max-total", "1", "--comult-degree", "1"]
     assert run_cli("identities", *small, flag, "0") == 0
     capsys.readouterr()
     assert run_cli("identities", *small, flag, "-1") == 2
@@ -662,9 +702,10 @@ def test_identities_bracket_memo_lasts_one_run(monkeypatch, capsys):
     assert len(memos) == 2 and None not in memos
 
 
-@pytest.mark.parametrize("flag", ["--degree-bound", "--pbw-bound"])
+@pytest.mark.parametrize("flag", ["--degree-bound", "--pbw-bound", "--weight-samples"])
 def test_identities_rejects_scenario_bounds(flag):
-    # the bounds configure scenario computations; identities has none to bound
+    # the bounds configure scenario computations; identities has none to bound,
+    # and it draws a fixed number of weight tuples
     with pytest.raises(SystemExit) as exc:
         main(["identities", flag, "1"])
     assert exc.value.code == 2
