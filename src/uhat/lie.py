@@ -27,26 +27,27 @@ from uhat.rings import GradedRing, Polynomial
 def free_complete_bracket(word, memo=None):
     """[a_1, [a_2, ... a_m]] in the free associative algebra, as {word: int}.
 
-    Closed form of the right-normed bracket (Reutenauer, *Free Lie Algebras*,
-    1993): the sum over subsets I of {1..m-1} of (-1)^(m-1-|I|) times the
-    letters of I in order, then a_m, then the other letters in reverse order.
-    `memo` maps words to their brackets; pass one dict to share the work
-    between calls.  The returned map may be the memo's own, so it is read only.
+    Built from the suffix bracket B = [a_2, ... a_m]] as a_1 B - B a_1, so
+    every suffix of `word` is bracketed once.  `memo` maps words to their
+    brackets; pass one dict to share the suffixes between calls.  The
+    returned map may be the memo's own, so it is read only.
     """
     if not word:
         raise ValueError("complete bracket needs at least one letter")
-    if memo is not None and word in memo:
-        return memo[word]
-    *head, last = word
-    out = {}
-    for picks in itertools.product((True, False), repeat=len(head)):
-        left = tuple(a for a, p in zip(head, picks) if p)
-        right = tuple(a for a, p in zip(reversed(head), reversed(picks)) if not p)
-        w = left + (last,) + right
-        out[w] = out.get(w, 0) + (-1) ** len(right)
-    out = _nonzero(out)
-    if memo is not None:
-        memo[word] = out
+    if memo is None:
+        memo = {}
+    out = memo.get(word)
+    if out is not None:
+        return out
+    if len(word) == 1:
+        out = {word: 1}
+    else:
+        head, suffix = word[:1], word[1:]
+        inner = free_complete_bracket(suffix, memo)
+        out = {head + w: c for w, c in inner.items()}
+        _add_bracket_term(out, inner, head, -1)
+        out = _nonzero(out)
+    memo[word] = out
     return out
 
 
@@ -71,25 +72,45 @@ def binom_multi(k, s):
     return math.prod(math.comb(ki, si) for ki, si in zip(k, s))
 
 
+def _weighted_parts(n, k, memo):
+    """[B_0, ..., B_{n-1}], B_i the sum of C(k,s) [y^s]] y^{k-s} over 0 < s <= k.
+
+    The sum for B_i runs over the s whose last nonzero index is i.  The
+    weighted identity's right side is sum_i w_i B_i, so one expansion serves
+    every weight tuple.  It is kept in `memo` under ("weighted", n, k), which
+    no word equals, as words hold only letters.
+    """
+    key = ("weighted", n, k)
+    if key not in memo:
+        parts = [{} for _ in range(n)]
+        for s in multi_range(k):
+            if sum(s) == 0:
+                continue
+            last = max(i for i in range(n) if s[i])
+            tail = pbw_word(tuple(ki - si for ki, si in zip(k, s)))
+            bracket = free_complete_bracket(pbw_word(s), memo)
+            _add_bracket_term(parts[last], bracket, tail, binom_multi(k, s))
+        memo[key] = parts
+    return memo[key]
+
+
 def verify_weighted_bracket_identity(n, weights, k, degree_cap=8, memo=None):
     """Check (sum k_i w_i) y^k = sum_{0<s<=k} C(k,s) w_max(s) [y^s]] y^{k-s}.
 
     Exact expansion in the free algebra on n letters; coefficients stay
     integers for integer weights.  Returns (ok, info) where info carries
     both sides, as {word: coefficient} maps, on failure.  `memo` is passed
-    to `free_complete_bracket`.
+    to `free_complete_bracket` and also keeps the weight-free parts of the
+    right side (`_weighted_parts`), so other weight tuples at the same k
+    only recombine them.
     """
     k = tuple(k)
     if sum(k) > degree_cap:
         raise ValueError("degree cap exceeded")
     lhs = _nonzero({pbw_word(k): sum(ki * wi for ki, wi in zip(k, weights))})
     rhs = {}
-    for s in multi_range(k):
-        if sum(s) == 0:
-            continue
-        wmax = weights[max(i for i in range(n) if s[i])]
-        tail = pbw_word(tuple(ki - si for ki, si in zip(k, s)))
-        _add_bracket_term(rhs, free_complete_bracket(pbw_word(s), memo), tail, binom_multi(k, s) * wmax)
+    for i, part in enumerate(_weighted_parts(n, k, {} if memo is None else memo)):
+        _add_bracket_term(rhs, part, (), weights[i])
     rhs = _nonzero(rhs)
     ok = lhs == rhs
     return ok, None if ok else {"k": k, "weights": list(weights), "lhs": lhs, "rhs": rhs}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +314,18 @@ class Polynomial:
             if c == 0:
                 return self.ring.zero()
             return Polynomial(self.ring, {m: v * c for m, v in self.terms.items()}, False)
+        # integer numerators over the product of the two common denominators,
+        # so only the output terms become Fractions
         other = self._coerce(other)
+        da, left = _numerators(self)
+        db, right = _numerators(other)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Polynomial(self.ring, out, False)
+        for m1, c1 in left.items():
+            for m2, c2 in right.items():
+                m = tuple(map(add, m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        den = da * db
+        return Polynomial(self.ring, {m: Fraction(c, den) for m, c in out.items() if c}, False)
 
     __rmul__ = __mul__
 
@@ -883,7 +884,10 @@ def eliminate(ideal, keep):
     """Intersection of `ideal` with the subring on the `keep` variables.
 
     Internally permutes the variables so the discarded block comes first and
-    runs Buchberger under a block elimination order.
+    runs Buchberger under a block elimination order.  That order is degrevlex
+    on the kept block, so the kept elements of the reduced basis are already
+    the reduced basis of the result, in its order, and serve as its Groebner
+    basis.
     """
     ring = ideal.ring
     keep = list(keep)
@@ -900,7 +904,9 @@ def eliminate(ideal, keep):
     for g in gb:
         if all(all(m[i] == 0 for i in range(len(drop))) for m in g.terms):
             kept.append(g.map_ring(sub))
-    return Ideal(sub, kept)
+    out = Ideal(sub, kept)
+    out._gb = kept
+    return out
 
 
 # ---------------------------------------------------------------------------

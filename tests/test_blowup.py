@@ -481,19 +481,20 @@ def test_blowup_repairs_every_failing_fixture():
 
 
 # S-pairs `buchberger` reduces during `blowup --with-quotient`; the plain
-# smallest-lcm selection reduced 1144 and 134
+# smallest-lcm selection reduced 1144 and 134, and running Buchberger again
+# on the basis `eliminate` keeps added 18 and 2 to the pinned counts
 @pytest.mark.parametrize(
-    "name, pinned, lcm_order", [("heisenberg_scaled", 269, 1144), ("two_weight", 60, 134)]
+    "name, pinned, lcm_order", [("heisenberg_scaled", 251, 1144), ("two_weight", 58, 134)]
 )
 def test_buchberger_s_pair_count_is_pinned(monkeypatch, capsys, name, pinned, lcm_order):
     reduced, inside = 0, False
     real_buchberger, real_pair_normal_form = rings.buchberger, rings.pair_normal_form
 
-    def buchberger(gens):
+    def buchberger(*args, **kwargs):
         nonlocal inside
         inside = True
         try:
-            return real_buchberger(gens)
+            return real_buchberger(*args, **kwargs)
         finally:
             inside = False
 

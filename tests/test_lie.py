@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -169,6 +170,22 @@ def _commutator_bracket(word):
     return el
 
 
+def _closed_form_bracket(word):
+    """Reference: Reutenauer's closed form (*Free Lie Algebras*, 1993).
+
+    The sum over subsets I of {1..m-1} of (-1)^(m-1-|I|) times the letters
+    of I in order, then a_m, then the other letters in reverse order.
+    """
+    *head, last = word
+    out = {}
+    for picks in itertools.product((True, False), repeat=len(head)):
+        left = tuple(a for a, p in zip(head, picks) if p)
+        right = tuple(a for a, p in zip(reversed(head), reversed(picks)) if not p)
+        w = left + (last,) + right
+        out[w] = out.get(w, 0) + (-1) ** len(right)
+    return {w: c for w, c in out.items() if c}
+
+
 def test_free_complete_bracket_matches_commutator_recursion():
     rng = random.Random(11)
     memo = {}
@@ -179,11 +196,33 @@ def test_free_complete_bracket_matches_commutator_recursion():
     assert sum(len(set(w)) < len(w) for w in words) > 100  # repeated letters are covered
     for word in words:
         expected = _commutator_bracket(word)
+        assert _closed_form_bracket(word) == expected, word
         assert free_complete_bracket(word) == expected, word
         assert free_complete_bracket(word, memo) == expected, word
     assert free_complete_bracket((0, 1)) == {(0, 1): 1, (1, 0): -1}
     assert free_complete_bracket((0, 0)) == {}
     assert all(type(c) is int for b in memo.values() for c in b.values())
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[(3, 1), (1, 1), (9, 4)], [(Fraction(3, 2), Fraction(1, 3)), (Fraction(-1, 2), Fraction(5))]],
+    ids=["int", "Fraction"],
+)
+def test_identities_fail_on_a_wrong_memoised_bracket(weights):
+    # [a_0, a_1] with a stray word: every check that reads it must fail, also
+    # once the weighted expansion at k is cached for the later weight tuples
+    wrong = {(0, 1): 1, (1, 0): -1, (1, 1): 1}
+    for k in [(1, 1), (2, 1), (1, 2)]:
+        assert all(verify_weighted_bracket_identity(2, w, k, memo={})[0] for w in weights)
+        memo = {(0, 1): wrong}
+        for w in weights:
+            ok, info = verify_weighted_bracket_identity(2, w, k, memo=memo)
+            assert not ok and info["lhs"] != info["rhs"], (k, w)
+    for k in [(0,), (1,), (2,)]:
+        assert verify_commutator_identity(1, k, memo={})[0]
+        # y is letter 1 here, so (0, 1) is [x, y], a suffix of [x^k y]] for k >= 1
+        assert verify_commutator_identity(1, k, memo={(0, 1): wrong})[0] == (k == (0,))
 
 
 # -- coaction expansion

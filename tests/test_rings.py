@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 from fractions import Fraction
 
@@ -845,6 +846,28 @@ def test_eliminate_trivial_cases():
     assert E.is_unit()
 
 
+@pytest.mark.parametrize("k", range(5))
+def test_eliminate_kept_elements_are_a_reduced_basis(k):
+    # elim:k is degrevlex on the kept block, so the kept elements of the
+    # reduced basis are the reduced basis of the intersection, in its order
+    names = ["x", "y", "z", "w"]
+    ring = GradedRing(names, [0, -1, 0, -2])
+    rng = random.Random(60 + k)
+    proper = 0
+    for _ in range(20):
+        drop = rng.sample(names, k)
+        # a dropped variable minus a few terms each, so the intersection is rarely zero
+        gens = random_ideal(rng, ring, 3, 2)[: rng.randint(1, 3)]
+        gens += [ring.var(v) - random_ideal(rng, ring, 2, 1)[0] for v in drop]
+        E = eliminate(Ideal(ring, gens), [n for n in names if n not in drop])
+        assert E.ring.names == tuple(n for n in names if n not in drop)
+        kept = list(E.generators)
+        assert groebner_basis(kept) == kept
+        assert E.groebner() == kept
+        proper += bool(kept) and not E.is_unit()
+    assert proper >= (5 if k < 4 else 0), proper
+
+
 def test_substitute_into_another_ring_with_constant_values():
     S = GradedRing(["u"], [-1])
     u = S.var("u")
@@ -853,6 +876,58 @@ def test_substitute_into_another_ring_with_constant_values():
     # a constant polynomial lands in the target ring even when nothing is substituted
     assert R2.const(5).substitute({}, S) == S.const(5)
     assert (X * Y).substitute({"x": 0, "y": u}, S).is_zero()
+
+
+# -- products
+
+
+def fraction_product(p, q):
+    """Reference: p * q term by term in Fractions, zero sums dropped at the end."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def test_product_matches_term_by_term_fractions():
+    ring = GradedRing(["x", "y", "z"], [0, -1, -2])
+    x, y = ring.var("x"), ring.var("y")
+    rng = random.Random(29)
+
+    def rand_poly():
+        # few monomials and coefficients, so products often cancel
+        terms = {
+            tuple(rng.randint(0, 1) for _ in range(3)): Fraction(
+                rng.choice([-3, -1, 1, 3]), rng.choice([1, 2, 9])
+            )
+            for _ in range(rng.randint(1, 6))
+        }
+        return Polynomial(ring, terms)
+
+    polys = [ring.zero(), ring.one(), ring.const(Fraction(-2, 3)), x - y, x + y]
+    polys += [x * Fraction(1, 2) - y * Fraction(1, 3)] + [rand_poly() for _ in range(40)]
+    cancelled = 0
+    for p in polys:
+        for q in polys:
+            got = p * q
+            assert got.terms == fraction_product(p, q), (p, q)
+            assert all(type(c) is Fraction and c for c in got.terms.values())
+            sums = {tuple(a + b for a, b in zip(m1, m2)) for m1 in p.terms for m2 in q.terms}
+            cancelled += len(sums) > len(got.terms)
+    assert cancelled > 20, cancelled
+    assert ((x - y) * (x + y)).terms == {(2, 0, 0): 1, (0, 2, 0): -1}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 24])
+def test_binomial_power_coefficients(n):
+    assert ((X + Y) ** n).terms == {(i, n - i): math.comb(n, i) for i in range(n + 1)}
+    half, third = X * Fraction(1, 2), Y * Fraction(-1, 3)
+    assert ((half + third) ** n).terms == {
+        (i, n - i): math.comb(n, i) * Fraction(1, 2) ** i * Fraction(-1, 3) ** (n - i)
+        for i in range(n + 1)
+    }
 
 
 # -- weight decomposition

@@ -686,14 +686,35 @@ def test_negative_identities_count_is_input_error(capsys, flag):
     assert out.err.startswith(f"input error: {flag} must be >= 0") and not out.out
 
 
+def test_identities_report_is_pinned_across_hash_seeds(tmp_path):
+    # the README example: 20/70/170 (k, weight tuple) checks, and the comult
+    # tables' entries for the additive line, plane and Heisenberg group
+    outs = []
+    for hash_seed in (0, 1):
+        out = tmp_path / f"seed{hash_seed}.json"
+        args = ("identities", "--max-total", "4", "--letters", "3", "--comult-degree", "4")
+        proc = run_cli_process(*args, "--json", str(out), hash_seed=hash_seed)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    data = json.loads(outs[0])
+    assert data["ok"] is True
+    checked = {n: v["checked"] for n, v in data["weighted_bracket"].items()}
+    assert checked == {"letters_1": 20, "letters_2": 70, "letters_3": 170}
+    assert not any(v["failures"] for v in data["weighted_bracket"].values())
+    entries = {g: v["entries"] for g, v in data["comult"].items()}
+    assert entries == {"additive": 15, "additive_2": 70, "heisenberg": 330}
+    assert not any(v["failures"] for v in data["comult"].values())
+
+
 def test_identities_bracket_memo_lasts_one_run(monkeypatch, capsys):
     memos = []
-    closed_form = uhat.lie.free_complete_bracket
+    genuine = uhat.lie.free_complete_bracket
 
     def spy(word, memo=None):
         if not any(m is memo for m in memos):
             memos.append(memo)
-        return closed_form(word, memo)
+        return genuine(word, memo)
 
     monkeypatch.setattr(uhat.lie, "free_complete_bracket", spy)
     for _ in range(2):
