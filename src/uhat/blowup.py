@@ -413,7 +413,9 @@ def build_chart(action, centre_data, elements):
     Chart generators are fractions g/a for the canonical sweep members (the
     witness product itself and the prefix-scaled level elements), closed
     under the basis derivations.  Relations come from saturating the graph
-    ideal by `a` through an adjoined inverse.
+    ideal by `a` through an adjoined inverse.  A witness product that is
+    zero or nilpotent modulo the relations raises VerificationFailed: its
+    chart is empty and repairs nothing.
     """
     algebra = action.algebra
     ring = action.ring
@@ -438,6 +440,8 @@ def build_chart(action, centre_data, elements):
         lookup[key] = (name, g.lc())
         return name, Fraction(1)
 
+    if algebra.is_zero(a):
+        raise VerificationFailed("the witness product is zero modulo the relations", str(a))
     push(a)
     scaled_names = {}
     for i, bs in sorted(elements.per_level.items()):
@@ -489,6 +493,11 @@ def build_chart(action, centre_data, elements):
     saturated = ring_eliminate(Ideal(big, gens), list(ring.names) + tnames)
     chart_ring = saturated.ring
     chart_algebra = PresentedAlgebra(chart_ring, saturated)
+    if chart_algebra.is_empty():
+        # 1 lies in relations + (a @inv - 1) exactly when a is nilpotent
+        raise VerificationFailed(
+            "the witness product is nilpotent modulo the relations: the chart is empty", str(a)
+        )
 
     table = {}
     for bi, bname in enumerate(lie.basis_names):

@@ -289,12 +289,13 @@ def _comult_lemma_failures(table, n, degree):
         for (beta, gamma), c in entry.items():
             if beta == zero and c != (1 if gamma == alpha else 0):
                 failures.append({"kind": "counit", "alpha": alpha, "gamma": gamma, "value": str(c)})
+    units = [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
     for alpha, entry in table.items():
-        for j in range(n):
-            ej = tuple(1 if t == j else 0 for t in range(n))
-            for beta in {bg[0] for bg in entry}:
-                if sum(alpha) != sum(beta) + 1:
-                    continue
+        # the betas one below alpha, in the order of the set of all of them
+        below = sum(alpha) - 1
+        betas = [beta for beta in {bg[0] for bg in entry} if sum(beta) == below]
+        for j, ej in enumerate(units):
+            for beta in betas:
                 c = entry.get((beta, ej), 0)
                 expected_nonzero = alpha == tuple(b + e for b, e in zip(beta, ej))
                 if bool(c) != expected_nonzero:

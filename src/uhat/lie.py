@@ -14,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from uhat.rings import GradedRing, Polynomial
+from uhat.rings import GradedRing, Polynomial, numerator_product, numerators
 
 
 # ---------------------------------------------------------------------------
@@ -72,26 +72,35 @@ def binom_multi(k, s):
     return math.prod(math.comb(ki, si) for ki, si in zip(k, s))
 
 
-def _weighted_parts(n, k, memo):
-    """[B_0, ..., B_{n-1}], B_i the sum of C(k,s) [y^s]] y^{k-s} over 0 < s <= k.
+def _weighted_parts(k, memo):
+    """[B_0, ..., B_{n-1}] for n = len(k), as {word: int} maps.
 
-    The sum for B_i runs over the s whose last nonzero index is i.  The
-    weighted identity's right side is sum_i w_i B_i, so one expansion serves
-    every weight tuple.  It is kept in `memo` under ("weighted", n, k), which
-    no word equals, as words hold only letters.
+    B_i sums C(k,s) [y^s]] y^{k-s} over the 0 < s <= k whose last nonzero
+    index is i, so the weighted identity's right side is sum_i w_i B_i.
+    `memo` is passed to `free_complete_bracket`.
     """
-    key = ("weighted", n, k)
-    if key not in memo:
-        parts = [{} for _ in range(n)]
-        for s in multi_range(k):
-            if sum(s) == 0:
-                continue
-            last = max(i for i in range(n) if s[i])
+    parts = [{} for _ in k]
+    for s in multi_range(k):
+        if any(s):
+            last = max(i for i, si in enumerate(s) if si)
             tail = pbw_word(tuple(ki - si for ki, si in zip(k, s)))
             bracket = free_complete_bracket(pbw_word(s), memo)
             _add_bracket_term(parts[last], bracket, tail, binom_multi(k, s))
-        memo[key] = parts
-    return memo[key]
+    return [_nonzero(part) for part in parts]
+
+
+def _weighted_sides(weights, k, parts):
+    """Both sides of the weighted identity at k, from its parts."""
+    lhs = _nonzero({pbw_word(k): sum(ki * wi for ki, wi in zip(k, weights))})
+    rhs = {}
+    for wi, part in zip(weights, parts):
+        _add_bracket_term(rhs, part, (), wi)
+    return lhs, _nonzero(rhs)
+
+
+def _support(k):
+    """The indices of the nonzero entries of k, in order."""
+    return [i for i, ki in enumerate(k) if ki]
 
 
 def verify_weighted_bracket_identity(n, weights, k, degree_cap=8, memo=None):
@@ -99,40 +108,76 @@ def verify_weighted_bracket_identity(n, weights, k, degree_cap=8, memo=None):
 
     Exact expansion in the free algebra on n letters; coefficients stay
     integers for integer weights.  Returns (ok, info) where info carries
-    both sides, as {word: coefficient} maps, on failure.  `memo` is passed
-    to `free_complete_bracket` and also keeps the weight-free parts of the
-    right side (`_weighted_parts`), so other weight tuples at the same k
-    only recombine them.
+    both sides, as {word: coefficient} maps, on failure.
+
+    With `memo` (passed to `free_complete_bracket`), k is decided through
+    its support instance k': the nonzero entries of k, on letters
+    0..n'-1.  Only letters with k_i > 0 occur on either side, and the
+    order-preserving relabelling j -> supp[j] maps the words of the k'
+    instance onto those of k term by term, so the verdicts agree.  The
+    identity holds for every weight tuple exactly when each part B_i of
+    k' (`_weighted_parts`) is k'_i y^k'; that verdict is kept in `memo`
+    under ("weighted", k'), which no word equals, as words hold only
+    letters.  When it fails, the weight tuple is checked on the support
+    instance, and a failing k is expanded again on its own letters for
+    `info`.
     """
     k = tuple(k)
     if sum(k) > degree_cap:
         raise ValueError("degree cap exceeded")
-    lhs = _nonzero({pbw_word(k): sum(ki * wi for ki, wi in zip(k, weights))})
-    rhs = {}
-    for i, part in enumerate(_weighted_parts(n, k, {} if memo is None else memo)):
-        _add_bracket_term(rhs, part, (), weights[i])
-    rhs = _nonzero(rhs)
-    ok = lhs == rhs
+    if memo is None:
+        lhs, rhs = _weighted_sides(weights, k, _weighted_parts(k, {}))
+        ok = lhs == rhs
+    else:
+        supp = _support(k)
+        ks = tuple(k[i] for i in supp)
+        key = ("weighted", ks)
+        if key not in memo:
+            word = pbw_word(ks)
+            memo[key] = _weighted_parts(ks, memo) == [{word: ki} for ki in ks]
+        ok = memo[key]
+        if not ok:
+            ws = [weights[i] for i in supp]
+            lhs, rhs = _weighted_sides(ws, ks, _weighted_parts(ks, memo))
+            ok = lhs == rhs
+        if not ok:
+            lhs, rhs = _weighted_sides(weights, k, _weighted_parts(k, memo))
     return ok, None if ok else {"k": k, "weights": list(weights), "lhs": lhs, "rhs": rhs}
+
+
+def _commutator_sides(k, y, memo):
+    """Both sides of the commutator identity at k, with y the given letter."""
+    lhs = {pbw_word(k) + (y,): 1}
+    rhs = {}
+    for s in multi_range(k):
+        bracket_word = pbw_word(tuple(ki - si for ki, si in zip(k, s))) + (y,)
+        _add_bracket_term(rhs, free_complete_bracket(bracket_word, memo), pbw_word(s), binom_multi(k, s))
+    return lhs, _nonzero(rhs)
 
 
 def verify_commutator_identity(n, k, degree_cap=8, memo=None):
     """Check x^k y = sum_{0<=s<=k} C(k,s) [x^{k-s} y]] x^s in the free algebra.
 
     The letter y is represented by index n (after the x letters 0..n-1).
-    `memo` is passed to `free_complete_bracket`.
+    With `memo` (passed to `free_complete_bracket`), k is decided through
+    its support instance as in `verify_weighted_bracket_identity`, with y
+    relabelled to n'; the verdict is kept under ("commutator", k').
     """
     k = tuple(k)
     if sum(k) > degree_cap:
         raise ValueError("degree cap exceeded")
-    y = n
-    lhs = {pbw_word(k) + (y,): 1}
-    rhs = {}
-    for s in multi_range(k):
-        bracket_word = pbw_word(tuple(ki - si for ki, si in zip(k, s))) + (y,)
-        _add_bracket_term(rhs, free_complete_bracket(bracket_word, memo), pbw_word(s), binom_multi(k, s))
-    rhs = _nonzero(rhs)
-    ok = lhs == rhs
+    if memo is None:
+        lhs, rhs = _commutator_sides(k, n, {})
+        ok = lhs == rhs
+    else:
+        ks = tuple(k[i] for i in _support(k))
+        key = ("commutator", ks)
+        if key not in memo:
+            lhs, rhs = _commutator_sides(ks, len(ks), memo)
+            memo[key] = lhs == rhs
+        ok = memo[key]
+        if not ok:
+            lhs, rhs = _commutator_sides(k, n, memo)
     return ok, None if ok else {"k": k, "lhs": lhs, "rhs": rhs}
 
 
@@ -497,24 +542,29 @@ def comult_coefficients(lie, degree_bound):
 
     Computed from the exact group law: mu*(u^alpha) is the product of the
     multiplication polynomials, read off in the two coordinate blocks.
-    Returns a map alpha -> {(beta, gamma): Fraction}.
+    The products stay integer numerators over one denominator
+    (`rings.numerator_product`), so each table entry is the one Fraction
+    built.  Returns a map alpha -> {(beta, gamma): Fraction}.
     """
     ring, law = group_law(lie)
     table = {}
-    _fill_comult_rows(table, law, lie.dim, degree_bound, (), ring.one())
+    law = [numerators(m) for m in law]
+    _fill_comult_rows(table, law, lie.dim, degree_bound, (), (1, {(0,) * ring.nvars: 1}))
     return table
 
 
 def _fill_comult_rows(table, law, n, degree_bound, alpha, p):
     """Add every row of the table whose index extends the prefix alpha, with product p.
 
-    A module function, not a closure: a recursive closure is a reference
-    cycle that would keep each table alive until the cyclic collector runs.
+    `law` and p are (den, {monomial: numerator}) pairs.  A module
+    function, not a closure: a recursive closure is a reference cycle that
+    would keep each table alive until the cyclic collector runs.
     """
     if len(alpha) == n:
+        den, nums = p
         table[alpha] = {
-            (m[:n], m[n:]): c
-            for m, c in p.terms.items()
+            (m[:n], m[n:]): Fraction(c, den)
+            for m, c in nums.items()
             if sum(m[:n]) <= degree_bound and sum(m[n:]) <= degree_bound
         }
         return
@@ -522,5 +572,5 @@ def _fill_comult_rows(table, law, n, degree_bound, alpha, p):
     for a in range(degree_bound - sum(alpha) + 1):
         if a:
             # p(alpha + a e_i) = p(alpha + (a - 1) e_i) * m_i, i being its last nonzero index
-            p = p * law[i]
+            p = numerator_product(p, law[i])
         _fill_comult_rows(table, law, n, degree_bound, alpha + (a,), p)

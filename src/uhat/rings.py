@@ -314,18 +314,8 @@ class Polynomial:
             if c == 0:
                 return self.ring.zero()
             return Polynomial(self.ring, {m: v * c for m, v in self.terms.items()}, False)
-        # integer numerators over the product of the two common denominators,
-        # so only the output terms become Fractions
-        other = self._coerce(other)
-        da, left = _numerators(self)
-        db, right = _numerators(other)
-        out = {}
-        for m1, c1 in left.items():
-            for m2, c2 in right.items():
-                m = tuple(map(add, m1, m2))
-                out[m] = out.get(m, 0) + c1 * c2
-        den = da * db
-        return Polynomial(self.ring, {m: Fraction(c, den) for m, c in out.items() if c}, False)
+        den, out = numerator_product(numerators(self), numerators(self._coerce(other)))
+        return Polynomial(self.ring, {m: Fraction(c, den) for m, c in out.items()}, False)
 
     __rmul__ = __mul__
 
@@ -633,7 +623,7 @@ def normal_form_list(p, lead):
     if not lead.buckets:
         return p
     ring = p.ring
-    den, nums = _numerators(p)
+    den, nums = numerators(p)
     work = {-ring.key(m): [a, ring.pack(m)] for m, a in nums.items()}
     return _reduce(ring, work, den, lead)
 
@@ -677,15 +667,31 @@ def pair_normal_form(f, g, lead):
     return _reduce(ring, work, cf // h * cg, lead)
 
 
-def _numerators(p):
+def numerators(p):
     """(den, {monomial: numerator}): p = sum(num x^m) / den, den the lcm of p's denominators."""
     den = lcm(*(c.denominator for c in p.terms.values()))
     return den, {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
 
 
+def numerator_product(a, b):
+    """The product of two (den, {monomial: numerator}) pairs, in the same form.
+
+    Integer numerators multiply over the product of the two denominators,
+    so a caller builds one Fraction per output term, or none at all;
+    cancelled terms are dropped.
+    """
+    (da, left), (db, right) = a, b
+    out = {}
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return da * db, {m: c for m, c in out.items() if c}
+
+
 def _integer_terms(p):
     """Terms of a nonzero p scaled to integers with content 1 and a positive lead coefficient."""
-    terms = _numerators(p)[1]
+    terms = numerators(p)[1]
     content = gcd(*terms.values())
     if terms[p.lm()] < 0:
         content = -content

@@ -484,7 +484,9 @@ def test_blowup_repairs_every_failing_fixture():
 # smallest-lcm selection reduced 1144 and 134, and running Buchberger again
 # on the basis `eliminate` keeps added 18 and 2 to the pinned counts
 @pytest.mark.parametrize(
-    "name, pinned, lcm_order", [("heisenberg_scaled", 251, 1144), ("two_weight", 58, 134)]
+    "name, pinned, lcm_order",
+    [("heisenberg_scaled", 251, 1144), ("two_weight", 58, 134)],
+    ids=["heisenberg_scaled", "two_weight"],
 )
 def test_buchberger_s_pair_count_is_pinned(monkeypatch, capsys, name, pinned, lcm_order):
     reduced, inside = 0, False
@@ -559,7 +561,9 @@ def test_random_sweep_slice_blows_up_and_verifies():
 # its calls, and how many of them leave a nonzero remainder; its pairs are
 # taken last in, first out
 @pytest.mark.parametrize(
-    "name, calls, pinned, nonzero", [("heisenberg_scaled", 2, 901, 47), ("two_weight", 2, 57, 13)]
+    "name, calls, pinned, nonzero",
+    [("heisenberg_scaled", 2, 901, 47), ("two_weight", 2, 57, 13)],
+    ids=["heisenberg_scaled", "two_weight"],
 )
 def test_module_groebner_s_pair_count_is_pinned(monkeypatch, capsys, name, calls, pinned, nonzero):
     counts = {"calls": 0, "pairs": 0, "nonzero": 0}

@@ -225,6 +225,67 @@ def test_identities_fail_on_a_wrong_memoised_bracket(weights):
         assert verify_commutator_identity(1, k, memo={(0, 1): wrong})[0] == (k == (0,))
 
 
+def _ks_up_to(n, total):
+    """Every k of n entries with 0 < |k| <= total."""
+    return [k for k in itertools.product(range(total + 1), repeat=n) if 0 < sum(k) <= total]
+
+
+def test_memoised_verdicts_equal_the_direct_ones():
+    # with a memo, a k with zero entries is decided through its support
+    # instance; the verdicts must be those of the direct expansion
+    rng = random.Random(27)
+    memo = {}
+    for n in range(1, 5):
+        tuples = [tuple(rng.randint(1, 9) for _ in range(n)) for _ in range(3)]
+        tuples.append(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)))
+        for k in _ks_up_to(n, 5):
+            for w in tuples:
+                direct = verify_weighted_bracket_identity(n, w, k, 5)
+                assert verify_weighted_bracket_identity(n, w, k, 5, memo) == direct == (True, None)
+            direct = verify_commutator_identity(n, k, 5)
+            assert verify_commutator_identity(n, k, 5, memo) == direct == (True, None)
+    # one verdict per support instance k' and identity, kept under k' alone
+    supports = {tuple(ki for ki in k if ki) for n in range(1, 5) for k in _ks_up_to(n, 5)}
+    verdicts = {key: v for key, v in memo.items() if isinstance(key[0], str)}
+    assert verdicts == {(kind, ks): True for kind in ("weighted", "commutator") for ks in supports}
+
+
+@pytest.mark.parametrize("fraction", [False, True], ids=["int", "Fraction"])
+def test_a_wrong_support_bracket_fails_every_instance_on_that_support(fraction):
+    # [a_0, a_1] with a stray word, planted for the two-letter supports; a k
+    # on letters i < j reads it through its support instance, although its
+    # own expansion brackets a_i with a_j
+    wrong = {(0, 1): 1, (1, 0): -1, (1, 1): 1}
+    rng = random.Random(5)
+    for n in range(2, 5):
+        memo = {(0, 1): wrong}
+        for k in _ks_up_to(n, 4):
+            supp = [i for i, ki in enumerate(k) if ki]
+            w = tuple(rng.randint(1, 9) for _ in range(n))
+            if fraction:
+                w = tuple(Fraction(wi, rng.randint(1, 4)) for wi in w)
+            ok, info = verify_weighted_bracket_identity(n, w, k, memo=memo)
+            if len(supp) == 1:
+                assert ok, k
+                continue
+            if len(supp) == 2:
+                assert not ok, (k, w)
+                # the report keeps k's own letters
+                assert info["k"] == k and info["weights"] == list(w)
+                assert {a for word in info["lhs"] for a in word} == set(supp)
+                assert (info["lhs"] != info["rhs"]) == (supp == [0, 1])
+            assert verify_weighted_bracket_identity(n, w, k)[0], k
+    for n in range(1, 5):
+        # y is letter 1 on a one-letter support, so (0, 1) is [x, y] there
+        memo = {(0, 1): wrong}
+        for k in _ks_up_to(n, 4):
+            ok, info = verify_commutator_identity(n, k, memo=memo)
+            if sum(1 for ki in k if ki) == 1:
+                assert not ok and info["k"] == k, k
+                assert all(word[-1] == n for word in info["lhs"])
+            assert verify_commutator_identity(n, k)[0], k
+
+
 # -- coaction expansion
 
 
@@ -286,6 +347,27 @@ def test_comult_additive_is_binomial():
         for (beta, gamma), c in entry.items():
             assert c == comb(k, beta[0])
             assert beta[0] + gamma[0] == k
+
+
+@pytest.mark.parametrize("degree", [0, 1, 3])
+def test_comult_table_matches_polynomial_products(degree):
+    # the table's integer products against products of the law's polynomials
+    L = GradedLieAlgebra([2, 1], [["c"], ["p", "q"]], {("p", "q"): {"c": 1}})
+    ring, law = group_law(L)
+    table = comult_coefficients(L, degree)
+    alphas = [a for a in itertools.product(range(degree + 1), repeat=3) if sum(a) <= degree]
+    assert sorted(table) == alphas
+    for alpha in alphas:
+        product = ring.one()
+        for m, a in zip(law, alpha):
+            product = product * m**a
+        expected = {
+            (m[:3], m[3:]): c
+            for m, c in product.terms.items()
+            if sum(m[:3]) <= degree and sum(m[3:]) <= degree
+        }
+        assert table[alpha] == expected, alpha
+        assert all(type(c) is Fraction for c in table[alpha].values())
 
 
 def test_comult_counit_axiom():

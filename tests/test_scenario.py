@@ -1,15 +1,18 @@
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import uhat.lie
-from uhat.cli import main
+from uhat.cli import _comult_lemma_failures, main
+from uhat.lie import GradedLieAlgebra, comult_coefficients
 from uhat.rings import GradedRing
 from uhat.scenario import (
     Options,
@@ -208,6 +211,38 @@ def test_blowup_refuses_holding_chart(capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "quotient" in out
+
+
+NILPOTENT_HEAD = """[ring]
+variables: x:0, u:0, y0:-1, z0:-2, z1:-2
+[relations]
+u^2
+[lie]
+weight 2: a1
+weight 1: b1
+[action]
+"""
+
+
+@pytest.mark.parametrize(
+    "action, reason",
+    [
+        # every level-1 minor is a multiple of x*u, so a = x^2*u is nilpotent
+        (
+            "a1.z1 = -x*u\nb1.y0 = -x\nb1.z0 = u*y0\nb1.z1 = -u*y0 + 2*y0\n",
+            "the witness product is nilpotent modulo the relations: the chart is empty",
+        ),
+        ("a1.z0 = x*u\na1.z1 = x\nb1.y0 = x*u\n", "the witness product is zero modulo the relations"),
+    ],
+    ids=["nilpotent", "zero"],
+)
+def test_blowup_refuses_a_witness_product_with_an_empty_chart(tmp_path, capsys, action, reason):
+    path = tmp_path / "nilpotent.uhat"
+    path.write_text(NILPOTENT_HEAD + action)
+    assert run_cli("analyze", "--scenario", str(path)) == 0
+    assert run_cli("blowup", "--scenario", str(path), "--with-quotient") == 1
+    out = capsys.readouterr()
+    assert out.err == f"refused: {reason}\n"
 
 
 def test_missing_file_is_input_error():
@@ -705,6 +740,36 @@ def test_identities_report_is_pinned_across_hash_seeds(tmp_path):
     entries = {g: v["entries"] for g, v in data["comult"].items()}
     assert entries == {"additive": 15, "additive_2": 70, "heisenberg": 330}
     assert not any(v["failures"] for v in data["comult"].values())
+
+
+def test_identities_checks_every_k_once_per_weight_tuple(tmp_path):
+    # k with zero entries are decided through their support instances, and
+    # each still counts as checked: 5 weight tuples times C(5 + n, n) - 1 ks
+    out = tmp_path / "report.json"
+    args = ("--letters", "4", "--max-total", "5", "--comult-degree", "1", "--json", str(out))
+    assert run_cli("identities", *args) == 0
+    data = json.loads(out.read_text())
+    checked = {n: v["checked"] for n, v in data["weighted_bracket"].items()}
+    assert checked == {f"letters_{n}": 5 * (math.comb(5 + n, n) - 1) for n in range(1, 5)}
+    assert data["ok"] is True
+
+
+def test_comult_lemma_failures_name_each_broken_law():
+    table = comult_coefficients(GradedLieAlgebra([1], [["e1", "e2"]]), 2)
+    assert _comult_lemma_failures(table, 2, 2) == []
+    table[(2, 0)][((1, 0), (0, 0))] = Fraction(5)  # below the degree bound
+    table[(0, 2)][((0, 0), (0, 2))] = Fraction(3)  # counit
+    table[(1, 1)][((0, 1), (1, 0))] = Fraction(0)  # a step that must be nonzero
+    table[(1, 1)][((1, 0), (1, 0))] = Fraction(6)  # a step that must be zero
+    table[(1, 1)][((1, 0), (0, 1))] = Fraction(4)  # a step with the wrong value
+    assert _comult_lemma_failures(table, 2, 2) == [
+        {"kind": "counit", "alpha": (0, 2), "gamma": (0, 2), "value": "3"},
+        {"kind": "degree-bound", "alpha": (2, 0), "beta": (1, 0), "gamma": (0, 0)},
+        {"kind": "e_j-trichotomy", "alpha": (1, 1), "beta": (0, 1), "j": 0},
+        {"kind": "e_j-trichotomy", "alpha": (1, 1), "beta": (1, 0), "j": 0},
+        {"kind": "e_j-value", "alpha": (1, 1), "beta": (1, 0), "j": 0, "value": "6", "expected": 2},
+        {"kind": "e_j-value", "alpha": (1, 1), "beta": (1, 0), "j": 1, "value": "4", "expected": 1},
+    ]
 
 
 def test_identities_bracket_memo_lasts_one_run(monkeypatch, capsys):
