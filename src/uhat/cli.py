@@ -76,12 +76,16 @@ def _jsonable(node):
     return str(node)
 
 
+def _write_json(report, json_path):
+    with open(json_path, "w", encoding="utf-8") as fh:
+        json.dump(_jsonable(report), fh, indent=2)
+        fh.write("\n")
+
+
 def emit(report, json_path):
     print("\n".join(_render(report)))
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(_jsonable(report), fh, indent=2)
-            fh.write("\n")
+        _write_json(report, json_path)
 
 
 def _load(args):
@@ -366,7 +370,11 @@ def main(argv=None):
         print(f"bound exhausted: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except (qt.StageError, bl.NoBlowupNeeded, bl.VerificationFailed) as exc:
+        # raised by a scenario subcommand before it emits a report: --json
+        # still gets a refusal report, and stdout stays empty
         print(f"refused: {exc}", file=sys.stderr)
+        if args.json:
+            _write_json(_report(args, refused=str(exc)), args.json)
         return EXIT_REFUSED
 
 

@@ -474,12 +474,13 @@ def lead_entry(g):
 MEMO_BOUND = 2**14
 """Words a `LeadIndex` memo holds before it is cleared.
 
-Measured on the benchmark sweep's heaviest `module_groebner` call (8 base
-variables and 9 positions, so 60-byte words, CPython 3.11): a full memo
-takes about 1.6 MB (the dict and its keys) and raises the peak RSS of the
-sweep's seven instances, run in one process, by about 1.5 MB (18.7 MB with
-a bound of 1); without a bound, that call's memo grows to 86 k words and
-7.8 MB.
+A full memo of words with 8 base variables and 9 positions (60-byte words,
+CPython 3.11) takes about 1.6 MB, the dict and its keys.  Without a bound,
+no memo of the benchmark sweep's seven instances or of the 6 scenarios
+through analyze, quotient and blowup (with and without its quotient)
+holds more than 275 words, so the bound only caps other inputs; before
+`syzygy_kernel` skipped the dead cofactor position, one sweep
+`module_groebner` call grew its memo to 86 k words and 7.8 MB.
 """
 
 
@@ -1076,8 +1077,30 @@ def syzygy_kernel(fmap, relations=None):
     Standard elimination computation: track cofactors in extra positions and
     keep the Groebner elements supported entirely on the cofactor block.
     The module is spanned by column j plus e_{r+j} for each column j, then
-    f*e_i for each nonzero relation f and each row i, in that order.
+    f*e_i for each nonzero relation f and each row i, then f*e_p for each
+    f when the map has a dead cofactor position p, in that order.
     Returns a list of vectors (length = domain rank).
+
+    Over R/relations the kernel omits every generator led in the dead
+    position p = r + j: j is the last column with a nonzero entry, and some
+    entry of column j is a nonzero constant c (one term of exponent zero;
+    a `weighted:` order need not put constants last, so this is not read
+    off a lead).  A vector led at p has no image part and no earlier
+    cofactor, so its cofactor a of column j has c*a, hence a, in the
+    relations, and the unit vectors e_{r+j'} of the zero columns j' > j
+    clear every later position: it is zero modulo the relations.  Each
+    f*e_p lies in the module (f times the generator of column j, less f
+    times column j, which the f*e_i span).  When the relations are a
+    Groebner basis, as `kernel_generators` passes them, the f*e_p reduce
+    every entry at p to its normal form, so no remainder is led at p and
+    the only pairs there are theirs, which reduce to zero: the loop never
+    builds the vectors that are dropped.  Otherwise the remainders led at
+    p complete the basis there.  Terms before p are popped before any term
+    at p and reduced only by leads before p, so the pairs outside p are
+    reduced in the same order as without the f*e_p, every other generator
+    agrees with that run's before p, and its entry at p differs by an
+    element of the relations.  Without relations no nonzero vector is led
+    at p.
     """
     r, s = fmap.codomain_rank, fmap.domain_rank
     if s == 0:
@@ -1090,10 +1113,16 @@ def syzygy_kernel(fmap, relations=None):
         for j in range(s)
     ]
     gens += [{i: f} for f in relations or () if f for i in range(r)]
+    live = [j for j in range(s) if any(row[j] for row in fmap.matrix)]
+    column = [row[live[-1]] for row in fmap.matrix] if live else []
+    dead = None
+    if any(p and not p.total_degree() for p in column):  # a nonzero constant
+        dead = r + live[-1]
+        gens += [{dead: f} for f in relations or () if f]
     out = []
     for g in module_groebner(gens, ring, r + s):
         v = _decode(g, ring)
-        if min(v) >= r:
+        if min(v) >= r and min(v) != dead:
             out.append([v.get(r + j, ring.zero()) for j in range(s)])
     # deterministic ordering: by leading data of the cofactor vector
     def sortkey(vec):

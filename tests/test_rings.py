@@ -14,6 +14,7 @@ from uhat.rings import (
     LeadIndex,
     Polynomial,
     PresentedAlgebra,
+    _decode,
     _encode,
     _position_ring,
     _update_pairs,
@@ -42,6 +43,7 @@ from oracles import module_normal_form, right_nullspace
 
 R2 = GradedRing(["x", "y"], [0, -1])
 X, Y = R2.var("x"), R2.var("y")
+R3 = GradedRing(["x", "y", "z"], [0, -1, -2])
 HEISENBERG = GradedLieAlgebra([2, 1], [["c"], ["p", "q"]], {("p", "q"): {"c": 1}})
 
 
@@ -963,7 +965,6 @@ def test_weight_decompose_is_a_ring_grading(ca, cb):
 
 
 def test_syzygy_scaled_projection():
-    R3 = GradedRing(["x", "y", "z"], [0, -1, -2])
     zero = R3.zero()
     fmap = FreeModuleMap(3, 1, ((zero, zero, R3.var("x")),))
     ker = syzygy_kernel(fmap)
@@ -998,6 +999,100 @@ def test_syzygy_soundness_random():
                 for j in range(cols):
                     total = total + mat[i][j] * v[j]
                 assert total.is_zero()
+
+
+def lifo_kernel(fmap, relations):
+    """`syzygy_kernel` without its dead-position rule, as a reference: no
+    relations are put in the dead position, and every element supported on
+    the cofactor block is returned, sorted by its first nonzero entry."""
+    r, s = fmap.codomain_rank, fmap.domain_rank
+    ring = fmap.matrix[0][0].ring
+    gens = [
+        {**{i: row[j] for i, row in enumerate(fmap.matrix) if row[j]}, r + j: ring.one()}
+        for j in range(s)
+    ]
+    gens += [{i: f} for f in relations for i in range(r)]
+    out = []
+    for g in module_groebner(gens, ring, r + s):
+        v = _decode(g, ring)
+        if min(v) >= r:
+            out.append([v.get(r + j, ring.zero()) for j in range(s)])
+    return sorted(out, key=lambda v: next((j, ring.key(p.lm())) for j, p in enumerate(v) if p))
+
+
+def dead_position_maps(seed, count, constant=True, basis=True):
+    """`count` random (map, relations, dead column) over Q[x,y] or Q[x,y,z].
+
+    A map has 1 or 2 rows and 2 to 4 columns of entries of degree <= 2.
+    The dead column is the last nonzero one: every column after it is
+    zero.  It holds a nonzero constant in one row, or with `constant`
+    false, only multiples of x, so that its position is not dead.  The
+    relations are one or two random polynomials, replaced by their reduced
+    Groebner basis (as `kernel_generators` passes them) unless `basis` is
+    false.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        ring = rng.choice((R2, R3))
+        monos = [m for d in range(3) for m in ring.monomials_of_degree(d)]
+
+        def rand_poly(nterms):
+            terms = {m: Fraction(rng.choice([-2, -1, 1, 3])) for m in rng.sample(monos, nterms)}
+            return Polynomial(ring, terms)
+
+        rows, cols = rng.randint(1, 2), rng.randint(2, 4)
+        dead = rng.randrange(cols)
+        mat = [
+            [rand_poly(rng.randint(1, 2)) if j <= dead and rng.random() < 0.7 else ring.zero()
+             for j in range(cols)]
+            for _ in range(rows)
+        ]
+        mat[rng.randrange(rows)][dead] = ring.const(rng.choice([-2, 1, 3]))
+        if not constant:
+            for row in mat:
+                row[dead] = row[dead] * ring.var("x")
+        relations = [rand_poly(rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+        if basis:
+            relations = groebner_basis(relations)
+        yield FreeModuleMap(cols, rows, tuple(map(tuple, mat))), relations, dead
+
+
+@pytest.mark.parametrize(
+    "seed, basis", [(20, True), (24, True), (35, True), (28, False), (49, False)]
+)
+def test_syzygy_kernel_omits_exactly_the_generators_led_in_the_dead_position(seed, basis):
+    # the LIFO kernel's generators led in the dead column are zero modulo
+    # the relations; the kernel is the others, in order, each equal to its
+    # LIFO counterpart before the dead column and after it, and equal
+    # modulo the relations in it, whether or not the relations are a
+    # Groebner basis.  The seeds are ones whose LIFO reference runs finish
+    # quickly (CHANGES.md names inputs on which it runs away)
+    dropped = 0
+    for fmap, relations, dead in dead_position_maps(seed, 100, basis=basis):
+        algebra = PresentedAlgebra(fmap.matrix[0][0].ring, relations)
+        lifo = lifo_kernel(fmap, relations)
+        led_dead = [next(j for j, p in enumerate(v) if p) == dead for v in lifo]
+        got = syzygy_kernel(fmap, relations)
+        assert len(got) == led_dead.count(False), fmap
+        for v, w in zip(got, [w for w, d in zip(lifo, led_dead) if not d]):
+            assert v[:dead] == w[:dead] and v[dead + 1:] == w[dead + 1:], fmap
+            assert algebra.equal(v[dead], w[dead]), fmap
+        for w, d in zip(lifo, led_dead):
+            assert not d or all(algebra.is_zero(p) for p in w), fmap
+        dropped += led_dead.count(True)
+    assert dropped > 100
+
+
+@pytest.mark.parametrize("seed", [20, 51, 59])
+def test_syzygy_kernel_is_the_lifo_kernel_without_a_constant_in_the_last_live_column(seed):
+    # the rule needs the constant: without it a generator led in that
+    # column need not be zero modulo the relations, and none is dropped
+    led_last = 0
+    for fmap, relations, dead in dead_position_maps(seed, 100, constant=False):
+        lifo = lifo_kernel(fmap, relations)
+        assert syzygy_kernel(fmap, relations) == lifo, fmap
+        led_last += sum(next(j for j, p in enumerate(v) if p) == dead for v in lifo)
+    assert led_last > 100
 
 
 def test_syzygy_completeness_against_linear_enumeration():

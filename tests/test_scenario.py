@@ -240,9 +240,17 @@ def test_blowup_refuses_a_witness_product_with_an_empty_chart(tmp_path, capsys, 
     path = tmp_path / "nilpotent.uhat"
     path.write_text(NILPOTENT_HEAD + action)
     assert run_cli("analyze", "--scenario", str(path)) == 0
-    assert run_cli("blowup", "--scenario", str(path), "--with-quotient") == 1
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert run_cli("blowup", "--scenario", str(path), "--with-quotient", "--json", str(report)) == 1
     out = capsys.readouterr()
-    assert out.err == f"refused: {reason}\n"
+    assert (out.out, out.err) == ("", f"refused: {reason}\n")
+    # the refusal writes its report, as the other refusals do
+    assert json.loads(report.read_text()) == {
+        "command": "blowup",
+        "scenario": str(path),
+        "refused": reason,
+    }
 
 
 def test_missing_file_is_input_error():
