@@ -3,7 +3,9 @@
 Each instance scales random linear derivations by the weight-zero
 coordinate, so the constant-rank condition fails along its zero locus; the
 sweep builds the centre, the recursive elements and the chart, and verifies
-the repaired condition plus all exact certificates.
+the repaired condition plus all exact certificates.  It then builds the
+chart's staged quotient and verifies it.  The exit code is 1 when any check
+fails.
 
 Each trial prints its wall time; the last line names the slowest instance
 next to the total, as the worst instance counts as much as the total.
@@ -21,6 +23,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from uhat import blowup as bl
 from uhat.infinitesimal import check_cdrs
 from uhat.lie import DerivationAction, GradedLieAlgebra
+from uhat.quotient import staged_quotient, verify_quotient
 from uhat.rings import GradedRing, PresentedAlgebra
 
 
@@ -69,13 +72,14 @@ def main():
             for mu in range(len(bs)):
                 for p in action.lie.pbw_monomials_of_weight(w, exact=True):
                     beta_ok = beta_ok and bl.beta_check(action, cd, els, level, mu, p)
+        quotient_ok = ok and verify_quotient(staged_quotient(chart.action))["ok"]
         wall = time.time() - t_trial
         walls.append((wall, trial, action.ring.names))
         print(
             f"trial {trial:>3}: vars={action.ring.names} k={cd.k_vector} a={cd.a} "
-            f"chart_ok={ok} beta_ok={beta_ok} wall={wall:.2f}s"
+            f"chart_ok={ok} beta_ok={beta_ok} quotient_ok={quotient_ok} wall={wall:.2f}s"
         )
-        if not (ok and beta_ok):
+        if not (ok and beta_ok and quotient_ok):
             sys.exit(1)
     summary = f"{count} instances verified in {time.time() - t0:.1f}s"
     if walls:

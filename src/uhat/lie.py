@@ -372,6 +372,7 @@ class DerivationAction:
                     row[var] = img
             self.table[name] = row
         self._level_data = None  # filled once by infinitesimal.level_data
+        self._derivative_tables = {}  # filled by quotient._derivative_table
 
     @property
     def ring(self):

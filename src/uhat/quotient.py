@@ -2,8 +2,8 @@
 
 Each stage finds slice functions for the top remaining weight, retracts onto
 the invariant subring with the alternating-sign projection, presents that
-subring by elimination and rebuilds the induced action of the remaining
-filtration.  Iterating exhibits the chart as an affine space over the full
+subring by the image of the slice ideal and rebuilds the induced action of
+the remaining filtration.  Iterating exhibits the chart as an affine space over the full
 invariant ring.
 """
 
@@ -20,7 +20,7 @@ from uhat.rings import (
     Polynomial,
     PresentedAlgebra,
     determinant,
-    eliminate,
+    groebner_basis,
     solve_linear,
     sparse_system,
 )
@@ -136,7 +136,14 @@ def _check_projection_preconditions(action, split, functions):
 
 
 def _derivative_table(action, split, g):
-    """All iterated derivatives xi^n . g over the split, indexed by n."""
+    """All iterated derivatives xi^n . g over the split, indexed by n.
+
+    The table is memoised on the action under (split, g), as `level_data`
+    is, so callers must not mutate it.
+    """
+    key = (tuple(split), g)
+    if key in action._derivative_tables:
+        return action._derivative_tables[key]
     table = {(0,) * len(split): action.algebra.nf(g)}
     d = 0
     while True:
@@ -156,6 +163,7 @@ def _derivative_table(action, split, g):
                 alive = True
         if not alive:
             break
+    action._derivative_tables[key] = table
     return table
 
 
@@ -189,7 +197,9 @@ class QuotientStage:
 
     `values` gives, for each input generator, what its projection equals
     over the ring of `algebra_out`: a new generator (its own or an earlier
-    duplicate's) or a constant.
+    duplicate's) or a constant.  `reconstructed` memoises each generator's
+    evaluated reconstruction (see `_reconstructed`), so a stage is not
+    mutated after its first check.
     """
 
     slices: SliceSet
@@ -198,6 +208,7 @@ class QuotientStage:
     inclusion: dict  # new generator name -> representative polynomial in action_in.algebra
     values: dict  # input generator -> its projection over algebra_out.ring
     reconstruction: dict  # original generator -> list of (multi-index, poly over algebra_out)
+    reconstructed: dict = field(default_factory=dict)  # generator -> evaluated reconstruction
 
     def rewrite(self, p):
         """p over the new generators if substituting back gives p (p is invariant), else None.
@@ -232,10 +243,19 @@ def invariant_presentation(action, slices):
     """Present the invariant ring of one level as a `QuotientStage`, with reconstruction.
 
     Generators are the projections of the ring generators (the projection is
-    a ring homomorphism onto the invariants, so these always generate);
-    relations come from graph-ideal elimination.  Reconstruction data writes
-    every original generator as a polynomial in the invariant generators and
-    the slice functions.
+    a ring homomorphism onto the invariants, so these always generate).
+    Reconstruction data writes every original generator as a polynomial in
+    the invariant generators and the slice functions.
+
+    Relations are the image of the slice ideal.  The preconditions give
+    commuting locally nilpotent xi_i with xi_i . f_j = delta_ij, so by the
+    slice theorem (induction on the slices, one at a time) the algebra R is
+    R^xi[f_1..f_r] and the projection pi is a ring retraction onto R^xi with
+    kernel (f).  The map k[x] -> R^xi, x -> pi(x), therefore has kernel
+    I + (f), I the input relations.  Substituting `values` maps k[x] onto
+    the new ring k[t], so the kernel of k[t] -> R, t_v -> pi(x_v), is the
+    image of I + (f): the ideal that eliminating the t from the graph ideal
+    I + (t_v - pi(x_v)) would give, with the same reduced basis.
     """
     algebra = action.algebra
     ring = action.ring
@@ -257,16 +277,12 @@ def invariant_presentation(action, slices):
         values[name] = dup or name
     weights = [next(iter(rep.weight_decompose()), 0) for rep in images.values()]
     out_ring = GradedRing(list(images), weights)
-    # the invariant images may reuse input generator names, so the graph
-    # ideal carries reserved internal names for the new block
-    internal = [f"@{t}" for t in range(len(images))]
-    big = ring.extended(internal, weights)
-    graph = [g.map_ring(big) for g in algebra.relations.generators]
-    graph += [big.var(iname) - rep.map_ring(big) for iname, rep in zip(internal, images.values())]
-    to_public = dict(zip(internal, out_ring.names))
-    kept = eliminate(Ideal(big, graph), internal).generators
-    rels = [g.map_ring(out_ring, to_public) for g in kept]
     values = {name: out_ring.var(v) if isinstance(v, str) else v for name, v in values.items()}
+    # the projection's kernel is the slice ideal, so the relations and the
+    # slices, with each generator's projection substituted, present the image
+    rels = groebner_basis(
+        [g.substitute(values, out_ring) for g in [*algebra.relations.generators, *functions]]
+    )
 
     # pi is a ring homomorphism sending each generator to its value, so the
     # projection of xi^n . x over the new generators is a substitution
@@ -280,11 +296,15 @@ def invariant_presentation(action, slices):
 
 
 def _reconstructed(stage, name):
-    """Evaluate the reconstruction of generator `name` back in the input algebra."""
-    algebra = stage.action_in.algebra
-    ring = algebra.ring
-    pieces = [(n, expr.substitute(stage.inclusion, ring)) for n, expr in stage.reconstruction[name]]
-    return algebra.nf(_slice_sum(pieces, stage.slices.functions, 1, ring))
+    """Evaluate the reconstruction of generator `name` back in the input algebra, once."""
+    if name not in stage.reconstructed:
+        algebra = stage.action_in.algebra
+        ring = algebra.ring
+        pieces = [
+            (n, expr.substitute(stage.inclusion, ring)) for n, expr in stage.reconstruction[name]
+        ]
+        stage.reconstructed[name] = algebra.nf(_slice_sum(pieces, stage.slices.functions, 1, ring))
+    return stage.reconstructed[name]
 
 
 def _induced_action(stage):

@@ -924,7 +924,9 @@ class PresentedAlgebra:
     """Quotient of a graded polynomial ring by a relations ideal.
 
     Elements are plain Polynomials; `nf` gives the canonical representative,
-    so equality in the algebra is normal-form comparison.
+    so equality in the algebra is normal-form comparison.  The ideals that
+    `ideal` joins are memoised on the algebra, so it is not mutated after
+    construction.
     """
 
     def __init__(self, ring, relations=None):
@@ -934,6 +936,7 @@ class PresentedAlgebra:
         elif not isinstance(relations, Ideal):
             relations = Ideal(ring, list(relations))
         self.relations = relations
+        self._ideals = {}  # generator tuple -> its joined Ideal, filled by `ideal`
 
     def nf(self, p):
         return self.relations.normal_form(p)
@@ -951,9 +954,14 @@ class PresentedAlgebra:
     def ideal(self, gens):
         """The ideal that `gens` generate in the algebra, as an ideal of the ring.
 
-        Its generators are `gens` followed by the relations.
+        Its generators are `gens` followed by the relations.  The same
+        generator tuple gives the same `Ideal`, so its Groebner basis is
+        computed once.
         """
-        return Ideal(self.ring, list(gens) + list(self.relations.generators))
+        gens = tuple(gens)
+        if gens not in self._ideals:
+            self._ideals[gens] = Ideal(self.ring, gens + self.relations.generators)
+        return self._ideals[gens]
 
     def standard_monomials(self, weight, max_degree):
         """Monomials of one lambda-weight not divisible by any leading relation monomial.

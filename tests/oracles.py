@@ -4,9 +4,10 @@ Each function recomputes from definitions something the tool decides by
 other means: the coaction by its nilpotent expansion, the determinantal
 sum by cofactor expansion, the kernel of a pairing matrix by linear algebra
 on bounded-degree coefficients, the exactness of the snake sequence by
-module membership, and the nonzero minors of a matrix by reducing every
-minor; `right_nullspace` is the exact linear algebra the kernel oracle
-solves with.  No command runs them, and the package checks each certificate
+module membership, the nonzero minors of a matrix by reducing every
+minor, and the relations of a quotient stage by graph-ideal elimination;
+`right_nullspace` is the exact linear algebra the kernel oracle solves
+with.  No command runs them, and the package checks each certificate
 where it emits it, so they live here rather than in `uhat`.
 """
 
@@ -16,11 +17,13 @@ from fractions import Fraction
 from uhat.blowup import E_operator
 from uhat.infinitesimal import infinitesimal_matrix, level_data, pair_coordinates
 from uhat.rings import (
+    Ideal,
     LeadIndex,
     Polynomial,
     _decode,
     _encode,
     _position_ring,
+    eliminate,
     minors_ideal_generators,
     module_groebner,
     normal_form_list,
@@ -58,6 +61,27 @@ def every_nonzero_minor(algebra, rows, size):
     """Nonzero normal forms of all size x size minors of `rows`, zero rows and columns included."""
     minors = (algebra.nf(m) for m in minors_ideal_generators(rows, size))
     return [m for m in minors if m]
+
+
+def graph_ideal_relations(stage):
+    """The relations of a quotient stage's invariant ring, by graph-ideal elimination.
+
+    Eliminates the input generators from the graph ideal I + (t_v - pi(x_v))
+    of the stage's inclusion, I the input relations, and returns the kept
+    elements over the stage's out ring.  The new generators may reuse input
+    names, so the graph ideal carries reserved internal names for them.
+    """
+    algebra = stage.action_in.algebra
+    out_ring = stage.algebra_out.ring
+    internal = [f"@{t}" for t in range(out_ring.nvars)]
+    big = algebra.ring.extended(internal, out_ring.weights)
+    graph = [g.map_ring(big) for g in algebra.relations.generators]
+    graph += [
+        big.var(iname) - stage.inclusion[name].map_ring(big)
+        for iname, name in zip(internal, out_ring.names)
+    ]
+    kept = eliminate(Ideal(big, graph), internal).generators
+    return [g.map_ring(out_ring, dict(zip(internal, out_ring.names))) for g in kept]
 
 
 def module_normal_form(v, lead, ring, rank):

@@ -475,11 +475,12 @@ def test_blowup_repairs_every_failing_fixture():
 
 
 # S-pairs `buchberger` reduces during `blowup --with-quotient`; the plain
-# smallest-lcm selection reduced 1144 and 134, and running Buchberger again
-# on the basis `eliminate` keeps added 18 and 2 to the pinned counts
+# smallest-lcm selection reduced 1144 and 134 while each quotient stage
+# still ran `eliminate` on a graph ideal, and reading the stage relations
+# off the slice ideal instead took the pinned counts from 251 and 58
 @pytest.mark.parametrize(
     "name, pinned, lcm_order",
-    [("heisenberg_scaled", 251, 1144), ("two_weight", 58, 134)],
+    [("heisenberg_scaled", 229, 1144), ("two_weight", 48, 134)],
     ids=["heisenberg_scaled", "two_weight"],
 )
 def test_buchberger_s_pair_count_is_pinned(monkeypatch, capsys, name, pinned, lcm_order):

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -6,8 +7,10 @@ import pytest
 from uhat.rings import GradedRing, Ideal, PresentedAlgebra
 from uhat.lie import DerivationAction, GradedLieAlgebra
 from uhat.infinitesimal import check_cdrs
+from uhat.blowup import build_chart, centre, construct_b
 from uhat.quotient import (
     BoundExhausted,
+    QuotientChain,
     SliceSet,
     StageError,
     _derivative_table,
@@ -26,8 +29,10 @@ from conftest import (
     heisenberg_free,
     one_weight_free,
     one_weight_jump,
+    sweep_script,
     two_weight_chain,
 )
+from oracles import graph_ideal_relations
 
 
 # -- slices
@@ -318,6 +323,89 @@ def test_verify_quotient_detects_corruption(ga_free):
     rep = verify_quotient(chain)
     assert not rep["ok"]
     assert any(f["kind"] == "not-invariant" for f in rep["failures"])
+
+
+def test_verify_quotient_detects_corrupted_reconstruction(ga_free):
+    # corrupted before anything evaluates it, so the verifier's evaluation
+    # is the first and sees the corruption
+    stage = invariant_presentation(ga_free, find_slices(ga_free, 1, 4))
+    stage.reconstruction["y"] = []
+    rep = verify_quotient(QuotientChain(ga_free, [stage]))
+    assert rep["failures"] == [{"stage": 1, "kind": "reconstruction", "generator": "y"}]
+
+
+def test_stage_tables_are_built_once(ga_free):
+    chain = staged_quotient(ga_free)
+    stage = chain.stages[0]
+    split = stage.slices.split
+    y = ga_free.ring.var("y")
+    assert _derivative_table(ga_free, split, y) is _derivative_table(ga_free, split, y)
+    # the staged quotient's check filled the evaluations the verifier reads
+    assert set(stage.reconstructed) == {"x", "y"}
+    assert stage.reconstructed["y"] == y
+    assert verify_quotient(chain)["ok"]
+
+
+@functools.cache
+def route_chains():
+    """(label, chain): each shipped scenario's quotient route, then sweep chart quotients.
+
+    A scenario whose constant-rank condition fails is quotiented on its
+    blow-up chart, as `blowup --with-quotient` does; the sweep charts are
+    those of the first 40 sweep-script instances from seed 1.
+    """
+    chains = []
+    for path in sorted(SCENARIOS.glob("*.uhat")):
+        scenario = load_scenario(path)
+        action, bound = scenario.build(), scenario.options.degree_bound
+        if not check_cdrs(action)["holds"]:
+            cd = centre(action, bound)
+            action = build_chart(action, cd, construct_b(action, cd)).action
+        chains.append((path.stem, staged_quotient(action, bound)))
+    seed = 1
+    for i in range(40):
+        action, seed = sweep_script().sample(seed)
+        cd = centre(action)
+        chart = build_chart(action, cd, construct_b(action, cd))
+        chains.append((f"sweep_{i}", staged_quotient(chart.action)))
+    return chains
+
+
+def test_stage_relations_match_graph_ideal_elimination():
+    # the slice-ideal image and the graph-ideal elimination have the same
+    # reduced basis, in the same order
+    stages = nonempty = 0
+    for label, chain in route_chains():
+        assert verify_quotient(chain)["ok"], label
+        for stage in chain.stages:
+            rels = list(stage.algebra_out.relations.generators)
+            assert rels == graph_ideal_relations(stage), label
+            stages += 1
+            nonempty += bool(rels)
+    assert (len(route_chains()), stages, nonempty) == (46, 89, 54)
+
+
+def test_stage_relations_come_from_the_slices():
+    # the slice y - x*z projects y onto x*z, a new generator, so the image of
+    # the slice is the one relation; the input has none
+    R = GradedRing(["x", "y", "z"], [0, -1, -1])
+    x, y, z = (R.var(n) for n in "xyz")
+    lie = GradedLieAlgebra([1], [["xi"]])
+    act = DerivationAction(PresentedAlgebra(R), lie, {"xi": {"y": R.one()}})
+    stage = invariant_presentation(act, SliceSet(1, (0,), (y - x * z,)))
+    assert stage.inclusion == {"x": x, "y": x * z, "z": z}
+    rels = list(stage.algebra_out.relations.generators)
+    assert [str(g) for g in rels] == ["x*z - y"]
+    assert rels == graph_ideal_relations(stage)
+    assert verify_quotient(QuotientChain(act, [stage]))["ok"]
+
+
+def test_stage_relations_vanish_on_the_inclusion():
+    for label, chain in route_chains():
+        for stage in chain.stages:
+            algebra = stage.action_in.algebra
+            for rel in stage.algebra_out.relations.generators:
+                assert algebra.is_zero(rel.substitute(stage.inclusion, algebra.ring)), label
 
 
 def test_staged_quotient_with_positive_k():

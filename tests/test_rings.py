@@ -1163,6 +1163,17 @@ def test_algebra_ideal_carries_the_relations():
     assert not A.ideal([x]).is_unit()
 
 
+def test_algebra_ideal_is_joined_once_per_generator_tuple():
+    R = GradedRing(["x", "y"], [0, -1])
+    x, y = R.var("x"), R.var("y")
+    A = PresentedAlgebra(R, [x * x - x])
+    joined = A.ideal([y, x])
+    assert A.ideal(iter([y, x])) is joined
+    assert A.ideal([x, y]) is not joined  # another tuple, though the same ideal
+    assert joined.generators == (y, x, x * x - x)
+    assert joined.contains(x * y)
+
+
 def test_standard_monomials_by_weight():
     A = PresentedAlgebra(R2)
     ms = A.standard_monomials(weight=-1, max_degree=3)
