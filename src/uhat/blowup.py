@@ -413,9 +413,16 @@ def build_chart(action, centre_data, elements):
     Chart generators are fractions g/a for the canonical sweep members (the
     witness product itself and the prefix-scaled level elements), closed
     under the basis derivations.  Relations come from saturating the graph
-    ideal by `a` through an adjoined inverse.  A witness product that is
-    zero or nilpotent modulo the relations raises VerificationFailed: its
-    chart is empty and repairs nothing.
+    ideal by `a` through an adjoined inverse: the ideal I + (a t_i - g_i) +
+    (a @inv - 1) of k[x, t, @inv], with @inv eliminated.  A witness product
+    that is zero or nilpotent modulo the relations raises
+    VerificationFailed: its chart is empty and repairs nothing.
+
+    The first member is t0 = nf(a)/a, and its generator a t0 - nf(a) is
+    replaced by t0 - 1, which spans the same ideal: a t0 - nf(a) =
+    a (t0 - 1) + (a - nf(a)) with a - nf(a) in I, and t0 - 1 =
+    @inv (a t0 - a) - (t0 - 1)(a @inv - 1).  So the eliminated ideal and
+    its reduced basis are unchanged, and t0 stays a chart generator.
     """
     algebra = action.algebra
     ring = action.ring
@@ -487,7 +494,9 @@ def build_chart(action, centre_data, elements):
     big = ring.extended(tuple(tnames) + (inv,), tuple(tweights) + (0,))
     gens = [g.map_ring(big) for g in algebra.relations.generators]
     a_big = a.map_ring(big)
-    for name, g in members:
+    # members[0] is (t0, nf(a)): t0 - 1 stands for a*t0 - nf(a)
+    gens.append(big.var(members[0][0]) - big.one())
+    for name, g in members[1:]:
         gens.append(a_big * big.var(name) - g.map_ring(big))
     gens.append(a_big * big.var(inv) - big.one())
     saturated = ring_eliminate(Ideal(big, gens), list(ring.names) + tnames)

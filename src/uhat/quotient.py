@@ -279,7 +279,8 @@ def invariant_presentation(action, slices):
     out_ring = GradedRing(list(images), weights)
     values = {name: out_ring.var(v) if isinstance(v, str) else v for name, v in values.items()}
     # the projection's kernel is the slice ideal, so the relations and the
-    # slices, with each generator's projection substituted, present the image
+    # slices, with each generator's projection substituted, present the
+    # image; their reduced basis serves the stage's ideal as its basis
     rels = groebner_basis(
         [g.substitute(values, out_ring) for g in [*algebra.relations.generators, *functions]]
     )
@@ -291,7 +292,7 @@ def invariant_presentation(action, slices):
         table = _derivative_table(action, split, ring.var(name))
         pieces = ((n, deriv.substitute(values, out_ring)) for n, deriv in table.items())
         reconstruction[name] = [(n, expr) for n, expr in pieces if not expr.is_zero()]
-    out = PresentedAlgebra(out_ring, Ideal(out_ring, rels))
+    out = PresentedAlgebra(out_ring, Ideal.of_basis(out_ring, rels))
     return QuotientStage(slices, action, out, images, values, reconstruction)
 
 

@@ -123,6 +123,9 @@ class GradedRing:
         self._parts = ((0,) * rank,) + tuple(
             tuple(int(j == k) for j in range(rank)) for k in range(rank)
         )
+        # memos of `key`, `pack` and `unpack`: exponent tuple -> key, tuple
+        # -> word, word -> tuple; each cleared at MEMO_BOUND entries
+        self._keys, self._words, self._tuples = {}, {}, {}
 
     @property
     def nvars(self):
@@ -149,9 +152,19 @@ class GradedRing:
     def key(self, e):
         """Order key of an exponent tuple: an integer, larger for a later monomial.
 
-        It is linear in e, so key(a + b) = key(a) + key(b).
+        It is linear in e, so key(a + b) = key(a) + key(b).  Keys of tuples
+        are memoised on the ring; a list is encoded afresh.
         """
-        return sum(map(mul, e, self._cols))
+        try:
+            k = self._keys.get(e)
+        except TypeError:  # a list
+            return sum(map(mul, e, self._cols))
+        if k is None:
+            memo = self._keys
+            if len(memo) >= MEMO_BOUND:
+                memo.clear()
+            k = memo[e] = sum(map(mul, e, self._cols))
+        return k
 
     def pack(self, e):
         """Exponent word of e, every guard bit clear.
@@ -160,8 +173,22 @@ class GradedRing:
         than one position variable or a position exponent above 1.  For
         words a and b of this ring in one position, a divides b iff
         (b - a) & guard == 0, and a + b is the word of the product unless
-        it sets a guard bit or a and b both have a position.
+        it sets a guard bit or a and b both have a position.  Words of
+        tuples are memoised on the ring, and a rejected tuple is not, so it
+        raises again on every call; a list is encoded afresh.
         """
+        try:
+            w = self._words.get(e)
+        except TypeError:  # a list
+            return self._pack(e)
+        if w is None:
+            memo = self._words
+            if len(memo) >= MEMO_BOUND:
+                memo.clear()
+            w = memo[e] = self._pack(e)
+        return w
+
+    def _pack(self, e):
         if max(e, default=0) >> EXP_BITS:
             raise OverflowError(f"exponent of {e} not below 2**{EXP_BITS}")
         if sum(e[self._nbase :]) > 1:
@@ -169,8 +196,16 @@ class GradedRing:
         return sum(map(mul, e, self._units))
 
     def unpack(self, w):
-        mask = (1 << EXP_BITS) - 1
-        return tuple([(w >> s) & mask for s in self._shifts]) + self._parts[w >> self._top]
+        """Exponent tuple of a word of this ring, memoised on the ring."""
+        e = self._tuples.get(w)
+        if e is None:
+            memo = self._tuples
+            if len(memo) >= MEMO_BOUND:
+                memo.clear()
+            mask = (1 << EXP_BITS) - 1
+            e = tuple([(w >> s) & mask for s in self._shifts]) + self._parts[w >> self._top]
+            memo[w] = e
+        return e
 
     def zero(self):
         return Polynomial(self, {})
@@ -384,19 +419,39 @@ class Polynomial:
     def substitute(self, values, ring):
         """Substitute values for variables, by name, into `ring`.
 
-        Each value is a polynomial over `ring` or a constant.
+        Each value is a polynomial over `ring` or a constant.  Each value's
+        powers are computed once per call, as integer numerators over a
+        denominator (`numerators`, `numerator_product`), and every term's
+        product is added into one dict over the lcm of their denominators,
+        so no Fraction is built before the result's coefficients.
         """
-        total = ring.zero()
+        zero = (0,) * ring.nvars
+        one = (1, {zero: 1})
+        powers = {}  # variable index -> [value^0, value^1, ...] as (den, numerators)
+        parts = []
         for m, c in self.terms.items():
-            part = ring.const(c)
+            part = (c.denominator, {zero: c.numerator})
             for i, e in enumerate(m):
                 if e:
-                    val = values[self.ring.names[i]]
-                    if not isinstance(val, Polynomial):
-                        val = ring.const(val)
-                    part = part * val**e
-            total = total + part
-        return total
+                    ladder = powers.get(i)
+                    if ladder is None:
+                        val = values[self.ring.names[i]]
+                        if not isinstance(val, Polynomial):
+                            val = ring.const(val)
+                        elif val.ring != ring:
+                            raise ValueError("polynomials from different rings")
+                        ladder = powers[i] = [one, numerators(val)]
+                    while len(ladder) <= e:
+                        ladder.append(numerator_product(ladder[-1], ladder[1]))
+                    part = numerator_product(part, ladder[e])
+            parts.append(part)
+        den = lcm(*(d for d, _ in parts))
+        out = {}
+        for d, nums in parts:
+            s = den // d
+            for m, a in nums.items():
+                out[m] = out.get(m, 0) + a * s
+        return Polynomial(ring, {m: Fraction(a, den) for m, a in out.items() if a}, False)
 
     # -- display
 
@@ -472,15 +527,18 @@ def lead_entry(g):
 
 
 MEMO_BOUND = 2**14
-"""Words a `LeadIndex` memo holds before it is cleared.
+"""Entries a memo holds before it is cleared: a `LeadIndex` memo's words,
+and each of a `GradedRing`'s `key`, `pack` and `unpack` memos.
 
 A full memo of words with 8 base variables and 9 positions (60-byte words,
-CPython 3.11) takes about 1.6 MB, the dict and its keys.  Without a bound,
-no memo of the benchmark sweep's seven instances or of the 6 scenarios
-through analyze, quotient and blowup (with and without its quotient)
-holds more than 275 words, so the bound only caps other inputs; before
-`syzygy_kernel` skipped the dead cofactor position, one sweep
-`module_groebner` call grew its memo to 86 k words and 7.8 MB.
+CPython 3.11) takes about 1.6 MB, the dict and its keys; the three full
+code memos of a 10-variable ring take about 6 MB together, most of it the
+tuples that `unpack` builds.  Without a bound, no memo of the benchmark
+sweep's seven instances or of the 6 scenarios through analyze, quotient
+and blowup (with and without its quotient) holds more than 275 words, and
+no ring's code memo more than 273 entries, so the bound only caps other
+inputs; before `syzygy_kernel` skipped the dead cofactor position, one
+sweep `module_groebner` call grew its memo to 86 k words and 7.8 MB.
 """
 
 
@@ -818,7 +876,19 @@ def reduce_groebner(G):
 
 
 def groebner_basis(gens):
-    return reduce_groebner(buchberger([g for g in gens if g]))
+    """Reduced Groebner basis of the ideal `gens` generate, canonically sorted.
+
+    Buchberger stops at the first nonzero constant it appends: the ideal is
+    then the unit ideal, whose reduced basis is [1].
+    """
+    G = buchberger([g for g in gens if g], stop=_is_constant)
+    if G and _is_constant(G[-1]):
+        return [G[-1].ring.one()]
+    return reduce_groebner(G)
+
+
+def _is_constant(g):
+    return not any(g.lm())
 
 
 def unit_certificate(gens):
@@ -864,6 +934,13 @@ class Ideal:
         self.generators = tuple(g for g in generators)
         self._gb = None
         self._lead = None
+
+    @classmethod
+    def of_basis(cls, ring, basis):
+        """The ideal of a reduced Groebner basis, which serves as its basis unchanged."""
+        out = cls(ring, basis)
+        out._gb = list(basis)
+        return out
 
     def groebner(self):
         if self._gb is None:
@@ -911,9 +988,7 @@ def eliminate(ideal, keep):
     for g in gb:
         if all(all(m[i] == 0 for i in range(len(drop))) for m in g.terms):
             kept.append(g.map_ring(sub))
-    out = Ideal(sub, kept)
-    out._gb = kept
-    return out
+    return Ideal.of_basis(sub, kept)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ other means: the coaction by its nilpotent expansion, the determinantal
 sum by cofactor expansion, the kernel of a pairing matrix by linear algebra
 on bounded-degree coefficients, the exactness of the snake sequence by
 module membership, the nonzero minors of a matrix by reducing every
-minor, and the relations of a quotient stage by graph-ideal elimination;
-`right_nullspace` is the exact linear algebra the kernel oracle solves
-with.  No command runs them, and the package checks each certificate
-where it emits it, so they live here rather than in `uhat`.
+minor, the relations of a quotient stage by graph-ideal elimination,
+the relations of a blow-up chart by the plain saturation, and a
+substitution term by term; `right_nullspace` is the exact linear algebra
+the kernel oracle solves with.  No command runs them, and the package
+checks each certificate where it emits it, so they live here rather than
+in `uhat`.
 """
 
 import math
@@ -82,6 +84,35 @@ def graph_ideal_relations(stage):
     ]
     kept = eliminate(Ideal(big, graph), internal).generators
     return [g.map_ring(out_ring, dict(zip(internal, out_ring.names))) for g in kept]
+
+
+def saturation_relations(action, chart):
+    """The relations of a blow-up chart of `action`, by the plain saturation.
+
+    Eliminates @inv from I + (a t_i - g_i) + (a @inv - 1), I the relations
+    of `action`, with one generator a t_i - g_i for every chart member
+    (t_i, g_i), the first one too.
+    """
+    ring = chart.algebra.ring
+    big = ring.extended(("@inv",), (0,))
+    a = chart.centre_data.a.map_ring(big)
+    gens = [g.map_ring(big) for g in action.algebra.relations.generators]
+    gens += [a * big.var(name) - g.map_ring(big) for name, g in chart.generators]
+    gens.append(a * big.var("@inv") - big.one())
+    return list(eliminate(Ideal(big, gens), ring.names).generators)
+
+
+def substitute_per_term(p, values, ring):
+    """`p.substitute(values, ring)` term by term: const(c) times each value's power, summed."""
+    total = ring.zero()
+    for m, c in p.terms.items():
+        part = ring.const(c)
+        for name, e in zip(p.ring.names, m):
+            if e:
+                val = values[name]
+                part = part * (val if isinstance(val, Polynomial) else ring.const(val)) ** e
+        total = total + part
+    return total
 
 
 def module_normal_form(v, lead, ring, rank):

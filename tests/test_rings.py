@@ -1,5 +1,6 @@
 import gc
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from uhat import rings
 from uhat.lie import GradedLieAlgebra
 from uhat.scenario import parse_polynomial
 
-from oracles import module_normal_form, right_nullspace
+from oracles import module_normal_form, right_nullspace, substitute_per_term
 
 
 R2 = GradedRing(["x", "y"], [0, -1])
@@ -880,6 +881,87 @@ def test_substitute_into_another_ring_with_constant_values():
     assert (X * Y).substitute({"x": 0, "y": u}, S).is_zero()
 
 
+def test_substitute_matches_the_per_term_reference():
+    # Fraction coefficients, values that are polynomials, nonzero and zero
+    # constants or the zero polynomial, and exponents up to 4 that repeat
+    # across terms, so each value's powers are shared
+    src = GradedRing(["x", "y", "z"], [0, -1, -2])
+    dst = GradedRing(["u", "v"], [0, -1])
+    rng = random.Random(31)
+    src_monos = [m for d in range(6) for m in src.monomials_of_degree(d) if max(m) <= 4]
+    dst_monos = [m for d in range(3) for m in dst.monomials_of_degree(d)]
+
+    def coeff():
+        return Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 4]))
+
+    def value():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return rng.choice([0, 3, Fraction(-2, 3)])
+        if kind == 1:
+            return dst.zero()
+        picked = rng.sample(dst_monos, rng.randint(1, 3))
+        return Polynomial(dst, {m: coeff() for m in picked})
+
+    constant = 0
+    for _ in range(60):
+        p = Polynomial(src, {m: coeff() for m in rng.sample(src_monos, rng.randint(1, 8))})
+        values = {name: value() for name in src.names}
+        got = p.substitute(values, dst)
+        assert got == substitute_per_term(p, values, dst), (p, values)
+        assert all(c.__class__ is Fraction and c for c in got.terms.values())
+        constant += any(not isinstance(v, Polynomial) for v in values.values())
+    assert constant > 20
+    with pytest.raises(ValueError):
+        X.substitute({"x": R3.var("x")}, dst)
+
+
+# -- the unit ideal
+
+
+@pytest.mark.parametrize("order", ["degrevlex", "lex", "weighted:3,1,2", "elim:1"])
+def test_groebner_basis_stopped_at_one_is_the_full_reduced_basis(order):
+    # random ideals, and each made the unit ideal by adding g*q + c for one
+    # of its generators g: the stopped run gives what the full run reduces to
+    ring = GradedRing(["x", "y", "z"], [0, 0, 0], order)
+    rng = random.Random(sum(map(ord, order)))
+    units = proper = 0
+    for _ in range(25):
+        gens = random_ideal(rng, ring, 4, 2)
+        q = random_ideal(rng, ring, 2, 1)[0]
+        for G in (gens, gens + [gens[0] * q + rng.choice([-2, 1, 3])]):
+            want = reduce_groebner(buchberger([g for g in G if g]))
+            assert groebner_basis(G) == want, G
+            units += want == [ring.one()]
+            proper += want != [ring.one()]
+    assert units >= 25 and proper >= 10, (units, proper)
+
+
+def test_groebner_basis_matches_the_full_run_on_every_command_ideal(monkeypatch, capsys):
+    # every ideal that the 24 scenario commands build, unit and proper
+    from uhat import quotient
+    from uhat.cli import main
+
+    real = rings.groebner_basis
+    seen = {"unit": 0, "proper": 0}
+
+    def checked(gens):
+        gens = list(gens)
+        got = real(gens)
+        assert got == reduce_groebner(buchberger([g for g in gens if g])), gens
+        seen["unit" if got and not any(got[0].lm()) else "proper"] += 1
+        return got
+
+    monkeypatch.setattr(rings, "groebner_basis", checked)
+    monkeypatch.setattr(quotient, "groebner_basis", checked)
+    scenarios = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+    for path in sorted(scenarios.glob("*.uhat")):
+        for command in (["analyze"], ["quotient"], ["blowup"], ["blowup", "--with-quotient"]):
+            main(command + ["--scenario", str(path)])
+    capsys.readouterr()
+    assert seen["unit"] >= 20 and seen["proper"] >= 80, seen
+
+
 # -- products
 
 
@@ -1371,6 +1453,63 @@ def test_exponent_bound_raises_instead_of_wrapping():
         pair_normal_form(
             lead_entry(vg), lead_entry(_encode({1: x * y - 1}, mring, 2)), LeadIndex()
         )
+
+
+def direct_codes(ring, e):
+    """(key, word) of e by their formulas: key(e) = sum e_j * cols[j]; base
+    exponent j in bits (EXP_BITS + 1) * j, position k as k + 1 above them."""
+    n = ring._nbase
+    word = sum(x << (EXP_BITS + 1) * j for j, x in enumerate(e[:n]))
+    if 1 in e[n:]:
+        word += (e.index(1, n) - n + 1) << (EXP_BITS + 1) * n
+    return sum(x * c for x, c in zip(e, ring._cols)), word
+
+
+@pytest.mark.parametrize("bound", [4, rings.MEMO_BOUND], ids=["cleared", "full"])
+def test_memoised_codes_match_the_direct_formulas(monkeypatch, bound):
+    # key, pack and unpack on random tuples, each twice so the second call
+    # is answered by the ring's memo; with room for 4 entries every memo is
+    # cleared many times and still answers exactly
+    monkeypatch.setattr(rings, "MEMO_BOUND", bound)
+    rng = random.Random(bound)
+    top = 2**EXP_BITS - 1
+    base = GradedRing(["x", "y", "z", "w"], [0, -1, -2, -1], "degrevlex")
+    orders = [base, GradedRing(base.names, base.weights, "lex")]
+    orders += [GradedRing(base.names, base.weights, o) for o in ("weighted:3,1,2,1", "elim:2")]
+    orders += [_position_ring(base, 3)]
+    for ring in orders:
+        n, rank = ring._nbase, ring.nvars - ring._nbase
+        exps = []
+        for _ in range(60):
+            e = [rng.choice([0, 1, 2, 3, top]) for _ in range(n)] + [0] * rank
+            if rank and rng.random() < 0.8:
+                e[n + rng.randrange(rank)] = 1
+            exps.append(tuple(e))
+        for _ in range(2):
+            for e in rng.sample(exps, len(exps)):
+                key, word = direct_codes(ring, e)
+                assert (ring.key(e), ring.pack(e), ring.unpack(word)) == (key, word, e)
+                # a list gives the same codes and is not memoised
+                assert (ring.key(list(e)), ring.pack(list(e))) == (key, word)
+                assert max(map(len, (ring._keys, ring._words, ring._tuples))) <= bound
+        assert all(type(k) is tuple for k in [*ring._keys, *ring._words])
+
+
+def test_rejected_tuples_raise_on_every_call():
+    # pack stores nothing it rejects, so the second call raises as the first
+    ring = _position_ring(GradedRing(["x", "y"], [0, -1]), 2)
+    for e, error in [((2**EXP_BITS, 0, 0, 0), OverflowError), ((0, 1, 1, 1), ValueError)]:
+        for _ in range(2):
+            with pytest.raises(error):
+                ring.pack(e)
+            assert e not in ring._words
+
+
+def test_code_memos_are_not_shared_between_equal_rings():
+    a, b = GradedRing(["x", "y"], [0, -1]), GradedRing(["x", "y"], [0, -1])
+    assert a == b
+    a.key((1, 2)), a.pack((1, 2)), a.unpack(a.pack((1, 2)))
+    assert (b._keys, b._words, b._tuples) == ({}, {}, {})
 
 
 @pytest.mark.parametrize(
