@@ -265,9 +265,13 @@ class GradedRing:
 
 
 class Polynomial:
-    """Sparse polynomial: map from exponent tuple to nonzero Fraction."""
+    """Sparse polynomial: map from exponent tuple to nonzero Fraction.
 
-    __slots__ = ("ring", "terms", "_lm")
+    `_lm` memoises the leading monomial and `_entry` the `lead_entry`; both
+    rely on the terms never changing after construction.
+    """
+
+    __slots__ = ("ring", "terms", "_lm", "_entry")
 
     def __init__(self, ring, terms, prune=True):
         self.ring = ring
@@ -276,6 +280,7 @@ class Polynomial:
         else:
             self.terms = terms
         self._lm = None
+        self._entry = None
 
     # -- basic structure
 
@@ -506,24 +511,50 @@ def _word_lcm(a, b, guard):
 
 
 def lead_entry(g):
-    """One entry of a lead index: (lead word, lead key, lc, tail, span, g).
+    """One entry of a lead index: (lead word, lead key, lc, tail, span, ring).
 
-    lc and the tail's (key, word, coefficient) triples are the terms of g
-    scaled to integers with content 1 and lc > 0 (`_integer_terms`), so this
-    is the one place a basis element is scaled; a reducer scaled by a
-    nonzero constant leaves every remainder as it is.  span is the word of
-    each base variable's largest exponent in g, with no position part, so
-    x^q * g stays below the exponent bound iff span + word(q) sets no guard
-    bit, for a base monomial x^q.
+    lc and the tail's (key, word, coefficient) triples are the terms of a
+    nonzero g scaled to integers with content 1 and lc > 0, the tail in the
+    order of g's terms; a reducer scaled by a nonzero constant leaves every
+    remainder as it is.  span is the word of each base variable's largest
+    exponent in g: the `_word_lcm` of its term words, exact per field as
+    every field has its own guard bit, with the position part masked off.
+    So x^q * g stays below the exponent bound iff span + word(q) sets no
+    guard bit, for a base monomial x^q.  An exponent of 2**EXP_BITS or more
+    raises OverflowError from `pack`.
+
+    The entry is computed once and memoised on g, as g never changes; it
+    holds g's ring, not g, so no polynomial and its entry form a cycle.
+    `_reduce` sets the entry of a remainder it builds from its own integers.
     """
-    ring = g.ring
-    lm = g.lm()
-    terms = _integer_terms(g)
-    lc = terms.pop(lm)
-    tail = [(ring.key(m), ring.pack(m), c) for m, c in terms.items()]
-    n = ring._nbase
-    span = ring.pack([max(col) for col in zip(*g.terms)][:n] + [0] * (ring.nvars - n))
-    return (ring.pack(lm), ring.key(lm), lc, tail, span, g)
+    entry = g._entry
+    if entry is None:
+        ring = g.ring
+        key, pack = ring.key, ring.pack
+        lm = g.lm()
+        den = lcm(*(c.denominator for c in g.terms.values()))
+        nums = {m: c.numerator * (den // c.denominator) for m, c in g.terms.items()}
+        lc = nums.pop(lm)
+        tail = [(key(m), pack(m), c) for m, c in nums.items()]
+        entry = g._entry = _scaled_entry(ring, pack(lm), key(lm), lc, tail)
+    return entry
+
+
+def _scaled_entry(ring, lw, lk, lc, tail):
+    """The `lead_entry` of lead numerator lc at (lw, lk) plus the tail's (key, word, numerator)s.
+
+    Every numerator is divided by their content, signed so the lead is
+    positive, and the span is folded from the words.
+    """
+    guard = ring.guard
+    content = gcd(lc, *(c for _, _, c in tail))
+    if lc < 0:
+        content = -content
+    span = lw
+    for _, w, _ in tail:
+        span = _word_lcm(span, w, guard)
+    tail = [(k, w, c // content) for k, w, c in tail]
+    return (lw, lk, lc // content, tail, span & ~ring.positions, ring)
 
 
 MEMO_BOUND = 2**14
@@ -547,7 +578,11 @@ class LeadIndex:
 
     `LeadIndex(basis)` indexes the nonzero elements of `basis` in list
     order, and `add(g)` appends the `lead_entry` of one more nonzero g and
-    returns it, so callers never build entries themselves.
+    returns it, so callers never build entries themselves.  Entries are
+    memoised on their polynomials, so indexing an element that another
+    index holds, or a remainder that `pair_normal_form` returned, derives
+    nothing again; an entry names its ring, not its polynomial, so the
+    index keeps no element alive.
 
     `buckets` maps the position part of each lead word (`ring.positions`)
     to the `lead_entry` of every element led in that position, in basis
@@ -585,7 +620,7 @@ def _check_span(ring, span, q):
         raise OverflowError(f"a reduction makes an exponent of 2**{EXP_BITS} or more")
 
 
-def _reduce(ring, work, den, lead):
+def _reduce(ring, work, den, lead, encode=False):
     """The reduction kernel: remainder of the pending terms over `den` under `lead`.
 
     `work` holds one record per pending term: it maps the negated order key
@@ -607,6 +642,12 @@ def _reduce(ring, work, den, lead):
     -(tail key) - key(popped) + key(lead).  A remainder term keeps the
     denominator of the moment it was popped; only remainder terms are
     decoded back to exponent tuples and Fractions.
+
+    With `encode`, a nonzero remainder also gets its `lead_entry` from
+    these integers, so no caller re-derives it.  Its terms are popped in
+    decreasing key order, and each denominator divides the last one, D, as
+    `den` only grows by factors: the numerators over D are a * (D / d), the
+    lead is the first term and the keys are the negated popped ones.
     """
     guard, positions = ring.guard, ring.positions
     buckets, memo, bound = lead.buckets, lead.memo, MEMO_BOUND
@@ -632,7 +673,7 @@ def _reduce(ring, work, den, lead):
                     if len(memo) >= bound:
                         memo.clear()
                     memo[m] = len(bucket)
-                rem.append((m, a, den))
+                rem.append((k, m, a, den))
                 continue
             if len(memo) >= bound:
                 memo.clear()
@@ -663,7 +704,14 @@ def _reduce(ring, work, den, lead):
                     record[0] = c
                 else:
                     del work[t]
-    return Polynomial(ring, {ring.unpack(w): Fraction(a, d) for w, a, d in rem}, False)
+    unpack = ring.unpack
+    out = Polynomial(ring, {unpack(w): Fraction(a, d) for _, w, a, d in rem}, False)
+    if encode and rem:
+        D = rem[-1][3]
+        (lk, lw, lc), *tail = [(-k, w, a * (D // d)) for k, w, a, d in rem]
+        out._lm = unpack(lw)
+        out._entry = _scaled_entry(ring, lw, lk, lc, tail)
+    return out
 
 
 def normal_form_list(p, lead):
@@ -697,9 +745,8 @@ def pair_normal_form(f, g, lead):
     different positions raise ValueError: their S-polynomial would have
     terms in two positions, which no bucket of `lead` holds.
     """
-    wf, kf, cf, tail_f, span_f, pf = f
-    wg, kg, cg, tail_g, span_g, pg = g
-    ring = pf.ring
+    wf, kf, cf, tail_f, span_f, ring = f
+    wg, kg, cg, tail_g, span_g, _ = g
     if (wf ^ wg) & ring.positions:
         raise ValueError("S-pair of leads in different positions")
     wl = _word_lcm(wf, wg, ring.guard)
@@ -723,7 +770,7 @@ def pair_normal_form(f, g, lead):
                     record[0] = c
                 else:
                     del work[t]
-    return _reduce(ring, work, cf // h * cg, lead)
+    return _reduce(ring, work, cf // h * cg, lead, encode=True)
 
 
 def numerators(p):
@@ -746,15 +793,6 @@ def numerator_product(a, b):
             m = tuple(map(add, m1, m2))
             out[m] = out.get(m, 0) + c1 * c2
     return da * db, {m: c for m, c in out.items() if c}
-
-
-def _integer_terms(p):
-    """Terms of a nonzero p scaled to integers with content 1 and a positive lead coefficient."""
-    terms = numerators(p)[1]
-    content = gcd(*terms.values())
-    if terms[p.lm()] < 0:
-        content = -content
-    return {m: c // content for m, c in terms.items()}
 
 
 def _update_pairs(words, pairs, guard):
@@ -847,32 +885,30 @@ def buchberger(gens, keep=None, stop=None):
 def reduce_groebner(G):
     """Minimal reduced Groebner basis, canonically sorted.
 
-    Elements whose lead another lead divides are dropped.  The tail of each
-    one left is reduced against one `LeadIndex` of them all, whose memo
-    serves every tail: tail terms lie below their element's lead, so it
-    never divides one, and the first divisor in basis order is that of an
-    index of the other elements.
+    The nonzero elements are sorted stably by the lead key of their
+    `lead_entry`, and each one whose lead word an earlier kept lead divides
+    is dropped.  The tail of each one left is reduced straight from its
+    entry's integer tail over the denominator lc, which reads the element
+    as monic, against one `LeadIndex` of them all, whose memo serves every
+    tail: tail terms lie below their element's lead, so it never divides
+    one, and the first divisor in basis order is that of an index of the
+    other elements.  The kept leads are distinct and ascending, so the
+    reduced elements are returned in reverse.
     """
-    if not G:
-        return []
-    ring = G[0].ring
-    key = ring.key
-    # minimal: drop elements whose lead is divisible by another lead
-    G = sorted((g.monic() for g in G if g), key=lambda g: key(g.lm()))
+    G = [g for g in G if g]
     minimal, words = [], []
-    for g in G:
-        w = ring.pack(g.lm())
-        if all((w - v) & ring.guard for v in words):
+    for g in sorted(G, key=lambda g: lead_entry(g)[1]):
+        w = lead_entry(g)[0]
+        if all((w - v) & g.ring.guard for v in words):
             minimal.append(g)
             words.append(w)
     lead = LeadIndex(minimal)
     reduced = []
     for g in minimal:
-        lm = g.lm()
-        tail = {m: c for m, c in g.terms.items() if m != lm}
-        rem = normal_form_list(Polynomial(ring, tail, False), lead)
-        reduced.append(Polynomial(ring, {lm: g.terms[lm], **rem.terms}, False))
-    return sorted(reduced, key=lambda g: key(g.lm()), reverse=True)
+        _, _, lc, tail, _, ring = lead_entry(g)
+        rem = _reduce(ring, {-k: [c, w] for k, w, c in tail}, lc, lead)
+        reduced.append(Polynomial(ring, {g.lm(): Fraction(1), **rem.terms}, False))
+    return reduced[::-1]
 
 
 def groebner_basis(gens):

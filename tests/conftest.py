@@ -82,6 +82,48 @@ def random_two_level_action(seed):
     return sweep_script().sample(seed)[0]
 
 
+def nilpotent_sweep_sample(seed):
+    """The sweep script's `sample` over a non-reduced algebra: (action, next seed).
+
+    A weight-0 variable u with relation u^2 joins x, and each entry that
+    `sample` draws as x*c is c1*x + c2*u + c3*x*u, each c drawn as there.
+    So a witness product can be nilpotent, or zero, modulo the relations.
+    """
+    import random
+
+    from uhat.blowup import check_wuu
+    from uhat.infinitesimal import check_cdrs
+    from uhat.lie import DerivationAction, GradedLieAlgebra
+    from uhat.rings import GradedRing, PresentedAlgebra
+
+    while True:
+        rng = random.Random(seed)
+        seed += 1
+        ny, nz = rng.randint(1, 2), rng.randint(1, 2)
+        names = ["x", "u"] + [f"y{i}" for i in range(ny)] + [f"z{i}" for i in range(nz)]
+        R = GradedRing(names, [0, 0] + [-1] * ny + [-2] * nz)
+        x, u = R.var("x"), R.var("u")
+        A = PresentedAlgebra(R, [u * u])
+        L = GradedLieAlgebra([2, 1], [["a1"], ["b1"]])
+
+        def rnd():
+            return rng.choice([1, -1, 2]) * rng.randint(0, 1)
+
+        def weight_zero():
+            return x * rnd() + u * rnd() + x * u * rnd()
+
+        t1 = {f"z{i}": weight_zero() for i in range(nz)}
+        t2 = {f"y{i}": weight_zero() for i in range(ny)}
+        for i in range(nz):
+            t2[f"z{i}"] = sum((R.var(f"y{j}") * rnd() for j in range(ny)), R.zero())
+        if not (any(p for p in t1.values()) and any(t2[f"y{i}"] for i in range(ny))):
+            continue
+        action = DerivationAction(A, L, {"a1": t1, "b1": t2})
+        if action.validate() or check_cdrs(action)["holds"] or not check_wuu(action)[0]:
+            continue
+        return action, seed
+
+
 @pytest.fixture
 def ga_jump():
     return one_weight_jump()

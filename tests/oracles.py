@@ -6,15 +6,17 @@ sum by cofactor expansion, the kernel of a pairing matrix by linear algebra
 on bounded-degree coefficients, the exactness of the snake sequence by
 module membership, the nonzero minors of a matrix by reducing every
 minor, the relations of a quotient stage by graph-ideal elimination,
-the relations of a blow-up chart by the plain saturation, and a
-substitution term by term; `right_nullspace` is the exact linear algebra
-the kernel oracle solves with.  No command runs them, and the package
+the relations of a blow-up chart by the plain saturation, a
+substitution term by term, a lead entry from Fraction terms and a
+reduced basis by interreducing monic copies; `right_nullspace` is the
+exact linear algebra the kernel oracle solves with.  No command runs them, and the package
 checks each certificate where it emits it, so they live here rather than
 in `uhat`.
 """
 
 import math
 from fractions import Fraction
+from math import gcd
 
 from uhat.blowup import E_operator
 from uhat.infinitesimal import infinitesimal_matrix, level_data, pair_coordinates
@@ -29,6 +31,7 @@ from uhat.rings import (
     minors_ideal_generators,
     module_groebner,
     normal_form_list,
+    numerators,
     rref,
     sparse_system,
 )
@@ -113,6 +116,59 @@ def substitute_per_term(p, values, ring):
                 part = part * (val if isinstance(val, Polynomial) else ring.const(val)) ** e
         total = total + part
     return total
+
+
+def integer_terms(p):
+    """Terms of a nonzero p scaled to integers with content 1 and a positive lead coefficient."""
+    terms = numerators(p)[1]
+    content = gcd(*terms.values())
+    if terms[p.lm()] < 0:
+        content = -content
+    return {m: c // content for m, c in terms.items()}
+
+
+def lead_entry_reference(g):
+    """`lead_entry(g)` from g's Fraction terms, with g itself as its last field.
+
+    The span packs each base variable's largest exponent, read off the
+    transposed exponent tuples.
+    """
+    ring = g.ring
+    lm = g.lm()
+    terms = integer_terms(g)
+    lc = terms.pop(lm)
+    tail = [(ring.key(m), ring.pack(m), c) for m, c in terms.items()]
+    n = ring._nbase
+    span = ring.pack([max(col) for col in zip(*g.terms)][:n] + [0] * (ring.nvars - n))
+    return (ring.pack(lm), ring.key(lm), lc, tail, span, g)
+
+
+def reduce_groebner_reference(G):
+    """`reduce_groebner(G)` by interreducing monic copies of the elements.
+
+    Each element is made monic, those whose lead an earlier lead divides
+    are dropped, and each tail is rebuilt as a polynomial and reduced by
+    the index of all the kept elements.
+    """
+    if not G:
+        return []
+    ring = G[0].ring
+    key = ring.key
+    G = sorted((g.monic() for g in G if g), key=lambda g: key(g.lm()))
+    minimal, words = [], []
+    for g in G:
+        w = ring.pack(g.lm())
+        if all((w - v) & ring.guard for v in words):
+            minimal.append(g)
+            words.append(w)
+    lead = LeadIndex(minimal)
+    reduced = []
+    for g in minimal:
+        lm = g.lm()
+        tail = {m: c for m, c in g.terms.items() if m != lm}
+        rem = normal_form_list(Polynomial(ring, tail, False), lead)
+        reduced.append(Polynomial(ring, {lm: g.terms[lm], **rem.terms}, False))
+    return sorted(reduced, key=lambda g: key(g.lm()), reverse=True)
 
 
 def module_normal_form(v, lead, ring, rank):

@@ -1,5 +1,6 @@
 import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from uhat.blowup import (
 from conftest import (
     blowup_charts,
     heisenberg_scaled,
+    nilpotent_sweep_sample,
     one_weight_free,
     one_weight_jump,
     random_two_level_action,
@@ -578,6 +580,36 @@ def test_random_sweep_slice_blows_up_and_verifies():
             for mu in range(len(bs)):
                 for p in action.lie.pbw_monomials_of_weight(w, exact=True):
                     assert beta_check(action, cd, els, level, mu, p), (action.ring.names, level, mu)
+
+
+def test_nilpotent_sweep_family_refuses_or_verifies_its_chart():
+    # the first 20 instances of the sweep family with u^2 = 0 from seed 1:
+    # a witness product that is nilpotent or zero modulo the relations is
+    # refused, and every other chart is nonempty and verifies, with its
+    # certificate and its staged quotient; the split is pinned
+    from uhat.quotient import staged_quotient, verify_quotient
+
+    outcomes = Counter()
+    seed = 1
+    for _ in range(20):
+        action, seed = nilpotent_sweep_sample(seed)
+        cd = centre(action)
+        els = construct_b(action, cd)
+        try:
+            chart = build_chart(action, cd, els)
+        except VerificationFailed as exc:
+            outcomes[exc.args[0]] += 1
+            continue
+        assert not chart.algebra.is_empty(), action.ring.names
+        rep = verify_chart_cdrs(chart)
+        assert rep["holds"] and rep["certificate_ok"], action.ring.names
+        assert verify_quotient(staged_quotient(chart.action))["ok"], action.ring.names
+        outcomes["verified"] += 1
+    assert outcomes == {
+        "the witness product is nilpotent modulo the relations: the chart is empty": 11,
+        "the witness product is zero modulo the relations": 1,
+        "verified": 8,
+    }
 
 
 # S-pairs `module_groebner` reduces during `blowup --with-quotient`, over all

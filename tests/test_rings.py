@@ -2,6 +2,7 @@ import gc
 import math
 import pathlib
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,14 @@ from uhat import rings
 from uhat.lie import GradedLieAlgebra
 from uhat.scenario import parse_polynomial
 
-from oracles import module_normal_form, right_nullspace, substitute_per_term
+from oracles import (
+    integer_terms,
+    lead_entry_reference,
+    module_normal_form,
+    reduce_groebner_reference,
+    right_nullspace,
+    substitute_per_term,
+)
 
 
 R2 = GradedRing(["x", "y"], [0, -1])
@@ -298,7 +306,7 @@ def test_lead_index_grown_by_appends_matches_plain_reduction():
             assert set(lead.buckets) == {mring.pack((0,) * n + part) for part in parts}
             for part in parts:
                 bucket = lead.buckets[mring.pack((0,) * n + part)]
-                assert [e[5] for e in bucket] == [g for g in basis if g.lm()[n:] == part]
+                assert bucket == [lead_entry(g) for g in basis if g.lm()[n:] == part]
             most_buckets = max(most_buckets, len(lead.buckets))
             most_memo = max(most_memo, len(lead.memo))
         assert most_buckets == (rank or 1)
@@ -430,7 +438,7 @@ def primitive(p):
     """p scaled to integer coefficients with content 1 and a positive lead coefficient."""
     if not p:
         return p
-    return Polynomial(p.ring, {m: Fraction(c) for m, c in rings._integer_terms(p).items()}, False)
+    return Polynomial(p.ring, {m: Fraction(c) for m, c in integer_terms(p).items()}, False)
 
 
 def list_min_buchberger(gens, keep=None, stop=None):
@@ -613,6 +621,108 @@ def test_reduce_groebner_matches_per_element_indexes(order):
             assert reduce_groebner(G) == per_element_reduce_groebner(G), G
 
 
+@pytest.mark.parametrize("order", ["degrevlex", "lex", "weighted:3,0,2", "elim:1", "elim:2"])
+def test_lead_entry_matches_the_fraction_formula(order):
+    # plain polynomials and vectors over position rings with 1 to 3
+    # positions; one-term elements, Fraction coefficients, negative leads
+    # and exponents up to 2**32 - 1, where the span's word lcm meets the
+    # guard bits
+    base = GradedRing(["x", "y", "z"], [0, -1, -2], order)
+    exps = [0, 1, 2, 3, 2**31, 2**EXP_BITS - 2, 2**EXP_BITS - 1]
+    rng = random.Random(sum(map(ord, order)))
+
+    def rand_poly(nterms):
+        terms = {
+            tuple(rng.choice(exps) if rng.random() < 0.3 else rng.randint(0, 3) for _ in range(3)):
+            Fraction(rng.choice([-6, -3, -1, 1, 2, 4]), rng.choice([1, 2, 3, 9]))
+            for _ in range(nterms)
+        }
+        return Polynomial(base, terms)
+
+    singles = near_bound = 0
+    for rank in (0, 1, 2, 3):
+        ring = _position_ring(base, rank) if rank else base
+        for _ in range(40):
+            if rank:
+                positions = rng.sample(range(rank), rng.randint(1, rank))
+                g = _encode({pos: rand_poly(rng.randint(1, 3)) for pos in positions}, ring, rank)
+            else:
+                g = rand_poly(rng.randint(1, 5))
+            if not g:
+                continue
+            entry = lead_entry(g)
+            assert entry[:5] == lead_entry_reference(g)[:5], g
+            assert entry[5] is ring
+            singles += len(g.terms) == 1
+            near_bound += any(e >= 2**31 for m in g.terms for e in m)
+        # an exponent of 2**32 raises in the lead and in the tail, on every call
+        top = (2**EXP_BITS,) + (0,) * (ring.nvars - 1)
+        for terms in ({top: Fraction(1)}, {top: Fraction(1), (0, 1, 0) + (0,) * rank: Fraction(2)}):
+            if rank:
+                terms = {m[: ring.nvars - 1] + (1,): c for m, c in terms.items()}
+            g = Polynomial(ring, terms)
+            for _ in range(2):
+                with pytest.raises(OverflowError):
+                    lead_entry(g)
+            with pytest.raises(OverflowError):
+                lead_entry_reference(g)
+    assert singles > 10 and near_bound > 40
+
+
+class Tracked(Polynomial):
+    """A polynomial that a weak reference can watch."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_lead_entry_is_memoised_without_a_reference_cycle():
+    # the entry is computed once and names the ring, not the polynomial:
+    # with the cycle collector off, a basis element is freed as soon as its
+    # last reference goes, after a Groebner basis or a reduced basis is
+    # computed from it and while an index of it lives
+    ring = GradedRing(["x", "y", "z"], [0, -1, -2])
+    x, y, z = (ring.var(n) for n in ring.names)
+    g = x * y - z
+    assert lead_entry(g) is lead_entry(g) and lead_entry(g)[5] is ring
+    gc.disable()
+    try:
+        for use in (groebner_basis, reduce_groebner, LeadIndex):
+            g = Tracked(ring, {(1, 1, 0): Fraction(2), (0, 0, 1): Fraction(-1, 3)})
+            freed = weakref.finalize(g, lambda: None)
+            kept = use([g, x**2 - y, y * z])
+            assert g._entry is not None, use.__name__
+            del g
+            assert not freed.alive, use.__name__
+            del kept
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("order", ["degrevlex", "lex", "weighted:3,0,2", "elim:2"])
+def test_reduce_groebner_matches_monic_interreduction(order):
+    # unreduced lists and Groebner bases with repeated leads, non-monic
+    # elements, Fraction coefficients and zeros; the same elements, terms
+    # and order as interreducing monic copies
+    ring = GradedRing(["x", "y", "z"], [0, -1, -2], order)
+    rng = random.Random(sum(map(ord, order)) + 1)
+    repeated = 0
+    for _ in range(40):
+        gens = random_ideal(rng, ring, 5, 2)
+        for G in (gens, buchberger([g for g in gens if g])):
+            G = list(G)
+            for g in list(G):
+                if g and rng.random() < 0.5:
+                    c = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7]))
+                    low = ring.monomial((0, 0, 0), Fraction(rng.choice([-1, 1]), 3))
+                    G.insert(rng.randrange(len(G) + 1), g * c + (low if g.lm() != (0, 0, 0) else 0))
+                    repeated += 1
+            G.append(ring.zero())
+            got, want = reduce_groebner(G), reduce_groebner_reference(G)
+            assert got == want, G
+            assert [str(g) for g in got] == [str(g) for g in want]
+    assert repeated > 40
+
+
 def term_mul_s_polynomial(f, g):
     """The S-polynomial as two scaled copies, a negation and a sum, as a reference."""
     lf, lg = f.lm(), g.lm()
@@ -653,6 +763,8 @@ def test_pair_normal_form_matches_term_mul_formula():
         lead = LeadIndex(basis + [f, g])
         got = pair_normal_form(lead_entry(f), lead_entry(g), lead)
         assert got == normal_form_list(want, lead), (f, g, basis)
+        # a nonzero remainder carries the entry built from its integers
+        assert not got or got._entry[:5] == lead_entry_reference(got)[:5], (f, g, basis)
         cancelled += len(want.terms) < len(f.terms) + len(g.terms) - 2
         reduced += got != want
         vf = _encode({0: f, rng.randrange(1, rank): rand_poly(2)}, mring, rank)
@@ -664,6 +776,7 @@ def test_pair_normal_form_matches_term_mul_formula():
         assert pair_normal_form(lead_entry(vf), lead_entry(vg), LeadIndex()) == want, (vf, vg)
         got = pair_normal_form(lead_entry(vf), lead_entry(vg), vlead)
         assert got == normal_form_list(want, vlead), (vf, vg, vbasis)
+        assert not got or got._entry[:5] == lead_entry_reference(got)[:5], (vf, vg, vbasis)
     assert cancelled > 20 and reduced > 20
 
 

@@ -8,6 +8,11 @@ report byte-identical leaves each run equal to its record.  To re-record
 after a deliberate change of a report:
 
     PYTHONPATH=src python tests/test_scenario_commands.py --record
+
+The same commands, with sweep-script instances, also drive two checks of
+the Groebner layer's memos over everything the program builds: each
+S-pair remainder's lead entry, and that no polynomial changes after
+construction.
 """
 
 import contextlib
@@ -19,6 +24,12 @@ import sys
 import tempfile
 
 import pytest
+
+from uhat import rings
+from uhat.rings import Polynomial
+
+from conftest import sweep_script
+from oracles import lead_entry_reference
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "scenario_commands.json"
@@ -61,6 +72,70 @@ def test_every_scenario_command_has_a_record():
 def test_scenario_command_matches_its_record(name, command):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[f"{name} {command}"]
     assert run(name, command) == golden
+
+
+def run_sweep(count, quotients):
+    """Blow up and verify the first `count` sweep-script instances from seed 1.
+
+    With `quotients`, each chart's staged quotient is built and verified too.
+    """
+    from uhat.blowup import build_chart, centre, construct_b, verify_chart_cdrs
+    from uhat.quotient import staged_quotient, verify_quotient
+
+    seed = 1
+    for _ in range(count):
+        action, seed = sweep_script().sample(seed)
+        cd = centre(action)
+        chart = build_chart(action, cd, construct_b(action, cd))
+        rep = verify_chart_cdrs(chart)
+        assert rep["holds"] and rep["certificate_ok"], action.ring.names
+        if quotients:
+            assert verify_quotient(staged_quotient(chart.action))["ok"], action.ring.names
+
+
+def test_every_pair_remainder_carries_its_reference_entry(monkeypatch):
+    # `pair_normal_form` hands Buchberger and the module loop each nonzero
+    # remainder with the lead entry built from its integer numerators; it
+    # must equal the entry derived from the remainder's Fraction terms
+    checked = 0
+    real_pair_normal_form = rings.pair_normal_form
+
+    def pair_normal_form(f, g, lead):
+        nonlocal checked
+        r = real_pair_normal_form(f, g, lead)
+        if r:
+            assert r._entry is not None and r._entry[5] is r.ring
+            assert r._entry[:5] == lead_entry_reference(r)[:5], r
+            checked += 1
+        return r
+
+    monkeypatch.setattr(rings, "pair_normal_form", pair_normal_form)
+    for name in SCENARIOS:
+        for command in COMMANDS:
+            run(name, command)
+    run_sweep(40, quotients=False)
+    assert checked > 500
+
+
+def test_no_polynomial_changes_after_construction(monkeypatch):
+    # the memoised lead monomial and lead entry hold only while a
+    # polynomial's terms never change: every polynomial built by the 24
+    # commands and by 10 sweep instances with their chart quotients keeps
+    # the terms it was constructed with
+    made = []
+    real_init = Polynomial.__init__
+
+    def init(self, ring, terms, prune=True):
+        real_init(self, ring, terms, prune)
+        made.append((self, dict(self.terms)))
+
+    monkeypatch.setattr(Polynomial, "__init__", init)
+    for name in SCENARIOS:
+        for command in COMMANDS:
+            run(name, command)
+    run_sweep(10, quotients=True)
+    changed = [str(p) for p, terms in made if p.terms != terms]
+    assert changed == [] and len(made) > 10000
 
 
 if __name__ == "__main__":
