@@ -152,13 +152,10 @@ class GradedRing:
     def key(self, e):
         """Order key of an exponent tuple: an integer, larger for a later monomial.
 
-        It is linear in e, so key(a + b) = key(a) + key(b).  Keys of tuples
-        are memoised on the ring; a list is encoded afresh.
+        It is linear in e, so key(a + b) = key(a) + key(b).  Keys are
+        memoised on the ring.
         """
-        try:
-            k = self._keys.get(e)
-        except TypeError:  # a list
-            return sum(map(mul, e, self._cols))
+        k = self._keys.get(e)
         if k is None:
             memo = self._keys
             if len(memo) >= MEMO_BOUND:
@@ -173,27 +170,21 @@ class GradedRing:
         than one position variable or a position exponent above 1.  For
         words a and b of this ring in one position, a divides b iff
         (b - a) & guard == 0, and a + b is the word of the product unless
-        it sets a guard bit or a and b both have a position.  Words of
-        tuples are memoised on the ring, and a rejected tuple is not, so it
-        raises again on every call; a list is encoded afresh.
+        it sets a guard bit or a and b both have a position.  Words are
+        memoised on the ring, and a rejected tuple is not, so it raises
+        again on every call.
         """
-        try:
-            w = self._words.get(e)
-        except TypeError:  # a list
-            return self._pack(e)
+        w = self._words.get(e)
         if w is None:
+            if max(e, default=0) >> EXP_BITS:
+                raise OverflowError(f"exponent of {e} not below 2**{EXP_BITS}")
+            if sum(e[self._nbase :]) > 1:
+                raise ValueError(f"{e} is not a module term: positions sum above 1")
             memo = self._words
             if len(memo) >= MEMO_BOUND:
                 memo.clear()
-            w = memo[e] = self._pack(e)
+            w = memo[e] = sum(map(mul, e, self._units))
         return w
-
-    def _pack(self, e):
-        if max(e, default=0) >> EXP_BITS:
-            raise OverflowError(f"exponent of {e} not below 2**{EXP_BITS}")
-        if sum(e[self._nbase :]) > 1:
-            raise ValueError(f"{e} is not a module term: positions sum above 1")
-        return sum(map(mul, e, self._units))
 
     def unpack(self, w):
         """Exponent tuple of a word of this ring, memoised on the ring."""
@@ -532,8 +523,7 @@ def lead_entry(g):
         ring = g.ring
         key, pack = ring.key, ring.pack
         lm = g.lm()
-        den = lcm(*(c.denominator for c in g.terms.values()))
-        nums = {m: c.numerator * (den // c.denominator) for m, c in g.terms.items()}
+        nums = numerators(g)[1]
         lc = nums.pop(lm)
         tail = [(key(m), pack(m), c) for m, c in nums.items()]
         entry = g._entry = _scaled_entry(ring, pack(lm), key(lm), lc, tail)
@@ -558,23 +548,18 @@ def _scaled_entry(ring, lw, lk, lc, tail):
 
 
 MEMO_BOUND = 2**14
-"""Entries a memo holds before it is cleared: a `LeadIndex` memo's words,
-and each of a `GradedRing`'s `key`, `pack` and `unpack` memos.
+"""Entries a `GradedRing`'s `key`, `pack` or `unpack` memo holds before it is cleared.
 
-A full memo of words with 8 base variables and 9 positions (60-byte words,
-CPython 3.11) takes about 1.6 MB, the dict and its keys; the three full
-code memos of a 10-variable ring take about 6 MB together, most of it the
-tuples that `unpack` builds.  Without a bound, no memo of the benchmark
+The three full memos of a 10-variable ring take about 6 MB together, most
+of it the tuples that `unpack` builds.  No ring's memo of the benchmark
 sweep's seven instances or of the 6 scenarios through analyze, quotient
-and blowup (with and without its quotient) holds more than 275 words, and
-no ring's code memo more than 273 entries, so the bound only caps other
-inputs; before `syzygy_kernel` skipped the dead cofactor position, one
-sweep `module_groebner` call grew its memo to 86 k words and 7.8 MB.
+and blowup (with and without its quotient) holds more than 273 entries,
+so the bound only caps other inputs.
 """
 
 
 class LeadIndex:
-    """Lead entries of a basis, bucketed by position, with a first-divisor memo.
+    """Lead entries of a basis, bucketed by the position part of each lead.
 
     `LeadIndex(basis)` indexes the nonzero elements of `basis` in list
     order, and `add(g)` appends the `lead_entry` of one more nonzero g and
@@ -586,24 +571,16 @@ class LeadIndex:
 
     `buckets` maps the position part of each lead word (`ring.positions`)
     to the `lead_entry` of every element led in that position, in basis
-    order; a ring without positions has the one bucket 0.  Buckets are only
-    appended to, so no entry ever moves.
-
-    `memo` maps a word that `_reduce` has popped to the first entry of its
-    bucket whose lead divides it, or to a count n > 0 of leading entries of
-    its bucket of which none divides it.  The memo is exact: an appended
-    entry comes after every entry already in its bucket, so a divisor found
-    stays the first one, and a word with count n needs a scan of the
-    entries past n only.  It is cleared whenever it reaches `MEMO_BOUND`
-    words, and it lives as long as the index, so a Buchberger loop or an
-    `Ideal` reuses it across every reduction it makes.
+    order; a ring without positions has the one bucket 0.  All positions
+    share one word field, so a lead in a lower position would pass the
+    divisibility test on a word in a higher one: a word is tested only
+    against its own bucket.
     """
 
-    __slots__ = ("buckets", "memo")
+    __slots__ = ("buckets",)
 
     def __init__(self, basis=()):
         self.buckets = {}
-        self.memo = {}
         for g in basis:
             if g:
                 self.add(g)
@@ -629,19 +606,16 @@ def _reduce(ring, work, den, lead, encode=False):
     keys; stale heap entries of terms that cancelled are skipped.  Every
     term has one position part (see `_encode`), and a lead in another
     position never divides it, so only the bucket of the popped word's
-    position is searched: the reducer is its first entry, in basis order,
-    whose lead word divides the popped one.  The index's memo answers a
-    word popped before at once, or names how many entries of the bucket a
-    scan may skip, and the scan's outcome is written back to it (see
-    `LeadIndex`); the exponent bound is checked only when x^q times the
-    reducer's span sets a guard bit.  Reducing numerator a by an
-    entry with lead coefficient c scales every pending numerator and `den`
-    by c / gcd(a, c), then subtracts a / gcd(a, c) times x^q times the
-    entry's tail, so the lead cancels and every numerator stays an integer;
-    c = 1 needs no gcd.  Keys are linear, so a new term's negated key is
-    -(tail key) - key(popped) + key(lead).  A remainder term keeps the
-    denominator of the moment it was popped; only remainder terms are
-    decoded back to exponent tuples and Fractions.
+    position is scanned: the reducer is its first entry, in basis order,
+    whose lead word divides the popped one.  The exponent bound is checked
+    only when x^q times the reducer's span sets a guard bit.  Reducing
+    numerator a by an entry with lead coefficient c scales every pending
+    numerator and `den` by c / gcd(a, c), then subtracts a / gcd(a, c)
+    times x^q times the entry's tail, so the lead cancels and every
+    numerator stays an integer; c = 1 needs no gcd.  Keys are linear, so a
+    new term's negated key is -(tail key) - key(popped) + key(lead).  A
+    remainder term keeps the denominator of the moment it was popped; only
+    remainder terms are decoded back to exponent tuples and Fractions.
 
     With `encode`, a nonzero remainder also gets its `lead_entry` from
     these integers, so no caller re-derives it.  Its terms are popped in
@@ -649,8 +623,7 @@ def _reduce(ring, work, den, lead, encode=False):
     `den` only grows by factors: the numerators over D are a * (D / d), the
     lead is the first term and the keys are the negated popped ones.
     """
-    guard, positions = ring.guard, ring.positions
-    buckets, memo, bound = lead.buckets, lead.memo, MEMO_BOUND
+    guard, positions, buckets = ring.guard, ring.positions, lead.buckets
     heap = list(work)
     heapify(heap)
     rem = []
@@ -660,24 +633,12 @@ def _reduce(ring, work, den, lead, encode=False):
         if record is None:
             continue
         a, m = record
-        entry = memo.get(m, 0)
-        if entry.__class__ is int:
-            # a miss, or no divisor among the first `entry` entries of the bucket
-            bucket = buckets.get(m & positions, ())
-            scanned = entry
-            for entry in itertools.islice(bucket, scanned, None):
-                if not (m - entry[0]) & guard:
-                    break
-            else:
-                if len(bucket) != scanned:
-                    if len(memo) >= bound:
-                        memo.clear()
-                    memo[m] = len(bucket)
-                rem.append((k, m, a, den))
-                continue
-            if len(memo) >= bound:
-                memo.clear()
-            memo[m] = entry
+        for entry in buckets.get(m & positions, ()):
+            if not (m - entry[0]) & guard:
+                break
+        else:
+            rem.append((k, m, a, den))
+            continue
         lw, lk, lc, tail, span, _ = entry
         q = m - lw
         if (span + q) & guard:
@@ -718,11 +679,10 @@ def normal_form_list(p, lead):
     """Remainder of p under full reduction by a lead index, first divisor first.
 
     `lead` is a `LeadIndex`: one `lead_entry` per basis element, bucketed
-    by the position part of its lead, with a memo of the divisor found for
-    each word reduced so far; a Buchberger loop calls its `add` whenever it
-    appends to its basis, so no call rebuilds it or loses its memo.  Each
-    term is reduced by the first divisor in basis order among the leads in
-    its position.  So the remainder depends on the basis order, unless the
+    by the position part of its lead; a Buchberger loop calls its `add`
+    whenever it appends to its basis, so no call rebuilds it.  Each term is
+    reduced by the first divisor in basis order among the leads in its
+    position.  So the remainder depends on the basis order, unless the
     index holds a Groebner basis, when it is the unique normal form.
     p is packed into integer numerators over the lcm of its denominators
     and reduced by `_reduce`; with no basis element, p is its own remainder.
@@ -839,11 +799,12 @@ def _update_pairs(words, pairs, guard):
 def buchberger(gens, keep=None, stop=None):
     """Groebner basis via Buchberger with Gebauer-Moeller pair pruning.
 
-    Index entries are primitive over the integers, so coefficient growth
-    stays bounded; elements are returned unscaled.  Pairs are selected by
-    sugar (Giovini, Mora, Niesi, Robbiano & Traverso, "One sugar cube,
-    please", 1991), ties broken by the smallest lcm and then by the pair
-    formed first.  Each pair enters a heap keyed by (sugar, lcm key, t, i)
+    Every S-pair is reduced through one `LeadIndex`, appended to as the
+    basis grows.  Its entries are primitive over the integers, so
+    coefficient growth stays bounded; elements are returned unscaled.
+    Pairs are selected by sugar (Giovini, Mora, Niesi, Robbiano &
+    Traverso, "One sugar cube, please", 1991), ties broken by the smallest
+    lcm and then by the pair formed first.  Each pair enters a heap keyed by (sugar, lcm key, t, i)
     when `_update_pairs` forms it as (i, t), so the key is computed once; a
     pair the update later deletes leaves the pending `pairs` at once and the
     heap when it is popped.  The selection order changes which basis comes
@@ -889,11 +850,11 @@ def reduce_groebner(G):
     `lead_entry`, and each one whose lead word an earlier kept lead divides
     is dropped.  The tail of each one left is reduced straight from its
     entry's integer tail over the denominator lc, which reads the element
-    as monic, against one `LeadIndex` of them all, whose memo serves every
-    tail: tail terms lie below their element's lead, so it never divides
-    one, and the first divisor in basis order is that of an index of the
-    other elements.  The kept leads are distinct and ascending, so the
-    reduced elements are returned in reverse.
+    as monic, against one `LeadIndex` of them all: tail terms lie below
+    their element's lead, so it never divides one, and the first divisor in
+    basis order is that of an index of the other elements.  The kept leads
+    are distinct and ascending, so the reduced elements are returned in
+    reverse.
     """
     G = [g for g in G if g]
     minimal, words = [], []
@@ -962,7 +923,7 @@ def unit_certificate(gens):
 class Ideal:
     """Ideal with a lazily computed reduced Groebner basis and its lead index.
 
-    The index, and so its first-divisor memo, serves every `normal_form` call.
+    The index is built once and serves every `normal_form` call.
     """
 
     def __init__(self, ring, generators):
@@ -1170,7 +1131,7 @@ def module_groebner(gens, ring, rank):
     in, first out, and this order fixes which syzygy generators
     `syzygy_kernel` returns.  Each S-polynomial is reduced by the basis
     leads in its own position only, first divisor in basis order, through
-    the one `LeadIndex`, whose memo lasts the whole call.
+    one `LeadIndex` that grows with the basis.
     """
     mring = _position_ring(ring, rank)
     G = [g for g in (_encode(v, mring, rank) for v in gens) if g]

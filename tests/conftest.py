@@ -56,7 +56,7 @@ def sweep_script():
 
 @functools.cache
 def blowup_charts():
-    """(label, chart) for the four failing scenario files and the first six sweep instances."""
+    """(label, action, chart): four failing scenario files, then the first six sweep instances."""
     from uhat.blowup import build_chart, centre, construct_b
     from uhat.scenario import Options
 
@@ -73,7 +73,7 @@ def blowup_charts():
         cd = centre(action, options.degree_bound)
         elements = construct_b(action, cd)
         chart = build_chart(action, cd, elements)
-        charts.append((label, chart))
+        charts.append((label, action, chart))
     return charts
 
 

@@ -139,7 +139,7 @@ def lead_entry_reference(g):
     lc = terms.pop(lm)
     tail = [(ring.key(m), ring.pack(m), c) for m, c in terms.items()]
     n = ring._nbase
-    span = ring.pack([max(col) for col in zip(*g.terms)][:n] + [0] * (ring.nvars - n))
+    span = ring.pack(tuple([max(col) for col in zip(*g.terms)][:n] + [0] * (ring.nvars - n)))
     return (ring.pack(lm), ring.key(lm), lc, tail, span, g)
 
 

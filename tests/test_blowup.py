@@ -471,15 +471,22 @@ def test_seeded_chart_elimination_matches_the_plain_saturation():
         assert rels == saturation_relations(action, chart), label
 
 
+def test_chart_first_generator_is_the_normal_form_of_the_witness_product():
+    # build_chart refuses a zero witness product and then registers nf(a)
+    # first, so a is always a chart member: t0 = nf(a)/a
+    for label, action, chart in blowup_charts():
+        assert chart.generators[0] == ("t0", action.algebra.nf(chart.centre_data.a)), label
+
+
 def test_chart_derivation_tables_validate():
-    for label, chart in blowup_charts():
+    for label, _, chart in blowup_charts():
         assert chart.action.validate() == [], label
 
 
 def test_chart_kernels_are_complete_to_degree_two():
     # every degree <= 2 kernel vector of each chart level lies in the span
     # of the computed syzygy generators
-    for label, chart in blowup_charts():
+    for label, _, chart in blowup_charts():
         for i in range(1, chart.action.lie.nlevels + 1):
             assert verify_snake_exactness(chart.action, i, degree=2), (label, i)
 

@@ -261,7 +261,7 @@ def test_reconstruction_pieces_are_projected_derivatives():
         staged_quotient(load_scenario(SCENARIOS / f"{name}.uhat").build())
         for name in ("heisenberg_free", "one_weight_free")
     ]
-    chains += [staged_quotient(chart.action) for _, chart in blowup_charts()]
+    chains += [staged_quotient(chart.action) for _, _, chart in blowup_charts()]
     checked = 0
     for chain in chains:
         for stage in chain.stages:

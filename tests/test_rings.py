@@ -253,36 +253,25 @@ def test_normal_form_list_matches_plain_reduction(order):
     assert order_matters > 40
 
 
-def assert_memo_exact(lead, ring):
-    """Each memo value is the first entry of its word's bucket whose lead
-    divides the word, or a count n > 0 of leading entries none of which does."""
-    for m, hit in lead.memo.items():
-        bucket = lead.buckets.get(m & ring.positions, [])
-        divisors = [e for e in bucket if not (m - e[0]) & ring.guard]
-        if isinstance(hit, int):
-            assert 0 < hit <= len(bucket) and not any(e in divisors for e in bucket[:hit])
-        else:
-            assert divisors and hit is divisors[0], ring.unpack(m)
-
-
 def test_lead_index_grown_by_appends_matches_plain_reduction():
     # a Buchberger loop calls LeadIndex.add once per new basis element; after each
-    # call the index must hold the buckets built from the whole basis and
-    # reduce exactly as the list it stands for, its memo filled by the
-    # reductions before the append.  A plain ring has the one bucket 0; over
-    # the position ring each lead position has its own bucket, which lists
-    # the elements led there in basis order
-    ring = GradedRing(["x", "y", "z"], [0, -1, -2], "degrevlex")
-    monos = [m for d in range(4) for m in ring.monomials_of_degree(d)]
-    n = ring.nvars
+    # call the index must reduce exactly as the list it stands for, and
+    # reducing must leave it holding the buckets built from the whole basis.
+    # A plain ring has the one bucket 0; over the position ring each lead
+    # position has its own bucket, which lists the elements led there in
+    # basis order; lex grows the same kind of bases under another order
+    base = GradedRing(["x", "y", "z"], [0, -1, -2], "degrevlex")
+    lex = GradedRing(base.names, base.weights, "lex")
+    monos = [m for d in range(4) for m in base.monomials_of_degree(d)]
+    n = base.nvars
     rng = random.Random(8)
 
-    def rand_poly(nterms):
-        terms = {m: Fraction(rng.choice([-2, -1, 1, 3])) for m in rng.sample(monos, nterms)}
-        return Polynomial(ring, terms)
-
-    for rank in (0, 3):
+    for ring, rank in ((base, 0), (base, 3), (lex, 0)):
         mring = _position_ring(ring, rank) if rank else ring
+
+        def rand_poly(nterms):
+            terms = {m: Fraction(rng.choice([-2, -1, 1, 3])) for m in rng.sample(monos, nterms)}
+            return Polynomial(ring, terms)
 
         def rand_element(nterms):
             if not rank:
@@ -290,71 +279,36 @@ def test_lead_index_grown_by_appends_matches_plain_reduction():
             positions = rng.sample(range(rank), rng.randint(1, 2))
             return _encode({pos: rand_poly(nterms) for pos in positions}, mring, rank)
 
-        most_buckets = most_memo = 0
+        most_buckets = 0
         for _ in range(20):
             basis, lead = [], LeadIndex()
             for _ in range(rng.randint(2, 6)):
                 g = rand_element(rng.randint(1, 3))
                 basis.append(g)
                 assert lead.add(g) == lead_entry(g)
-                assert lead.buckets == LeadIndex(basis).buckets
                 for _ in range(3):
                     p = rand_element(5) * rand_poly(2).map_ring(mring)
                     assert normal_form_list(p, lead) == plain_normal_form(p, basis), (basis, p)
-                    assert_memo_exact(lead, mring)
+                assert lead.buckets == LeadIndex(basis).buckets
             parts = {g.lm()[n:] for g in basis}
             assert set(lead.buckets) == {mring.pack((0,) * n + part) for part in parts}
             for part in parts:
                 bucket = lead.buckets[mring.pack((0,) * n + part)]
                 assert bucket == [lead_entry(g) for g in basis if g.lm()[n:] == part]
             most_buckets = max(most_buckets, len(lead.buckets))
-            most_memo = max(most_memo, len(lead.memo))
         assert most_buckets == (rank or 1)
-        assert most_memo > 20
 
 
-def test_lead_index_memo_miss_is_reduced_by_a_later_divisor():
-    # x*y is remembered as having no divisor among the one entry y^2; after
-    # x - y is appended, the next reduction scans only that entry, and x*y
-    # goes to y^2 and then to zero
+def test_lead_index_reduces_by_a_divisor_appended_later():
+    # x*y has no divisor among y^2; once x - y is appended, x*y goes to y^2
+    # and then to zero; appending y leaves x*y with x - y, the first
+    # divisor in basis order
     lead = LeadIndex([Y * Y])
-    xy = R2.pack((1, 1))
     assert normal_form_list(X * Y, lead) == X * Y
-    assert lead.memo == {xy: 1}
-    entry = lead.add(X - Y)
+    lead.add(X - Y)
     assert normal_form_list(X * Y, lead) == R2.zero()
-    assert lead.memo[xy] is entry
-    # a divisor found stays the first one: appending y leaves x*y with x
     lead.add(Y)
     assert normal_form_list(X * Y + Y, lead) == plain_normal_form(X * Y + Y, [Y * Y, X - Y, Y])
-    assert lead.memo[xy] is entry
-
-
-def test_lead_index_memo_cleared_at_its_bound_matches_plain_reduction(monkeypatch):
-    # with room for 4 words the memo is cleared many times within one
-    # reduction; remainders must not change, and the memo never passes 4
-    monkeypatch.setattr(rings, "MEMO_BOUND", 4)
-    ring = GradedRing(["x", "y", "z"], [0, -1, -2], "lex")
-    monos = [m for d in range(4) for m in ring.monomials_of_degree(d)]
-    rng = random.Random(13)
-
-    def rand_poly(nterms):
-        terms = {m: Fraction(rng.choice([-2, -1, 1, 3])) for m in rng.sample(monos, nterms)}
-        return Polynomial(ring, terms)
-
-    seen = set()
-    for _ in range(10):
-        basis, lead = [], LeadIndex()
-        for _ in range(rng.randint(2, 5)):
-            basis.append(rand_poly(rng.randint(1, 3)))
-            lead.add(basis[-1])
-            for _ in range(3):
-                p = rand_poly(6) * rand_poly(2)
-                assert normal_form_list(p, lead) == plain_normal_form(p, basis), (basis, p)
-                assert len(lead.memo) <= 4
-                assert_memo_exact(lead, ring)
-                seen.update(lead.memo)
-    assert len(seen) > 5 * 4
 
 
 def tuple_lcm(a, b):
@@ -1602,8 +1556,6 @@ def test_memoised_codes_match_the_direct_formulas(monkeypatch, bound):
             for e in rng.sample(exps, len(exps)):
                 key, word = direct_codes(ring, e)
                 assert (ring.key(e), ring.pack(e), ring.unpack(word)) == (key, word, e)
-                # a list gives the same codes and is not memoised
-                assert (ring.key(list(e)), ring.pack(list(e))) == (key, word)
                 assert max(map(len, (ring._keys, ring._words, ring._tuples))) <= bound
         assert all(type(k) is tuple for k in [*ring._keys, *ring._words])
 
