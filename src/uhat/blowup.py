@@ -11,6 +11,7 @@ constant-rank condition.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -102,14 +103,14 @@ def product_fitting_ideal(action, start=1):
 WITNESS_TRIALS = 20  # sampled points before the witness search gives up
 
 
-def check_wuu(action, reduced=False, rng=None):
+def check_wuu(action, reduced=False):
     """Whether the weight-zero stratum meets the minimal-rank locus.
 
     Decided exactly: the product of the minimal nonzero Fitting ideals must
     not be contained in relations + negative-weight part.  With the reduced
     flag a rational witness point with the expected stabiliser dimension
-    pattern is searched for among `WITNESS_TRIALS` points sampled from the
-    weight-zero locus.
+    pattern is searched for among `WITNESS_TRIALS` points of the weight-zero
+    locus: the all-ones point, then points drawn from `random.Random(1)`.
     """
     algebra = action.algebra
     ring = action.ring
@@ -124,17 +125,16 @@ def check_wuu(action, reduced=False, rng=None):
         return False, info
     info["weight_zero_generator"] = str(nonzero[0])
     if reduced:
-        witness = _witness_point(action, ks, rng)
+        witness = _witness_point(action, ks)
         info["witness"] = (
             {n: str(v) for n, v in witness.items()} if witness is not None else None
         )
     return True, info
 
 
-def _witness_point(action, ks, rng):
-    import random
-
-    rng = rng or random.Random(0)
+def _witness_point(action, ks):
+    # one fixed generator, so the witness depends on the action alone
+    rng = random.Random(1)
     ring = action.ring
     neg = set(negative_weight_variables(ring))
     # the stabiliser of u_i at a point has dimension k_1 + ... + k_i there,
@@ -161,6 +161,25 @@ def _witness_point(action, ks, rng):
 # centre of the blow-up
 
 
+def _witness_minors(action, weight, rows, need, degree_bound):
+    """The nonzero `need`-minors modulo the relations, as (split, functions, minor).
+
+    In the order the centre tries them: by degree up to `degree_bound`,
+    then by function set among the standard monomials of weight -`weight`,
+    then by split rows of `rows`.
+    """
+    algebra = action.algebra
+    for deg in range(1, degree_bound + 1):
+        monos = algebra.standard_monomials(weight=-weight, max_degree=deg)
+        cands = [action.ring.monomial(m) for m in monos]
+        for fns in itertools.combinations(cands, need):
+            for split in itertools.combinations(rows, need):
+                mat = [[action.apply_basis(mu, f) for f in fns] for mu in split]
+                minor = algebra.nf(determinant(mat))
+                if minor:
+                    yield split, fns, minor
+
+
 def centre(action, degree_bound=8):
     """Select determinantal witnesses and assemble the centre ideal.
 
@@ -169,7 +188,6 @@ def centre(action, degree_bound=8):
     the first nonzero minor modulo the relations wins, and the basis is
     reordered so the chosen minor sits in the top-left block.
     """
-    algebra = action.algebra
     ring = action.ring
     cdrs = check_cdrs(action)
     if cdrs["holds"]:
@@ -182,21 +200,7 @@ def centre(action, degree_bound=8):
         if need == 0:
             witnesses.append(LevelWitness(i, w, (), (), ring.one()))
             continue
-        found = None
-        for deg in range(1, degree_bound + 1):
-            monos = algebra.standard_monomials(weight=-w, max_degree=deg)
-            cands = [ring.monomial(m) for m in monos]
-            for fns in itertools.combinations(cands, need):
-                for split in itertools.combinations(rows, need):
-                    mat = [[action.apply_basis(mu, f) for f in fns] for mu in split]
-                    minor = algebra.nf(determinant(mat))
-                    if minor:
-                        found = (split, fns, minor)
-                        break
-                if found:
-                    break
-            if found:
-                break
+        found = next(_witness_minors(action, w, rows, need, degree_bound), None)
         if found is None:
             raise BoundExhausted(
                 f"no nonzero witness minor of degree <= {degree_bound} at level {i}",

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 condition refusal, 2 input error, 3 bound
 exhaustion (a search bound, or a computed exponent past the packing
 bound).  Reports are printed as indented text and can additionally be
-written as JSON; for a fixed scenario and seed they are byte-identical
-across runs.
+written as JSON; a scenario subcommand's report depends on its scenario
+file and flags alone, and is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -94,15 +94,8 @@ def _load(args):
         if args.degree_bound < 0:
             raise ScenarioError(f"--degree-bound must be >= 0, got {args.degree_bound}")
         scenario.options.degree_bound = args.degree_bound
-    if args.seed is not None:
-        scenario.options.seed = args.seed
     action = scenario.build()
     return scenario, action
-
-
-def _check_wuu(scenario, action):
-    """The stratum condition, with a witness point sampled from the scenario's seed."""
-    return bl.check_wuu(action, reduced=True, rng=random.Random(scenario.options.seed))
 
 
 def _report(args, **fields):
@@ -130,7 +123,7 @@ def _chain_summary(chain):
 
 
 def cmd_analyze(args):
-    scenario, action = _load(args)
+    _, action = _load(args)
     report = {"scenario": args.scenario, "levels": {}}
     for i, d in inf.level_data(action).items():
         report["levels"][f"level_{i}"] = {
@@ -144,7 +137,7 @@ def cmd_analyze(args):
         }
     ss, cert = inf.check_ss_eq_s(action)
     cdrs = inf.check_cdrs(action)
-    wuu, winfo = _check_wuu(scenario, action)
+    wuu, winfo = bl.check_wuu(action, reduced=True)
     report["k_vector"] = list(bl.k_vector(action))
     report["ss_eq_s"] = {"holds": ss, "certificate": cert}
     report["cdrs"] = cdrs
@@ -193,7 +186,7 @@ def cmd_blowup(args):
             "no blow-up needed: the constant-rank condition already holds",
             hint="run `uhat quotient` directly",
         )
-    wuu, winfo = _check_wuu(scenario, action)
+    wuu, winfo = bl.check_wuu(action, reduced=True)
     if not wuu:
         return _refuse(args, "the weight-zero stratum misses the minimal-rank locus", wuu=winfo)
     try:
@@ -239,7 +232,7 @@ def cmd_identities(args):
         value = getattr(args, flag)
         if value < 0:
             raise ScenarioError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
-    rng = random.Random(args.seed if args.seed is not None else 1)
+    rng = random.Random(args.seed)
     report = {"command": "identities", "weighted_bracket": {}, "commutator": {}, "comult": {}}
     ok_all = True
     brackets = {}  # complete-bracket memo, shared by both identities for this run only
@@ -328,11 +321,9 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_scenario=True):
-        if needs_scenario:
-            p.add_argument("--scenario", required=True, help="scenario file path")
-            p.add_argument("--degree-bound", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+    def common(p):
+        p.add_argument("--scenario", required=True, help="scenario file path")
+        p.add_argument("--degree-bound", type=int, default=None)
         p.add_argument("--json", default=None, help="also write the report as JSON")
 
     p = sub.add_parser("analyze", help="validate and run every condition check")
@@ -353,7 +344,8 @@ def main(argv=None):
     p.set_defaults(func=cmd_blowup)
 
     p = sub.add_parser("identities", help="exhaustive free-algebra identity checks")
-    common(p, needs_scenario=False)
+    p.add_argument("--seed", type=int, default=1, help="seeds the random weight tuples")
+    p.add_argument("--json", default=None, help="also write the report as JSON")
     p.add_argument("--max-total", type=int, default=4, help="bound on |k|")
     p.add_argument("--letters", type=int, default=3)
     p.add_argument("--comult-degree", type=int, default=4)

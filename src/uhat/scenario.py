@@ -159,7 +159,6 @@ def _expr(toks, ring):
 @dataclass
 class Options:
     degree_bound: int = 8
-    seed: int = 1
 
 
 @dataclass
@@ -294,7 +293,7 @@ def parse_scenario(text):
                 raise ScenarioError("expected 'key = value'", lineno)
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in ("degree_bound", "seed"):
+            if key != "degree_bound":
                 raise ScenarioError(f"unknown option {key!r}", lineno)
             if key in seen_options:
                 raise ScenarioError(f"duplicate option {key!r}", lineno)
@@ -303,7 +302,7 @@ def parse_scenario(text):
                 number = int(val)
             except ValueError:
                 raise ScenarioError(f"bad value {val!r} for option {key!r}", lineno)
-            if number < 0 and key != "seed":
+            if number < 0:
                 raise ScenarioError(f"option {key!r} must be >= 0, got {number}", lineno)
             setattr(options, key, number)
 

@@ -1,3 +1,4 @@
+import json
 import pathlib
 import random
 from collections import Counter
@@ -55,24 +56,36 @@ def test_wuu_two_weight(chain3):
     assert ok and info["k_vector"] == (0, 0)
 
 
-@pytest.mark.parametrize(
-    "root, relation, first, seeded",
-    [(1, False, "3", "-2"), (2, True, "-2", "-2")],
-    ids=["random-trials", "relation-skip"],
-)
-def test_wuu_witness_search_past_the_first_trial(root, relation, first, seeded):
-    # a.y = x - root: trial 0's all-ones point drops the pairing's rank when
-    # root = 1 and violates x^2 - 4 when root = 2, so the witness comes from
-    # the random trials
+def jump_at(root, relation):
+    """a.y = x - root on Q[x, y] (weights 0, -1), modulo x^2 - 4 with `relation`."""
     R = GradedRing(["x", "y"], [0, -1])
     x = R.var("x")
     A = PresentedAlgebra(R, Ideal(R, [x**2 - 4] if relation else []))
     act = DerivationAction(A, GradedLieAlgebra([1], [["a"]]), {"a": {"y": x - root}})
     assert act.validate() == []
-    _, info = check_wuu(act, reduced=True)
-    assert info["witness"] == {"x": first, "y": "0"}
-    _, info = check_wuu(act, reduced=True, rng=random.Random(1))
-    assert info["witness"] == {"x": seeded, "y": "0"}
+    return act
+
+
+@pytest.mark.parametrize(
+    "root, relation", [(1, False), (2, True)], ids=["random-trials", "relation-skip"]
+)
+def test_wuu_witness_search_past_the_first_trial(root, relation):
+    # trial 0's all-ones point drops the pairing's rank when root = 1 and
+    # violates x^2 - 4 when root = 2, so the witness comes from the random
+    # trials of the one fixed generator
+    _, info = check_wuu(jump_at(root, relation), reduced=True)
+    assert info["witness"] == {"x": "-2", "y": "0"}
+
+
+def test_cli_witness_is_the_library_witness(tmp_path):
+    # the random-trials input as a scenario file: `uhat analyze` reports the
+    # witness point that check_wuu finds
+    path = tmp_path / "jump.uhat"
+    path.write_text("[ring]\nvariables: x:0, y:-1\n[lie]\nweight 1: a\n[action]\na.y = x - 1\n")
+    out = tmp_path / "analyze.json"
+    assert main(["analyze", "--scenario", str(path), "--json", str(out)]) == 0
+    _, info = check_wuu(jump_at(1, False), reduced=True)
+    assert json.loads(out.read_text())["wuu"]["witness"] == info["witness"]
 
 
 def test_wuu_fails_when_product_is_negative_weight():

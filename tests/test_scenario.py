@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -425,7 +426,7 @@ bracket [a, b] = {bracket}
 [action]
 b.y = {action}
 [options]
-seed = {seed}
+degree_bound = {degree_bound}
 """
 FUZZ_DEFAULTS = {
     "weight": "-2",
@@ -433,7 +434,7 @@ FUZZ_DEFAULTS = {
     "block": "2: a",
     "bracket": "0",
     "action": "x",
-    "seed": "1",
+    "degree_bound": "8",
 }
 
 
@@ -516,14 +517,15 @@ def test_negative_count_option_is_input_error(tmp_path, capsys, option):
         ("reduced = true", "unknown option 'reduced' (line 12)"),
         ("sample_count = 20", "unknown option 'sample_count' (line 12)"),
         ("j_search_degree = 0", "unknown option 'j_search_degree' (line 12)"),
-        ("seed = 5", "duplicate option 'seed' (line 12)"),
-        ("degree_bound = 3\ndegree_bound = 4", "duplicate option 'degree_bound' (line 13)"),
+        ("seed = 1", "unknown option 'seed' (line 12)"),
+        # a repeated key is refused even at the value it repeats
+        ("degree_bound = 8", "duplicate option 'degree_bound' (line 12)"),
     ],
-    ids=["reduced", "sample_count", "j_search_degree", "repeated-seed", "repeated-degree_bound"],
+    ids=["reduced", "sample_count", "j_search_degree", "seed", "repeated-degree_bound"],
 )
 def test_option_error_is_input_error_at_its_line(tmp_path, capsys, entries, message):
     text = "[ring]\nvariables: x:0, y:-1\n\n[lie]\nweight 1: xi\n\n[action]\nxi.y = x\n"
-    text += f"\n[options]\nseed = 1\n{entries}\n"
+    text += f"\n[options]\ndegree_bound = 8\n{entries}\n"
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
     assert str(err.value) == message
@@ -545,6 +547,19 @@ def test_readme_scenario_example_sets_every_option():
     keys = [line.split("=")[0].strip() for line in block.splitlines() if "=" in line]
     assert keys == [f.name for f in dataclasses.fields(Options)]
     assert scenario.options == Options()
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    # every `uhat ...` line of README's "Command line" block exits 0, so a
+    # flag that leaves the CLI cannot stay in the docs; files land in tmp_path
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n")[1].split("```sh\n")[1].split("```")[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("uhat ")]
+    assert len(commands) == 4
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        argv = [str(ROOT / a) if a.startswith("scenarios/") else a for a in argv[1:]]
+        assert main(argv) == 0, argv
 
 
 def test_negative_degree_bound_flag_is_input_error(capsys):
@@ -803,6 +818,21 @@ def test_identities_rejects_scenario_bounds(flag):
     with pytest.raises(SystemExit) as exc:
         main(["identities", flag, "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "quotient", "blowup"])
+def test_seed_flag_is_identities_only(command):
+    # a scenario report depends on its scenario file alone: the stratum
+    # check's witness point comes from one fixed generator
+    path = str(SCENARIOS / "one_weight_free.uhat")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", path, "--seed", "3"])
+    assert exc.value.code == 2
+
+
+def test_identities_takes_a_seed():
+    small = ["--letters", "1", "--max-total", "1", "--comult-degree", "1"]
+    assert main(["identities", *small, "--seed", "3"]) == 0
 
 
 def test_console_entry_point_runs():
