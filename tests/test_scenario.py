@@ -518,10 +518,15 @@ def test_negative_count_option_is_input_error(tmp_path, capsys, option):
         ("sample_count = 20", "unknown option 'sample_count' (line 12)"),
         ("j_search_degree = 0", "unknown option 'j_search_degree' (line 12)"),
         ("seed = 1", "unknown option 'seed' (line 12)"),
+        # an old scenario's repeated seed is unknown at its first line
+        ("seed = 1\nseed = 1", "unknown option 'seed' (line 12)"),
         # a repeated key is refused even at the value it repeats
         ("degree_bound = 8", "duplicate option 'degree_bound' (line 12)"),
     ],
-    ids=["reduced", "sample_count", "j_search_degree", "seed", "repeated-degree_bound"],
+    ids=[
+        "reduced", "sample_count", "j_search_degree",
+        "seed", "repeated-seed", "repeated-degree_bound",
+    ],
 )
 def test_option_error_is_input_error_at_its_line(tmp_path, capsys, entries, message):
     text = "[ring]\nvariables: x:0, y:-1\n\n[lie]\nweight 1: xi\n\n[action]\nxi.y = x\n"
