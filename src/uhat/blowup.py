@@ -411,6 +411,18 @@ class BlowupChart:
     scaled_b_names: dict = field(default_factory=dict)  # level -> list of chart names
 
 
+def _content(p):
+    """Exponent tuple of the largest monomial dividing every term of a nonzero p."""
+    return tuple(map(min, zip(*p.terms)))
+
+
+def _divided(p, exp):
+    """p divided by the monomial of exponent `exp`, which divides every term of p."""
+    return Polynomial(
+        p.ring, {tuple(e - d for e, d in zip(m, exp)): c for m, c in p.terms.items()}, False
+    )
+
+
 def build_chart(action, centre_data, elements):
     """Present the affine blow-up chart at the witness product.
 
@@ -427,6 +439,17 @@ def build_chart(action, centre_data, elements):
     a (t0 - 1) + (a - nf(a)) with a - nf(a) in I, and t0 - 1 =
     @inv (a t0 - a) - (t0 - 1)(a @inv - 1).  So the eliminated ideal and
     its reduced basis are unchanged, and t0 stays a chart generator.
+
+    Eliminating @inv from J + (b @inv - 1) gives the saturation J : b^oo,
+    and two cheaper inputs give the same one.  The inverse is adjoined to
+    a_red = (a / m) * v_1 ... v_s instead of a, m the largest monomial
+    dividing every term of a and v_1, ..., v_s the variables of m: a
+    divides a power of a_red and a_red a power of a, so J : a^oo =
+    J : a_red^oo.  Every other generator is divided by the largest monomial
+    in v_1, ..., v_s dividing all its terms: if n q lies in J and n divides
+    a power of a, then q lies in J : a^oo, so the saturation is unchanged.
+    Its reduced basis is canonical, so the chart relations are those of
+    the plain saturation.
     """
     algebra = action.algebra
     ring = action.ring
@@ -500,12 +523,16 @@ def build_chart(action, centre_data, elements):
     gens.append(big.var(members[0][0]) - big.one())
     for name, g in members[1:]:
         gens.append(a_big * big.var(name) - g.map_ring(big))
-    gens.append(a_big * big.var(inv) - big.one())
+    cont = _content(a_big)
+    gens = [_divided(g, [e if c else 0 for c, e in zip(cont, _content(g))]) for g in gens]
+    a_red = _divided(a_big, [max(c - 1, 0) for c in cont])
+    gens.append(a_red * big.var(inv) - big.one())
     saturated = ring_eliminate(Ideal(big, gens), list(ring.names) + tnames)
     chart_ring = saturated.ring
     chart_algebra = PresentedAlgebra(chart_ring, saturated)
     if chart_algebra.is_empty():
-        # 1 lies in relations + (a @inv - 1) exactly when a is nilpotent
+        # 1 lies in the saturation exactly when a_red, which has the
+        # radical of a, is nilpotent modulo the relations
         raise VerificationFailed(
             "the witness product is nilpotent modulo the relations: the chart is empty", str(a)
         )

@@ -94,7 +94,8 @@ def saturation_relations(action, chart):
 
     Eliminates @inv from I + (a t_i - g_i) + (a @inv - 1), I the relations
     of `action`, with one generator a t_i - g_i for every chart member
-    (t_i, g_i), the first one too.
+    (t_i, g_i), the first one too.  Unlike `build_chart`, it inverts a
+    itself and divides no generator by its monomial content.
     """
     ring = chart.algebra.ring
     big = ring.extended(("@inv",), (0,))

@@ -11,7 +11,7 @@ from uhat.cli import main
 from uhat.rings import GradedRing, Ideal, PresentedAlgebra
 from uhat.lie import DerivationAction, GradedLieAlgebra
 from uhat.infinitesimal import check_cdrs, kernel_generators
-from uhat.scenario import Options, load_scenario
+from uhat.scenario import Options, load_scenario, parse_polynomial
 from uhat.blowup import (
     BElements,
     NoBlowupNeeded,
@@ -464,9 +464,11 @@ def test_chart_heisenberg_scaled_full_pipeline():
 
 
 def test_seeded_chart_elimination_matches_the_plain_saturation():
-    # build_chart seeds its elimination with t0 - 1 for a*t0 - nf(a); the
-    # reduced basis must be that of the plain saturation, on the shipped
-    # charts and on the first 40 sweep-script instances from seed 1
+    # build_chart seeds its elimination with t0 - 1 for a*t0 - nf(a),
+    # adjoins the inverse to a's reduced form and divides the other
+    # generators by their monomial content in a's variables; the reduced
+    # basis must be that of the plain saturation, on the shipped charts and
+    # on the first 40 sweep-script instances from seed 1
     charts = []
     for name in ("one_weight", "two_weight", "rank_drop_pair", "heisenberg_scaled"):
         path = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.uhat"
@@ -482,6 +484,33 @@ def test_seeded_chart_elimination_matches_the_plain_saturation():
         assert chart.generators[0] == ("t0", action.algebra.nf(cd.a)), label
         rels = list(chart.algebra.relations.generators)
         assert rels == saturation_relations(action, chart), label
+
+
+@pytest.mark.parametrize(
+    "a1_z0, b1_y0, b1_z0",
+    [
+        ("x^2 - x", "x", "y0"),
+        ("x^3 - x^2", "x^2 - x", "2*y0"),
+        ("x^2*(x - 1)", "x*(x + 1)", "y0"),
+    ],
+)
+def test_chart_of_a_witness_product_with_monomial_content(a1_z0, b1_y0, b1_z0):
+    # each witness product is a power of x times a non-monomial factor, so
+    # build_chart adjoins its inverse to a reduced form and divides the
+    # other generators by their powers of x; the chart relations must be
+    # those of the plain saturation by a itself, and the chart must verify
+    R = GradedRing(["x", "y0", "z0"], [0, -1, -2])
+    L = GradedLieAlgebra([2, 1], [["a1"], ["b1"]])
+    table = {"a1": {"z0": a1_z0}, "b1": {"y0": b1_y0, "z0": b1_z0}}
+    table = {v: {g: parse_polynomial(p, R) for g, p in row.items()} for v, row in table.items()}
+    action = DerivationAction(PresentedAlgebra(R), L, table)
+    assert action.validate() == [] and not check_cdrs(action)["holds"]
+    cd = centre(action)
+    assert len(cd.a.terms) > 1 and all(m[0] for m in cd.a.terms), str(cd.a)
+    chart = build_chart(action, cd, construct_b(action, cd))
+    assert list(chart.algebra.relations.generators) == saturation_relations(action, chart)
+    rep = verify_chart_cdrs(chart)
+    assert rep["holds"] and rep["certificate_ok"]
 
 
 def test_chart_first_generator_is_the_normal_form_of_the_witness_product():
@@ -524,10 +553,12 @@ def test_blowup_repairs_every_failing_fixture():
 # off the slice ideal instead took the counts from 251 and 58 to 229 and
 # 48; stopping `groebner_basis` at a constant, seeding the chart
 # elimination with t0 - 1 and keeping each stage's reduced relations as
-# its basis took them to the pinned counts
+# its basis took them to 170 and 27; adjoining the chart's inverse to the
+# witness product's reduced form and dividing the other generators of
+# that elimination by their monomial content took them to the pinned counts
 @pytest.mark.parametrize(
     "name, pinned, lcm_order",
-    [("heisenberg_scaled", 170, 1144), ("two_weight", 27, 134)],
+    [("heisenberg_scaled", 44, 1144), ("two_weight", 15, 134)],
     ids=["heisenberg_scaled", "two_weight"],
 )
 def test_buchberger_s_pair_count_is_pinned(monkeypatch, capsys, name, pinned, lcm_order):
@@ -605,8 +636,9 @@ def test_random_sweep_slice_blows_up_and_verifies():
 def test_nilpotent_sweep_family_refuses_or_verifies_its_chart():
     # the first 20 instances of the sweep family with u^2 = 0 from seed 1:
     # a witness product that is nilpotent or zero modulo the relations is
-    # refused, and every other chart is nonempty and verifies, with its
-    # certificate and its staged quotient; the split is pinned
+    # refused, and every other chart is nonempty, has the relations of the
+    # plain saturation and verifies, with its certificate and its staged
+    # quotient; the split is pinned
     from uhat.quotient import staged_quotient, verify_quotient
 
     outcomes = Counter()
@@ -621,6 +653,8 @@ def test_nilpotent_sweep_family_refuses_or_verifies_its_chart():
             outcomes[exc.args[0]] += 1
             continue
         assert not chart.algebra.is_empty(), action.ring.names
+        rels = list(chart.algebra.relations.generators)
+        assert rels == saturation_relations(action, chart), action.ring.names
         rep = verify_chart_cdrs(chart)
         assert rep["holds"] and rep["certificate_ok"], action.ring.names
         assert verify_quotient(staged_quotient(chart.action))["ok"], action.ring.names

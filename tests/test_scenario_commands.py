@@ -11,8 +11,8 @@ after a deliberate change of a report:
 
 The same commands, with sweep-script instances, also drive two checks of
 the Groebner layer's memos over everything the program builds: each
-S-pair remainder's lead entry, and that no polynomial changes after
-construction.
+S-pair remainder's lead entry, which the charts of the nilpotent sweep
+family check as well, and that no polynomial changes after construction.
 """
 
 import contextlib
@@ -28,7 +28,7 @@ import pytest
 from uhat import rings
 from uhat.rings import Polynomial
 
-from conftest import sweep_script
+from conftest import nilpotent_sweep_sample, sweep_script
 from oracles import lead_entry_reference
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -97,6 +97,8 @@ def test_every_pair_remainder_carries_its_reference_entry(monkeypatch):
     # `pair_normal_form` hands Buchberger and the module loop each nonzero
     # remainder with the lead entry built from its integer numerators; it
     # must equal the entry derived from the remainder's Fraction terms
+    from uhat.blowup import VerificationFailed, build_chart, centre, construct_b
+
     checked = 0
     real_pair_normal_form = rings.pair_normal_form
 
@@ -114,6 +116,13 @@ def test_every_pair_remainder_carries_its_reference_entry(monkeypatch):
         for command in COMMANDS:
             run(name, command)
     run_sweep(40, quotients=False)
+    # the first 20 charts of the family with u^2 = 0, refused ones included
+    seed = 1
+    for _ in range(20):
+        action, seed = nilpotent_sweep_sample(seed)
+        cd = centre(action)
+        with contextlib.suppress(VerificationFailed):
+            build_chart(action, cd, construct_b(action, cd))
     assert checked > 500
 
 
