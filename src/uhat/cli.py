@@ -274,28 +274,51 @@ def cmd_identities(args):
     return EXIT_OK if ok_all else EXIT_REFUSED
 
 
+class _Degrees(dict):
+    """Index tuple -> its total degree, each worked out on first use."""
+
+    def __missing__(self, index):
+        self[index] = d = sum(index)
+        return d
+
+
 def _comult_lemma_failures(table, n, degree):
-    """The degree bound and the single-step coefficient trichotomy."""
+    """The degree bound, the counit and the single-step coefficient trichotomy.
+
+    One pass over each row finds its degree-bound failures, then its counit
+    failures.  An absent counit entry c^alpha_{0,alpha} or step entry
+    c^alpha_{alpha-e_j,e_j} reads as 0; an absent step beta is checked after
+    the betas of the row.
+    """
     failures = []
     zero = (0,) * n
-    for alpha, entry in table.items():
-        for (beta, gamma), c in entry.items():
-            if c and sum(alpha) > sum(beta) + sum(gamma):
-                failures.append({"kind": "degree-bound", "alpha": alpha, "beta": beta, "gamma": gamma})
-        # counit: c^alpha_{0,gamma} = delta
-        for (beta, gamma), c in entry.items():
-            if beta == zero and c != (1 if gamma == alpha else 0):
-                failures.append({"kind": "counit", "alpha": alpha, "gamma": gamma, "value": str(c)})
+    degrees = _Degrees()
     units = [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
     for alpha, entry in table.items():
-        # the betas one below alpha, in the order of the set of all of them
-        below = sum(alpha) - 1
-        betas = [beta for beta in {bg[0] for bg in entry} if sum(beta) == below]
+        top = degrees[alpha]
+        counit = []
+        for (beta, gamma), c in entry.items():
+            # the degree test first: a Fraction's truth value is a Python-level call
+            if top > degrees[beta] + degrees[gamma] and c:
+                failures.append({"kind": "degree-bound", "alpha": alpha, "beta": beta, "gamma": gamma})
+            # counit: c^alpha_{0,gamma} = delta
+            if beta == zero and c != (1 if gamma == alpha else 0):
+                counit.append({"kind": "counit", "alpha": alpha, "gamma": gamma, "value": str(c)})
+        if (zero, alpha) not in entry:
+            counit.append({"kind": "counit", "alpha": alpha, "gamma": alpha, "value": "0"})
+        failures += counit
+    for alpha, entry in table.items():
+        # the betas one below alpha, in the order of the set of all of them,
+        # then each step alpha - e_j (alpha_j > 0) the row lacks
+        below = degrees[alpha] - 1
+        betas = [beta for beta in {bg[0] for bg in entry} if degrees[beta] == below]
+        steps = [alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :] for j in range(n)]
+        betas += [step for a, step in zip(alpha, steps) if a and step not in betas]
         for j, ej in enumerate(units):
+            step = steps[j]
             for beta in betas:
                 c = entry.get((beta, ej), 0)
-                expected_nonzero = alpha == tuple(b + e for b, e in zip(beta, ej))
-                if bool(c) != expected_nonzero:
+                if bool(c) != (beta == step):
                     failures.append(
                         {"kind": "e_j-trichotomy", "alpha": alpha, "beta": beta, "j": j}
                     )

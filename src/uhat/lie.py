@@ -544,29 +544,42 @@ def comult_coefficients(lie, degree_bound):
     Computed from the exact group law: mu*(u^alpha) is the product of the
     multiplication polynomials, read off in the two coordinate blocks.
     The products stay integer numerators over one denominator
-    (`rings.numerator_product`), so each table entry is the one Fraction
-    built.  Returns a map alpha -> {(beta, gamma): Fraction}.
+    (`rings.numerator_product`), and equal entries share one Fraction.
+    Each monomial of row alpha is a product of |alpha| law monomials, so
+    with `reach` the largest s- or t-degree of a law monomial only the rows
+    with |alpha| * reach above the bound can leave it and are filtered.
+    Returns a map alpha -> {(beta, gamma): Fraction}.
     """
     ring, law = group_law(lie)
-    table = {}
+    n = lie.dim
     law = [numerators(m) for m in law]
-    _fill_comult_rows(table, law, lie.dim, degree_bound, (), (1, {(0,) * ring.nvars: 1}))
+    reach = max((max(sum(m[:n]), sum(m[n:])) for _, nums in law for m in nums), default=0)
+    table = {}
+    _fill_comult_rows(table, law, n, degree_bound, reach, {}, (), (1, {(0,) * ring.nvars: 1}))
     return table
 
 
-def _fill_comult_rows(table, law, n, degree_bound, alpha, p):
+def _fill_comult_rows(table, law, n, degree_bound, reach, fractions, alpha, p):
     """Add every row of the table whose index extends the prefix alpha, with product p.
 
-    `law` and p are (den, {monomial: numerator}) pairs.  A module
-    function, not a closure: a recursive closure is a reference cycle that
-    would keep each table alive until the cyclic collector runs.
+    `law` and p are (den, {monomial: numerator}) pairs; `fractions` maps
+    den -> numerator -> its Fraction for one table.  A module function, not
+    a closure: a recursive closure is a reference cycle that would keep each
+    table alive until the cyclic collector runs.
     """
     if len(alpha) == n:
         den, nums = p
+        if sum(alpha) * reach > degree_bound:
+            nums = {
+                m: c
+                for m, c in nums.items()
+                if sum(m[:n]) <= degree_bound and sum(m[n:]) <= degree_bound
+            }
+        shared = fractions.setdefault(den, {})
+        # numerators are nonzero, so a Fraction found in `shared` is truthy
         table[alpha] = {
-            (m[:n], m[n:]): Fraction(c, den)
+            (m[:n], m[n:]): shared.get(c) or shared.setdefault(c, Fraction(c, den))
             for m, c in nums.items()
-            if sum(m[:n]) <= degree_bound and sum(m[n:]) <= degree_bound
         }
         return
     i = len(alpha)
@@ -574,4 +587,4 @@ def _fill_comult_rows(table, law, n, degree_bound, alpha, p):
         if a:
             # p(alpha + a e_i) = p(alpha + (a - 1) e_i) * m_i, i being its last nonzero index
             p = numerator_product(p, law[i])
-        _fill_comult_rows(table, law, n, degree_bound, alpha + (a,), p)
+        _fill_comult_rows(table, law, n, degree_bound, reach, fractions, alpha + (a,), p)

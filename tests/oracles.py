@@ -7,8 +7,9 @@ on bounded-degree coefficients, the exactness of the snake sequence by
 module membership, the nonzero minors of a matrix by reducing every
 minor, the relations of a quotient stage by graph-ideal elimination,
 the relations of a blow-up chart by the plain saturation, a
-substitution term by term, a lead entry from Fraction terms and a
-reduced basis by interreducing monic copies; `right_nullspace` is the
+substitution term by term, a lead entry from Fraction terms, a
+reduced basis by interreducing monic copies and the comultiplication
+lemma failures by the plain loop over each row; `right_nullspace` is the
 exact linear algebra the kernel oracle solves with.  No command runs them, and the package
 checks each certificate where it emits it, so they live here rather than
 in `uhat`.
@@ -274,3 +275,43 @@ def verify_snake_exactness(action, i, degree=2):
         if v and module_normal_form(v, small, ring, r_i):
             return False
     return True
+
+
+def comult_lemma_failures_reference(table, n, degree):
+    """The degree-bound, counit and single-step failures of a comultiplication table.
+
+    The plain loop: a degree pass and a counit pass over each row, then the
+    trichotomy for every unit e_j and every beta one below alpha, comparing
+    alpha with beta + e_j.  It reads only the keys a row has, so unlike
+    `cli._comult_lemma_failures` it misses an absent counit or step entry.
+    """
+    failures = []
+    zero = (0,) * n
+    for alpha, entry in table.items():
+        for (beta, gamma), c in entry.items():
+            if c and sum(alpha) > sum(beta) + sum(gamma):
+                failures.append({"kind": "degree-bound", "alpha": alpha, "beta": beta, "gamma": gamma})
+        for (beta, gamma), c in entry.items():
+            if beta == zero and c != (1 if gamma == alpha else 0):
+                failures.append({"kind": "counit", "alpha": alpha, "gamma": gamma, "value": str(c)})
+    units = [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
+    for alpha, entry in table.items():
+        below = sum(alpha) - 1
+        betas = [beta for beta in {bg[0] for bg in entry} if sum(beta) == below]
+        for j, ej in enumerate(units):
+            for beta in betas:
+                c = entry.get((beta, ej), 0)
+                if bool(c) != (alpha == tuple(b + e for b, e in zip(beta, ej))):
+                    failures.append({"kind": "e_j-trichotomy", "alpha": alpha, "beta": beta, "j": j})
+                if c and c != 1 + beta[j]:
+                    failures.append(
+                        {
+                            "kind": "e_j-value",
+                            "alpha": alpha,
+                            "beta": beta,
+                            "j": j,
+                            "value": str(c),
+                            "expected": 1 + beta[j],
+                        }
+                    )
+    return failures

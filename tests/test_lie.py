@@ -349,25 +349,51 @@ def test_comult_additive_is_binomial():
             assert beta[0] + gamma[0] == k
 
 
-@pytest.mark.parametrize("degree", [0, 1, 3])
-def test_comult_table_matches_polynomial_products(degree):
-    # the table's integer products against products of the law's polynomials
-    L = GradedLieAlgebra([2, 1], [["c"], ["p", "q"]], {("p", "q"): {"c": 1}})
+def _check_table_against_law_products(L, degree):
+    """Compare the table with the bounded products of the law's polynomials.
+
+    Returns the number of product terms the bound drops.
+    """
+    n = L.dim
     ring, law = group_law(L)
     table = comult_coefficients(L, degree)
-    alphas = [a for a in itertools.product(range(degree + 1), repeat=3) if sum(a) <= degree]
+    alphas = [a for a in itertools.product(range(degree + 1), repeat=n) if sum(a) <= degree]
     assert sorted(table) == alphas
+    dropped = 0
     for alpha in alphas:
         product = ring.one()
         for m, a in zip(law, alpha):
             product = product * m**a
         expected = {
-            (m[:3], m[3:]): c
+            (m[:n], m[n:]): c
             for m, c in product.terms.items()
-            if sum(m[:3]) <= degree and sum(m[3:]) <= degree
+            if sum(m[:n]) <= degree and sum(m[n:]) <= degree
         }
         assert table[alpha] == expected, alpha
         assert all(type(c) is Fraction for c in table[alpha].values())
+        dropped += len(product.terms) - len(expected)
+    return dropped
+
+
+@pytest.mark.parametrize("degree", [0, 1, 3])
+def test_comult_table_matches_polynomial_products(degree):
+    # the table's integer products against products of the law's polynomials;
+    # every Heisenberg law monomial has s- and t-degree at most 1, so none leaves the bound
+    L = GradedLieAlgebra([2, 1], [["c"], ["p", "q"]], {("p", "q"): {"c": 1}})
+    assert _check_table_against_law_products(L, degree) == 0
+
+
+@pytest.mark.parametrize("degree, dropped", [(0, 0), (1, 2), (2, 15), (3, 74), (4, 272)])
+def test_comult_table_filters_the_rows_that_can_leave_the_bound(degree, dropped):
+    # [p, q] = c and [p, c] = z: a law monomial of s- or t-degree 2 (reach 2,
+    # with a -1/2 coefficient), so rows with 2|alpha| above the bound are filtered
+    L = GradedLieAlgebra(
+        [3, 2, 1], [["z"], ["c"], ["p", "q"]], {("p", "q"): {"c": 1}, ("p", "c"): {"z": 1}}
+    )
+    _, law = group_law(L)
+    assert max(max(sum(m[:4]), sum(m[4:])) for p in law for m in p.terms) == 2
+    assert Fraction(-1, 2) in law[0].terms.values()
+    assert _check_table_against_law_products(L, degree) == dropped
 
 
 def test_comult_counit_axiom():

@@ -37,7 +37,7 @@ from uhat.rings import (
     unit_certificate,
 )
 from uhat import rings
-from uhat.lie import GradedLieAlgebra
+from uhat.lie import GradedLieAlgebra, comult_coefficients
 from uhat.scenario import parse_polynomial
 
 from oracles import (
@@ -1628,8 +1628,9 @@ def test_fitting_chain_is_increasing():
         lambda: parse_polynomial("x^2 - 3*y + 1/2", R2),
         lambda: HEISENBERG.pbw_monomials_of_weight(6, exact=False),
         lambda: determinant([[X, Y], [Y, X + 1]]),
+        lambda: comult_coefficients(HEISENBERG, 4),
     ],
-    ids=["parse_polynomial", "pbw_monomials_of_weight", "determinant"],
+    ids=["parse_polynomial", "pbw_monomials_of_weight", "determinant", "comult_coefficients"],
 )
 def test_recursive_helpers_leave_no_reference_cycles(call):
     """Without the cyclic collector, 100 calls leave nothing for it to free."""

@@ -1,8 +1,10 @@
+import collections
 import dataclasses
 import json
 import math
 import os
 import pathlib
+import random
 import shlex
 import subprocess
 import sys
@@ -22,6 +24,8 @@ from uhat.scenario import (
     parse_polynomial,
     parse_scenario,
 )
+
+from oracles import comult_lemma_failures_reference
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -770,6 +774,16 @@ def test_identities_report_is_pinned_across_hash_seeds(tmp_path):
     assert not any(v["failures"] for v in data["comult"].values())
 
 
+def test_identities_comult_degree_8_entries_are_pinned(tmp_path):
+    out = tmp_path / "report.json"
+    args = ("--letters", "2", "--max-total", "4", "--comult-degree", "8", "--json", str(out))
+    assert run_cli("identities", *args) == 0
+    data = json.loads(out.read_text())
+    entries = {g: v["entries"] for g, v in data["comult"].items()}
+    assert entries == {"additive": 45, "additive_2": 495, "heisenberg": 6435}
+    assert not any(v["failures"] for v in data["comult"].values())
+
+
 def test_identities_checks_every_k_once_per_weight_tuple(tmp_path):
     # k with zero entries are decided through their support instances, and
     # each still counts as checked: 5 weight tuples times C(5 + n, n) - 1 ks
@@ -798,6 +812,57 @@ def test_comult_lemma_failures_name_each_broken_law():
         {"kind": "e_j-value", "alpha": (1, 1), "beta": (1, 0), "j": 0, "value": "6", "expected": 2},
         {"kind": "e_j-value", "alpha": (1, 1), "beta": (1, 0), "j": 1, "value": "4", "expected": 1},
     ]
+
+
+def test_comult_lemma_failures_read_an_absent_counit_entry_as_zero():
+    table = comult_coefficients(GradedLieAlgebra([1], [["e1", "e2"]]), 2)
+    del table[(1, 1)][((0, 0), (1, 1))]
+    assert _comult_lemma_failures(table, 2, 2) == [
+        {"kind": "counit", "alpha": (1, 1), "gamma": (1, 1), "value": "0"},
+    ]
+
+
+def test_comult_lemma_failures_read_an_absent_step_as_zero():
+    # with every key of beta = (0, 1) gone, no beta of the row is alpha - e_0
+    table = comult_coefficients(GradedLieAlgebra([1], [["e1", "e2"]]), 2)
+    row = table[(1, 1)]
+    for beta, gamma in [key for key in row if key[0] == (0, 1)]:
+        del row[beta, gamma]
+    assert _comult_lemma_failures(table, 2, 2) == [
+        {"kind": "e_j-trichotomy", "alpha": (1, 1), "beta": (0, 1), "j": 0},
+    ]
+
+
+def test_comult_lemma_failures_match_the_plain_loop_on_mutated_tables():
+    # overwritten and added entries keep every key the plain loop reads, so
+    # both must give the same failures in the same order
+    rng = random.Random(35)
+    values = [Fraction(v) for v in (0, 1, 2, 3, -1)] + [Fraction(1, 2)]
+    groups = [
+        GradedLieAlgebra([1], [["e"]]),
+        GradedLieAlgebra([1], [["e1", "e2"]]),
+        GradedLieAlgebra([2, 1], [["c"], ["p", "q"]], {("p", "q"): {"c": 1}}),
+    ]
+    kinds = collections.Counter()
+    for lie in groups:
+        n = lie.dim
+        units = [tuple(int(t == j) for t in range(n)) for j in range(n)]
+        for degree in range(5):
+            for _ in range(30):
+                table = comult_coefficients(lie, degree)
+                indices = list(table)
+                for _ in range(rng.randint(1, 4)):
+                    row = table[rng.choice(indices)]
+                    if rng.random() < 0.5:
+                        key = rng.choice(list(row))
+                    else:
+                        key = (rng.choice(indices), rng.choice(indices + units))
+                    row[key] = rng.choice(values)
+                failures = _comult_lemma_failures(table, n, degree)
+                assert failures == comult_lemma_failures_reference(table, n, degree)
+                kinds.update(f["kind"] for f in failures)
+    # every law is broken somewhere over the 450 tables
+    assert kinds == {"counit": 338, "e_j-value": 131, "e_j-trichotomy": 44, "degree-bound": 27}
 
 
 def test_identities_bracket_memo_lasts_one_run(monkeypatch, capsys):
