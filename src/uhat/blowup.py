@@ -25,7 +25,7 @@ from uhat.rings import (
 from uhat.rings import eliminate as ring_eliminate
 from uhat.lie import DerivationAction, binom_multi, multi_range, pbw_word
 from uhat.infinitesimal import check_cdrs, infinitesimal_matrix, level_data, validate_point
-from uhat.quotient import BoundExhausted
+from uhat.quotient import DEGREE_BOUND, BoundExhausted
 
 
 class NoBlowupNeeded(Exception):
@@ -33,9 +33,7 @@ class NoBlowupNeeded(Exception):
 
 
 class VerificationFailed(Exception):
-    def __init__(self, message, instance=None):
-        super().__init__(message)
-        self.instance = instance
+    pass
 
 
 def negative_weight_variables(ring):
@@ -50,7 +48,8 @@ class LevelWitness:
     weight: int
     split_rows: tuple  # lie basis indices, length r_i - k_i
     functions: tuple  # Polynomial, weight -w_i
-    a: Polynomial  # the minor a^(i); one when the level needs no split rows
+    pairing: tuple  # row per split row r: xi_r . f for each function f
+    a: Polynomial  # the minor a^(i), the determinant of the pairing; one when it is empty
 
     @property
     def need(self):
@@ -103,14 +102,12 @@ def product_fitting_ideal(action, start=1):
 WITNESS_TRIALS = 20  # sampled points before the witness search gives up
 
 
-def check_wuu(action, reduced=False):
+def check_wuu(action):
     """Whether the weight-zero stratum meets the minimal-rank locus.
 
     Decided exactly: the product of the minimal nonzero Fitting ideals must
-    not be contained in relations + negative-weight part.  With the reduced
-    flag a rational witness point with the expected stabiliser dimension
-    pattern is searched for among `WITNESS_TRIALS` points of the weight-zero
-    locus: the all-ones point, then points drawn from `random.Random(1)`.
+    not be contained in relations + negative-weight part.  When it holds,
+    the info names the first product generator outside that part.
     """
     algebra = action.algebra
     ring = action.ring
@@ -124,22 +121,22 @@ def check_wuu(action, reduced=False):
     if not nonzero:
         return False, info
     info["weight_zero_generator"] = str(nonzero[0])
-    if reduced:
-        witness = _witness_point(action, ks)
-        info["witness"] = (
-            {n: str(v) for n, v in witness.items()} if witness is not None else None
-        )
     return True, info
 
 
-def _witness_point(action, ks):
-    # one fixed generator, so the witness depends on the action alone
+def witness_point(action):
+    """A rational point of the weight-zero locus with the minimal stabiliser dimensions.
+
+    Searched among `WITNESS_TRIALS` points: the all-ones point, then points
+    drawn from `random.Random(1)`, so the point depends on the action
+    alone.  None when no trial has the expected stabiliser pattern.
+    """
     rng = random.Random(1)
     ring = action.ring
     neg = set(negative_weight_variables(ring))
     # the stabiliser of u_i at a point has dimension k_1 + ... + k_i there,
     # the corank of u_i's pairing matrix evaluated at the point
-    targets = list(itertools.accumulate(ks))
+    targets = list(itertools.accumulate(k_vector(action)))
     mats = [infinitesimal_matrix(action, i) for i in range(1, action.lie.nlevels + 1)]
     for trial in range(WITNESS_TRIALS):
         # ring-variable order keeps the report independent of set hashing
@@ -162,7 +159,7 @@ def _witness_point(action, ks):
 
 
 def _witness_minors(action, weight, rows, need, degree_bound):
-    """The nonzero `need`-minors modulo the relations, as (split, functions, minor).
+    """The nonzero `need`-minors modulo the relations, as (split, functions, matrix, minor).
 
     In the order the centre tries them: by degree up to `degree_bound`,
     then by function set among the standard monomials of weight -`weight`,
@@ -177,10 +174,10 @@ def _witness_minors(action, weight, rows, need, degree_bound):
                 mat = [[action.apply_basis(mu, f) for f in fns] for mu in split]
                 minor = algebra.nf(determinant(mat))
                 if minor:
-                    yield split, fns, minor
+                    yield split, fns, mat, minor
 
 
-def centre(action, degree_bound=8):
+def centre(action, degree_bound=DEGREE_BOUND):
     """Select determinantal witnesses and assemble the centre ideal.
 
     Witness functions are enumerated degree by degree among the standard
@@ -198,7 +195,7 @@ def centre(action, degree_bound=8):
         rows = action.lie.level_indices(i - 1)
         need = len(rows) - d.k
         if need == 0:
-            witnesses.append(LevelWitness(i, w, (), (), ring.one()))
+            witnesses.append(LevelWitness(i, w, (), (), (), ring.one()))
             continue
         found = next(_witness_minors(action, w, rows, need, degree_bound), None)
         if found is None:
@@ -206,14 +203,14 @@ def centre(action, degree_bound=8):
                 f"no nonzero witness minor of degree <= {degree_bound} at level {i}",
                 degree_bound,
             )
-        split, fns, minor = found
+        split, fns, mat, minor = found
         if minor.weight_decompose().keys() - {0}:
-            raise VerificationFailed(f"witness minor at level {i} is not weight zero", str(minor))
+            raise VerificationFailed(f"witness minor at level {i} is not weight zero")
         if not d.unit_ideal.contains(minor):
             raise VerificationFailed(
-                f"witness minor at level {i} does not lie in its Fitting ideal", str(minor)
+                f"witness minor at level {i} does not lie in its Fitting ideal"
             )
-        witnesses.append(LevelWitness(i, w, tuple(split), tuple(fns), minor))
+        witnesses.append(LevelWitness(i, w, split, fns, tuple(map(tuple, mat)), minor))
     prod = product_fitting_ideal(action)
     centre_ideal = Ideal(
         ring,
@@ -253,15 +250,12 @@ def j_membership(action, ideal, g):
 def E_operator(action, witness, mu, row):
     """Row-replacement determinant against the witness functions.
 
-    Row mu of the witness pairing matrix (split row r against function f
-    holds xi_r . f) is replaced by `row`, one value per witness function:
-    the images A . f of a Lie element A, or w * f for a scalar weight w.
+    Row mu of the witness pairing matrix is replaced by `row`, one value per
+    witness function: the images A . f of a Lie element A, or w * f for a
+    scalar weight w.
     """
-    fns = witness.functions
-    rows = [
-        row if nu == mu else [action.apply_basis(r, f) for f in fns]
-        for nu, r in enumerate(witness.split_rows)
-    ]
+    rows = list(witness.pairing)
+    rows[mu] = row
     return action.algebra.nf(determinant(rows))
 
 
@@ -274,8 +268,8 @@ def construct_b(action, centre_data):
 
     For the lowest weight the element is the scalar-row determinant; higher
     levels correct by the lower elements so that the split pairing stays
-    diagonal.  All three certificate properties are verified exactly and a
-    failure aborts with the failing instance.
+    diagonal.  All three certificate properties are verified exactly, and a
+    failure raises VerificationFailed naming the property.
     """
     algebra = action.algebra
     lie = action.lie
@@ -318,34 +312,21 @@ def verify_b_properties(action, centre_data, elements):
         for nu, b in enumerate(bs):
             comps = b.weight_decompose()
             if set(comps) - {-w}:
-                raise VerificationFailed(
-                    f"element at level {i} is not weight -{w}", {"level": i, "nu": nu}
-                )
+                raise VerificationFailed(f"element at level {i} is not weight -{w}")
             for pos, mu in enumerate(wit.split_rows):
                 want = suffix * w if pos == nu else algebra.ring.zero()
                 got = action.apply_basis(mu, b)
                 if not algebra.equal(got, want):
-                    raise VerificationFailed(
-                        "diagonal pairing identity failed",
-                        {"level": i, "mu": pos, "nu": nu, "got": str(got), "want": str(want)},
-                    )
+                    raise VerificationFailed("diagonal pairing identity failed")
         membership = algebra.ideal(product_fitting_ideal(action, start=i).generators)
-        for nu, b in enumerate(bs):
+        for b in bs:
             for p in lie.pbw_monomials_of_weight(w, exact=True):
-                val = action.apply_pbw(p, b)
-                if not membership.contains(val):
-                    raise VerificationFailed(
-                        "derivative left the suffix Fitting product",
-                        {"level": i, "nu": nu, "pbw": p, "value": str(val)},
-                    )
+                if not membership.contains(action.apply_pbw(p, b)):
+                    raise VerificationFailed("derivative left the suffix Fitting product")
         prefix = centre_data.a_product(1, i)
-        for nu, b in enumerate(bs):
-            ok, witn = j_membership(action, centre_data.centre_ideal, prefix * b)
-            if not ok:
-                raise VerificationFailed(
-                    "scaled element fails the sweep membership",
-                    {"level": i, "nu": nu, "witness": witn},
-                )
+        for b in bs:
+            if not j_membership(action, centre_data.centre_ideal, prefix * b)[0]:
+                raise VerificationFailed("scaled element fails the sweep membership")
 
 
 def beta_values(action, centre_data, level, mu, p):
@@ -475,7 +456,7 @@ def build_chart(action, centre_data, elements):
         return name, Fraction(1)
 
     if algebra.is_zero(a):
-        raise VerificationFailed("the witness product is zero modulo the relations", str(a))
+        raise VerificationFailed("the witness product is zero modulo the relations")
     push(a)
     scaled_names = {}
     for i, bs in sorted(elements.per_level.items()):
@@ -501,16 +482,15 @@ def build_chart(action, centre_data, elements):
                 frontier.append(members[-1])
 
     for name, g in members:
-        ok, witn = j_membership(action, centre_data.centre_ideal, g)
-        if not ok:
-            raise VerificationFailed(f"chart member {name} fails sweep membership", witn)
+        if not j_membership(action, centre_data.centre_ideal, g)[0]:
+            raise VerificationFailed(f"chart member {name} fails sweep membership")
 
     tnames = [name for name, _ in members]
     tweights = []
     for _, g in members:
         comps = g.weight_decompose()
         if len(comps) != 1:
-            raise VerificationFailed("chart members must be weight homogeneous", str(g))
+            raise VerificationFailed("chart members must be weight homogeneous")
         tweights.append(next(iter(comps)))
     if any(w > 0 for w in tweights):
         raise VerificationFailed("chart weights must be nonpositive")
@@ -534,7 +514,7 @@ def build_chart(action, centre_data, elements):
         # 1 lies in the saturation exactly when a_red, which has the
         # radical of a, is nilpotent modulo the relations
         raise VerificationFailed(
-            "the witness product is nilpotent modulo the relations: the chart is empty", str(a)
+            "the witness product is nilpotent modulo the relations: the chart is empty"
         )
 
     table = {}

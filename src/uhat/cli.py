@@ -137,7 +137,10 @@ def cmd_analyze(args):
         }
     ss, cert = inf.check_ss_eq_s(action)
     cdrs = inf.check_cdrs(action)
-    wuu, winfo = bl.check_wuu(action, reduced=True)
+    wuu, winfo = bl.check_wuu(action)
+    if "weight_zero_generator" in winfo:
+        point = bl.witness_point(action)
+        winfo["witness"] = None if point is None else {n: str(v) for n, v in point.items()}
     report["k_vector"] = list(bl.k_vector(action))
     report["ss_eq_s"] = {"holds": ss, "certificate": cert}
     report["cdrs"] = cdrs
@@ -186,7 +189,7 @@ def cmd_blowup(args):
             "no blow-up needed: the constant-rank condition already holds",
             hint="run `uhat quotient` directly",
         )
-    wuu, winfo = bl.check_wuu(action, reduced=True)
+    wuu, winfo = bl.check_wuu(action)
     if not wuu:
         return _refuse(args, "the weight-zero stratum misses the minimal-rank locus", wuu=winfo)
     try:
@@ -262,7 +265,7 @@ def cmd_identities(args):
     }
     for gname, lie in groups.items():
         table = comult_coefficients(lie, args.comult_degree)
-        failures = _comult_lemma_failures(table, lie.dim, args.comult_degree)
+        failures = _comult_lemma_failures(table, lie.dim)
         report["comult"][gname] = {
             "degree": args.comult_degree,
             "entries": sum(len(v) for v in table.values()),
@@ -282,13 +285,13 @@ class _Degrees(dict):
         return d
 
 
-def _comult_lemma_failures(table, n, degree):
-    """The degree bound, the counit and the single-step coefficient trichotomy.
+def _comult_lemma_failures(table, n):
+    """The degree bound, both counits and the single-step coefficient trichotomy.
 
     One pass over each row finds its degree-bound failures, then its counit
-    failures.  An absent counit entry c^alpha_{0,alpha} or step entry
-    c^alpha_{alpha-e_j,e_j} reads as 0; an absent step beta is checked after
-    the betas of the row.
+    failures, left and right.  An absent counit entry c^alpha_{0,alpha} or
+    c^alpha_{alpha,0}, or step entry c^alpha_{alpha-e_j,e_j}, reads as 0; an
+    absent step beta is checked after the betas of the row.
     """
     failures = []
     zero = (0,) * n
@@ -301,11 +304,19 @@ def _comult_lemma_failures(table, n, degree):
             # the degree test first: a Fraction's truth value is a Python-level call
             if top > degrees[beta] + degrees[gamma] and c:
                 failures.append({"kind": "degree-bound", "alpha": alpha, "beta": beta, "gamma": gamma})
-            # counit: c^alpha_{0,gamma} = delta
-            if beta == zero and c != (1 if gamma == alpha else 0):
-                counit.append({"kind": "counit", "alpha": alpha, "gamma": gamma, "value": str(c)})
+            # counits: c^alpha_{0,gamma} = delta(gamma, alpha) and
+            # c^alpha_{beta,0} = delta(beta, alpha), each failure naming its index
+            if beta == zero:
+                if c != (1 if gamma == alpha else 0):
+                    counit.append(
+                        {"kind": "counit", "alpha": alpha, "gamma": gamma, "value": str(c)}
+                    )
+            elif gamma == zero and c != (1 if beta == alpha else 0):
+                counit.append({"kind": "counit", "alpha": alpha, "beta": beta, "value": str(c)})
         if (zero, alpha) not in entry:
             counit.append({"kind": "counit", "alpha": alpha, "gamma": alpha, "value": "0"})
+        if alpha != zero and (alpha, zero) not in entry:
+            counit.append({"kind": "counit", "alpha": alpha, "beta": alpha, "value": "0"})
         failures += counit
     for alpha, entry in table.items():
         # the betas one below alpha, in the order of the set of all of them,

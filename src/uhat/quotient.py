@@ -28,6 +28,9 @@ from uhat.lie import DerivationAction, GradedLieAlgebra, multi_range
 from uhat.infinitesimal import check_cdrs, level_data
 
 
+DEGREE_BOUND = 8  # default search bound for slices and witness minors
+
+
 class BoundExhausted(Exception):
     """Search failed within a configured degree bound (not a refutation)."""
 
@@ -349,7 +352,7 @@ def _induced_action(stage):
     return DerivationAction(stage.algebra_out, sub_lie, table)
 
 
-def staged_quotient(action, degree_bound=8):
+def staged_quotient(action, degree_bound=DEGREE_BOUND):
     """Iterate the one-level quotient over the whole weight filtration.
 
     Requires the constant-rank condition on the input; the induced action is

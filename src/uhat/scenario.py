@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from uhat.rings import EXP_BITS, GradedRing, Ideal, PresentedAlgebra
 from uhat.lie import DerivationAction, GradedLieAlgebra
+from uhat.quotient import DEGREE_BOUND
 
 
 class ScenarioError(Exception):
@@ -158,7 +159,7 @@ def _expr(toks, ring):
 
 @dataclass
 class Options:
-    degree_bound: int = 8
+    degree_bound: int = DEGREE_BOUND
 
 
 @dataclass

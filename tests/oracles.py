@@ -277,13 +277,14 @@ def verify_snake_exactness(action, i, degree=2):
     return True
 
 
-def comult_lemma_failures_reference(table, n, degree):
+def comult_lemma_failures_reference(table, n):
     """The degree-bound, counit and single-step failures of a comultiplication table.
 
-    The plain loop: a degree pass and a counit pass over each row, then the
-    trichotomy for every unit e_j and every beta one below alpha, comparing
-    alpha with beta + e_j.  It reads only the keys a row has, so unlike
-    `cli._comult_lemma_failures` it misses an absent counit or step entry.
+    The plain loop: a degree pass and a counit pass (left counit, else right
+    counit) over each row, then the trichotomy for every unit e_j and every
+    beta one below alpha, comparing alpha with beta + e_j.  It reads only the
+    keys a row has, so unlike `cli._comult_lemma_failures` it misses an
+    absent counit or step entry.
     """
     failures = []
     zero = (0,) * n
@@ -294,6 +295,8 @@ def comult_lemma_failures_reference(table, n, degree):
         for (beta, gamma), c in entry.items():
             if beta == zero and c != (1 if gamma == alpha else 0):
                 failures.append({"kind": "counit", "alpha": alpha, "gamma": gamma, "value": str(c)})
+            elif beta != zero and gamma == zero and c != (1 if beta == alpha else 0):
+                failures.append({"kind": "counit", "alpha": alpha, "beta": beta, "value": str(c)})
     units = [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
     for alpha, entry in table.items():
         below = sum(alpha) - 1

@@ -8,7 +8,7 @@ import pytest
 
 from uhat import rings
 from uhat.cli import main
-from uhat.rings import GradedRing, Ideal, PresentedAlgebra
+from uhat.rings import GradedRing, Ideal, PresentedAlgebra, determinant
 from uhat.lie import DerivationAction, GradedLieAlgebra
 from uhat.infinitesimal import check_cdrs, kernel_generators
 from uhat.scenario import Options, load_scenario, parse_polynomial
@@ -24,6 +24,7 @@ from uhat.blowup import (
     E_operator,
     j_membership,
     verify_chart_cdrs,
+    witness_point,
 )
 
 from conftest import (
@@ -44,15 +45,17 @@ from oracles import saturation_relations, verify_determinantal_sum, verify_snake
 
 
 def test_wuu_jump_fixture(ga_jump):
-    ok, info = check_wuu(ga_jump, reduced=True)
+    ok, info = check_wuu(ga_jump)
     assert ok
     assert info["k_vector"] == (0,)
-    assert info["witness"] is not None
-    assert info["witness"]["y"] == "0"
+    assert "witness" not in info  # the check only decides
+    point = witness_point(ga_jump)
+    assert point is not None
+    assert point["y"] == 0
 
 
 def test_wuu_two_weight(chain3):
-    ok, info = check_wuu(chain3, reduced=True)
+    ok, info = check_wuu(chain3)
     assert ok and info["k_vector"] == (0, 0)
 
 
@@ -73,19 +76,18 @@ def test_wuu_witness_search_past_the_first_trial(root, relation):
     # trial 0's all-ones point drops the pairing's rank when root = 1 and
     # violates x^2 - 4 when root = 2, so the witness comes from the random
     # trials of the one fixed generator
-    _, info = check_wuu(jump_at(root, relation), reduced=True)
-    assert info["witness"] == {"x": "-2", "y": "0"}
+    assert witness_point(jump_at(root, relation)) == {"x": -2, "y": 0}
 
 
 def test_cli_witness_is_the_library_witness(tmp_path):
     # the random-trials input as a scenario file: `uhat analyze` reports the
-    # witness point that check_wuu finds
+    # witness point that witness_point finds
     path = tmp_path / "jump.uhat"
     path.write_text("[ring]\nvariables: x:0, y:-1\n[lie]\nweight 1: a\n[action]\na.y = x - 1\n")
     out = tmp_path / "analyze.json"
     assert main(["analyze", "--scenario", str(path), "--json", str(out)]) == 0
-    _, info = check_wuu(jump_at(1, False), reduced=True)
-    assert json.loads(out.read_text())["wuu"]["witness"] == info["witness"]
+    point = witness_point(jump_at(1, False))
+    assert json.loads(out.read_text())["wuu"]["witness"] == {n: str(v) for n, v in point.items()}
 
 
 def test_wuu_fails_when_product_is_negative_weight():
@@ -188,6 +190,19 @@ def test_j_membership_is_an_ideal(chain3):
 
 
 # -- determinantal operators
+
+
+def test_witness_pairing_is_the_evaluated_split_matrix():
+    # the pairing each witness keeps is xi_r . f over its split rows r and
+    # functions f, and its determinant is the witness minor
+    for label, action, chart in blowup_charts():
+        for w in chart.centre_data.witnesses:
+            matrix = [[action.apply_basis(r, f) for f in w.functions] for r in w.split_rows]
+            assert [list(row) for row in w.pairing] == matrix, (label, w.level)
+            if w.split_rows:
+                assert action.algebra.nf(determinant(matrix)) == w.a, (label, w.level)
+            else:
+                assert w.pairing == () and w.a == action.ring.one()
 
 
 def test_E_operator_single_entry(chain3):

@@ -798,15 +798,16 @@ def test_identities_checks_every_k_once_per_weight_tuple(tmp_path):
 
 def test_comult_lemma_failures_name_each_broken_law():
     table = comult_coefficients(GradedLieAlgebra([1], [["e1", "e2"]]), 2)
-    assert _comult_lemma_failures(table, 2, 2) == []
-    table[(2, 0)][((1, 0), (0, 0))] = Fraction(5)  # below the degree bound
+    assert _comult_lemma_failures(table, 2) == []
+    table[(2, 0)][((1, 0), (0, 0))] = Fraction(5)  # below the degree bound, and a right counit
     table[(0, 2)][((0, 0), (0, 2))] = Fraction(3)  # counit
     table[(1, 1)][((0, 1), (1, 0))] = Fraction(0)  # a step that must be nonzero
     table[(1, 1)][((1, 0), (1, 0))] = Fraction(6)  # a step that must be zero
     table[(1, 1)][((1, 0), (0, 1))] = Fraction(4)  # a step with the wrong value
-    assert _comult_lemma_failures(table, 2, 2) == [
+    assert _comult_lemma_failures(table, 2) == [
         {"kind": "counit", "alpha": (0, 2), "gamma": (0, 2), "value": "3"},
         {"kind": "degree-bound", "alpha": (2, 0), "beta": (1, 0), "gamma": (0, 0)},
+        {"kind": "counit", "alpha": (2, 0), "beta": (1, 0), "value": "5"},
         {"kind": "e_j-trichotomy", "alpha": (1, 1), "beta": (0, 1), "j": 0},
         {"kind": "e_j-trichotomy", "alpha": (1, 1), "beta": (1, 0), "j": 0},
         {"kind": "e_j-value", "alpha": (1, 1), "beta": (1, 0), "j": 0, "value": "6", "expected": 2},
@@ -817,8 +818,21 @@ def test_comult_lemma_failures_name_each_broken_law():
 def test_comult_lemma_failures_read_an_absent_counit_entry_as_zero():
     table = comult_coefficients(GradedLieAlgebra([1], [["e1", "e2"]]), 2)
     del table[(1, 1)][((0, 0), (1, 1))]
-    assert _comult_lemma_failures(table, 2, 2) == [
+    assert _comult_lemma_failures(table, 2) == [
         {"kind": "counit", "alpha": (1, 1), "gamma": (1, 1), "value": "0"},
+    ]
+
+
+def test_comult_lemma_failures_check_the_right_counit():
+    # c^alpha_{beta,0} = delta(beta, alpha), an absent c^alpha_{alpha,0} read as 0
+    table = comult_coefficients(GradedLieAlgebra([1], [["e1", "e2"]]), 2)
+    table[(1, 1)][((1, 1), (0, 0))] = Fraction(5)
+    assert _comult_lemma_failures(table, 2) == [
+        {"kind": "counit", "alpha": (1, 1), "beta": (1, 1), "value": "5"},
+    ]
+    del table[(1, 1)][((1, 1), (0, 0))]
+    assert _comult_lemma_failures(table, 2) == [
+        {"kind": "counit", "alpha": (1, 1), "beta": (1, 1), "value": "0"},
     ]
 
 
@@ -828,7 +842,7 @@ def test_comult_lemma_failures_read_an_absent_step_as_zero():
     row = table[(1, 1)]
     for beta, gamma in [key for key in row if key[0] == (0, 1)]:
         del row[beta, gamma]
-    assert _comult_lemma_failures(table, 2, 2) == [
+    assert _comult_lemma_failures(table, 2) == [
         {"kind": "e_j-trichotomy", "alpha": (1, 1), "beta": (0, 1), "j": 0},
     ]
 
@@ -858,11 +872,11 @@ def test_comult_lemma_failures_match_the_plain_loop_on_mutated_tables():
                     else:
                         key = (rng.choice(indices), rng.choice(indices + units))
                     row[key] = rng.choice(values)
-                failures = _comult_lemma_failures(table, n, degree)
-                assert failures == comult_lemma_failures_reference(table, n, degree)
+                failures = _comult_lemma_failures(table, n)
+                assert failures == comult_lemma_failures_reference(table, n)
                 kinds.update(f["kind"] for f in failures)
     # every law is broken somewhere over the 450 tables
-    assert kinds == {"counit": 338, "e_j-value": 131, "e_j-trichotomy": 44, "degree-bound": 27}
+    assert kinds == {"counit": 453, "e_j-value": 131, "e_j-trichotomy": 44, "degree-bound": 27}
 
 
 def test_identities_bracket_memo_lasts_one_run(monkeypatch, capsys):

@@ -74,6 +74,21 @@ def test_scenario_command_matches_its_record(name, command):
     assert run(name, command) == golden
 
 
+@pytest.mark.parametrize("name", ["heisenberg_scaled", "one_weight", "rank_drop_pair", "two_weight"])
+def test_blowup_route_searches_no_witness_point(monkeypatch, name):
+    # `blowup` needs only the stratum decision; the witness point is
+    # `analyze`'s alone, so the route must not reach the search
+    from uhat import blowup
+
+    def refuse(action):
+        raise AssertionError("blowup searched for a witness point")
+
+    monkeypatch.setattr(blowup, "witness_point", refuse)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[f"{name} blowup --with-quotient"]
+    assert golden["exit"] == 0
+    assert run(name, "blowup --with-quotient") == golden
+
+
 def run_sweep(count, quotients):
     """Blow up and verify the first `count` sweep-script instances from seed 1.
 
