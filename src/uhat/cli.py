@@ -5,11 +5,15 @@ exhaustion (a search bound, or a computed exponent past the packing
 bound).  Reports are printed as indented text and can additionally be
 written as JSON; a scenario subcommand's report depends on its scenario
 file and flags alone, and is byte-identical across runs.
+
+`main(argv)` returns the exit code and may be called repeatedly in one
+process: the argument parser is built on the first call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -347,7 +351,9 @@ def _comult_lemma_failures(table, n):
     return failures
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The `uhat` parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="uhat",
         description="Symbolic condition checks, quotients and blow-ups for "
@@ -384,8 +390,11 @@ def main(argv=None):
     p.add_argument("--letters", type=int, default=3)
     p.add_argument("--comult-degree", type=int, default=4)
     p.set_defaults(func=cmd_identities)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioError, OSError) as exc:

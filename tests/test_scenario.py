@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import uhat.lie
+from uhat import cli
 from uhat.cli import _comult_lemma_failures, main
 from uhat.lie import GradedLieAlgebra, comult_coefficients
 from uhat.rings import GradedRing
@@ -923,6 +925,58 @@ def test_console_entry_point_runs():
     proc = run_cli_process("analyze", "--scenario", str(SCENARIOS / "one_weight_free.uhat"))
     assert proc.returncode == 0
     assert "ss_eq_s" in proc.stdout
+
+
+def test_cli_leaves_no_reference_cycles():
+    # the shared parser is built by the warm-up call; after it, a command
+    # leaves nothing for the cyclic collector.  --json stays out: the
+    # stdlib's indented json.dump encodes through recursive closures that
+    # leave cycles of their own
+    small = ["--letters", "2", "--max-total", "2", "--comult-degree", "2"]
+    commands = [
+        (["analyze", "--scenario", str(SCENARIOS / "one_weight.uhat")], 0),
+        # a refusal: one_weight fails the constant-rank condition
+        (["quotient", "--scenario", str(SCENARIOS / "one_weight.uhat")], 1),
+        (["blowup", "--scenario", str(SCENARIOS / "heisenberg_scaled.uhat"), "--with-quotient"], 0),
+        (["identities", *small], 0),
+    ]
+    assert main(commands[0][0]) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for argv, code in commands:
+            assert main(argv) == code, argv
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_shared_parser_carries_nothing_between_calls(monkeypatch, capsys):
+    assert cli._parser() is cli._parser()
+    seen = []
+    genuine = cli._load
+
+    def spy(args):
+        seen.append(args)
+        return genuine(args)
+
+    monkeypatch.setattr(cli, "_load", spy)
+    path = str(SCENARIOS / "one_weight_free.uhat")
+    run_cli("blowup", "--scenario", path, "--degree-bound", "3", "--with-quotient")
+    run_cli("blowup", "--scenario", path)
+    assert (seen[0].degree_bound, seen[0].with_quotient) == (3, True)
+    assert (seen[1].degree_bound, seen[1].with_quotient) == (None, False)
+    capsys.readouterr()
+    # a usage error between two identical calls leaves their reports equal
+    analyze = ["analyze", "--scenario", str(SCENARIOS / "one_weight.uhat")]
+    assert main(analyze) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(analyze) == 0
+    assert capsys.readouterr().out == first
 
 
 VERDICTS = (
