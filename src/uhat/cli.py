@@ -94,12 +94,9 @@ def emit(report, json_path):
 
 def _load(args):
     scenario = load_scenario(args.scenario)
-    if args.degree_bound is not None:
-        if args.degree_bound < 0:
-            raise ScenarioError(f"--degree-bound must be >= 0, got {args.degree_bound}")
-        scenario.options.degree_bound = args.degree_bound
-    action = scenario.build()
-    return scenario, action
+    if args.degree_bound < 0:
+        raise ScenarioError(f"--degree-bound must be >= 0, got {args.degree_bound}")
+    return scenario.build()
 
 
 def _report(args, **fields):
@@ -127,7 +124,7 @@ def _chain_summary(chain):
 
 
 def cmd_analyze(args):
-    _, action = _load(args)
+    action = _load(args)
     report = {"scenario": args.scenario, "levels": {}}
     for i, d in inf.level_data(action).items():
         report["levels"][f"level_{i}"] = {
@@ -155,7 +152,7 @@ def cmd_analyze(args):
 
 
 def cmd_quotient(args):
-    scenario, action = _load(args)
+    action = _load(args)
     cdrs = inf.check_cdrs(action)
     if not cdrs["holds"]:
         return _refuse(
@@ -165,7 +162,7 @@ def cmd_quotient(args):
             cdrs=cdrs,
         )
     try:
-        chain = qt.staged_quotient(action, scenario.options.degree_bound)
+        chain = qt.staged_quotient(action, args.degree_bound)
     except qt.BoundExhausted as exc:
         return _exhausted(args, exc, condition_ok=exc.condition_ok)
     verification = qt.verify_quotient(chain)
@@ -186,7 +183,7 @@ def cmd_quotient(args):
 
 
 def cmd_blowup(args):
-    scenario, action = _load(args)
+    action = _load(args)
     if inf.check_cdrs(action)["holds"]:
         return _refuse(
             args,
@@ -197,7 +194,7 @@ def cmd_blowup(args):
     if not wuu:
         return _refuse(args, "the weight-zero stratum misses the minimal-rank locus", wuu=winfo)
     try:
-        cd = bl.centre(action, scenario.options.degree_bound)
+        cd = bl.centre(action, args.degree_bound)
         elements = bl.construct_b(action, cd)
         chart = bl.build_chart(action, cd, elements)
     except qt.BoundExhausted as exc:
@@ -227,7 +224,7 @@ def cmd_blowup(args):
     )
     ok = chart_report["holds"] and chart_report["certificate_ok"]
     if args.with_quotient and ok:
-        chain = qt.staged_quotient(chart.action, scenario.options.degree_bound)
+        chain = qt.staged_quotient(chart.action, args.degree_bound)
         ok = qt.verify_quotient(chain)["ok"]
         report["chart_quotient"] = {**_chain_summary(chain), "verification_ok": ok}
     emit(report, args.json)
@@ -363,7 +360,7 @@ def _parser():
 
     def common(p):
         p.add_argument("--scenario", required=True, help="scenario file path")
-        p.add_argument("--degree-bound", type=int, default=None)
+        p.add_argument("--degree-bound", type=int, default=qt.DEGREE_BOUND)
         p.add_argument("--json", default=None, help="also write the report as JSON")
 
     p = sub.add_parser("analyze", help="validate and run every condition check")

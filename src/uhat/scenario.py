@@ -1,20 +1,19 @@
 """Scenario files: the sectioned text format describing one chart action.
 
 A scenario fixes the graded ring, its relations, the graded Lie algebra
-with brackets, the derivation table and the computation options.  Parsing
-gives line/column diagnostics.  Semantic validation reuses the derivation
-action validator; its errors carry no line but name the offending vector,
-generator, relation or pair.
+with brackets and the derivation table.  Parsing gives line/column
+diagnostics.  Semantic validation reuses the derivation action validator;
+its errors carry no line but name the offending vector, generator,
+relation or pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from uhat.rings import EXP_BITS, GradedRing, Ideal, PresentedAlgebra
 from uhat.lie import DerivationAction, GradedLieAlgebra
-from uhat.quotient import DEGREE_BOUND
 
 
 class ScenarioError(Exception):
@@ -158,17 +157,11 @@ def _expr(toks, ring):
 
 
 @dataclass
-class Options:
-    degree_bound: int = DEGREE_BOUND
-
-
-@dataclass
 class Scenario:
     ring: GradedRing
     relations: list  # (source line, polynomial) per relation
     lie: GradedLieAlgebra
     action_table: dict  # vector name -> {generator: polynomial}
-    options: Options = field(default_factory=Options)
 
     def build(self):
         """Construct and validate the derivation action; raise on violations."""
@@ -201,9 +194,7 @@ def parse_scenario(text):
     lie_basis = []
     brackets = {}
     action_table = {}
-    options = Options()
-    seen_sections = set()
-    seen_options = set()
+    section_lines = {}  # section -> the line of its header
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -211,11 +202,11 @@ def parse_scenario(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in ("ring", "relations", "lie", "action", "options"):
+            if section not in ("ring", "relations", "lie", "action"):
                 raise ScenarioError(f"unknown section [{section}]", lineno)
-            if section in seen_sections:
+            if section in section_lines:
                 raise ScenarioError(f"duplicate section [{section}]", lineno)
-            seen_sections.add(section)
+            section_lines[section] = lineno
             continue
         if section is None:
             raise ScenarioError("content before the first section", lineno)
@@ -289,23 +280,6 @@ def parse_scenario(text):
             if gen in action_table[vec]:
                 raise ScenarioError(f"duplicate action entry {vec}.{gen}", lineno)
             action_table[vec][gen] = (*_expression(raw, raw.index("=") + 1), lineno)
-        elif section == "options":
-            if "=" not in line:
-                raise ScenarioError("expected 'key = value'", lineno)
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key != "degree_bound":
-                raise ScenarioError(f"unknown option {key!r}", lineno)
-            if key in seen_options:
-                raise ScenarioError(f"duplicate option {key!r}", lineno)
-            seen_options.add(key)
-            try:
-                number = int(val)
-            except ValueError:
-                raise ScenarioError(f"bad value {val!r} for option {key!r}", lineno)
-            if number < 0:
-                raise ScenarioError(f"option {key!r} must be >= 0, got {number}", lineno)
-            setattr(options, key, number)
 
     if not variables:
         raise ScenarioError("missing [ring] variables")
@@ -329,7 +303,7 @@ def parse_scenario(text):
     try:
         lie = GradedLieAlgebra(lie_weights, lie_basis, brackets)
     except ValueError as exc:
-        raise ScenarioError(f"bad lie block: {exc}")
+        raise ScenarioError(f"bad lie block: {exc}", section_lines.get("lie"))
     table = {}
     for vec, row in action_table.items():
         if vec not in lie._index:
@@ -340,7 +314,7 @@ def parse_scenario(text):
             if gen not in ring._index:
                 raise ScenarioError(f"unknown ring generator {gen!r}", lineno)
             table[vec][gen] = parse_polynomial(src, ring, lineno, offset)
-    return Scenario(ring, rels, lie, table, options)
+    return Scenario(ring, rels, lie, table)
 
 
 def _check_name(name, kind, lineno):

@@ -58,19 +58,18 @@ def sweep_script():
 def blowup_charts():
     """(label, action, chart): four failing scenario files, then the first six sweep instances."""
     from uhat.blowup import build_chart, centre, construct_b
-    from uhat.scenario import Options
+    from uhat.quotient import DEGREE_BOUND
 
     actions = []
     for name in ("one_weight", "two_weight", "rank_drop_pair", "heisenberg_scaled"):
-        scenario = load_scenario(SCENARIOS / f"{name}.uhat")
-        actions.append((name, scenario.build(), scenario.options))
+        actions.append((name, load_scenario(SCENARIOS / f"{name}.uhat").build()))
     seed = 1
     for i in range(6):
         action, seed = sweep_script().sample(seed)
-        actions.append((f"sweep_{i}", action, Options()))
+        actions.append((f"sweep_{i}", action))
     charts = []
-    for label, action, options in actions:
-        cd = centre(action, options.degree_bound)
+    for label, action in actions:
+        cd = centre(action, DEGREE_BOUND)
         elements = construct_b(action, cd)
         chart = build_chart(action, cd, elements)
         charts.append((label, action, chart))

@@ -11,7 +11,8 @@ from uhat.cli import main
 from uhat.rings import GradedRing, Ideal, PresentedAlgebra, determinant
 from uhat.lie import DerivationAction, GradedLieAlgebra
 from uhat.infinitesimal import check_cdrs, kernel_generators
-from uhat.scenario import Options, load_scenario, parse_polynomial
+from uhat.quotient import DEGREE_BOUND
+from uhat.scenario import load_scenario, parse_polynomial
 from uhat.blowup import (
     BElements,
     NoBlowupNeeded,
@@ -487,14 +488,13 @@ def test_seeded_chart_elimination_matches_the_plain_saturation():
     charts = []
     for name in ("one_weight", "two_weight", "rank_drop_pair", "heisenberg_scaled"):
         path = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.uhat"
-        scenario = load_scenario(path)
-        charts.append((name, scenario.build(), scenario.options.degree_bound))
+        charts.append((name, load_scenario(path).build()))
     seed = 1
     for i in range(40):
         action, seed = sweep_script().sample(seed)
-        charts.append((f"sweep_{i}", action, Options().degree_bound))
-    for label, action, bound in charts:
-        cd = centre(action, bound)
+        charts.append((f"sweep_{i}", action))
+    for label, action in charts:
+        cd = centre(action, DEGREE_BOUND)
         chart = build_chart(action, cd, construct_b(action, cd))
         assert chart.generators[0] == ("t0", action.algebra.nf(cd.a)), label
         rels = list(chart.algebra.relations.generators)

@@ -9,6 +9,7 @@ from uhat.lie import DerivationAction, GradedLieAlgebra
 from uhat.infinitesimal import check_cdrs
 from uhat.blowup import build_chart, centre, construct_b
 from uhat.quotient import (
+    DEGREE_BOUND,
     BoundExhausted,
     QuotientChain,
     SliceSet,
@@ -356,12 +357,11 @@ def route_chains():
     """
     chains = []
     for path in sorted(SCENARIOS.glob("*.uhat")):
-        scenario = load_scenario(path)
-        action, bound = scenario.build(), scenario.options.degree_bound
+        action = load_scenario(path).build()
         if not check_cdrs(action)["holds"]:
-            cd = centre(action, bound)
+            cd = centre(action, DEGREE_BOUND)
             action = build_chart(action, cd, construct_b(action, cd)).action
-        chains.append((path.stem, staged_quotient(action, bound)))
+        chains.append((path.stem, staged_quotient(action, DEGREE_BOUND)))
     seed = 1
     for i in range(40):
         action, seed = sweep_script().sample(seed)

@@ -1,6 +1,6 @@
 import collections
-import dataclasses
 import gc
+import itertools
 import json
 import math
 import os
@@ -19,8 +19,8 @@ from uhat import cli
 from uhat.cli import _comult_lemma_failures, main
 from uhat.lie import GradedLieAlgebra, comult_coefficients
 from uhat.rings import GradedRing
+from uhat.quotient import DEGREE_BOUND
 from uhat.scenario import (
-    Options,
     ScenarioError,
     load_scenario,
     parse_polynomial,
@@ -337,17 +337,19 @@ def test_bad_scenario_is_input_error(tmp_path, capsys):
         assert run_cli("analyze", "--scenario", str(bad)) == 2, ring
         err = capsys.readouterr().err
         assert err.startswith("input error") and "(line 2)" in err, err
-    # so are brackets the Lie algebra rejects, and a bracket given twice
+    # so are brackets the Lie algebra rejects, at its [lie] header, and a
+    # bracket given twice, at its second line
     head = "[ring]\nvariables: x:0, y:-1, z:-2\n\n[lie]\nweight 2: xi1\nweight 1: xi2\n"
-    for lie in [
-        "bracket [xi2, xi2] = xi1\n",
-        "bracket [xi1, xi2] = 0\nbracket [xi2, xi1] = xi1\n",
-        "bracket [xi1, xi2] = 0\nbracket [xi1, xi2] = 0\n",
+    for lie, line in [
+        ("bracket [xi2, xi2] = xi1\n", 4),
+        ("bracket [xi1, xi2] = 0\nbracket [xi2, xi1] = xi1\n", 8),
+        ("bracket [xi1, xi2] = 0\nbracket [xi1, xi2] = 0\n", 8),
     ]:
         bad.write_text(head + lie + "\n[action]\nxi2.y = x\n")
         capsys.readouterr()
         assert run_cli("analyze", "--scenario", str(bad)) == 2, lie
-        assert capsys.readouterr().err.startswith("input error")
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and f"(line {line})" in err, err
     # and so is a basis vector name that a bracket combination cannot read back
     for name in ["a b", "2a"]:
         bad.write_text(head.replace("weight 1: xi2", f"weight 1: xi2, {name}") + "\n[action]\nxi2.y = x\n")
@@ -355,12 +357,12 @@ def test_bad_scenario_is_input_error(tmp_path, capsys):
         assert run_cli("analyze", "--scenario", str(bad)) == 2, name
         err = capsys.readouterr().err
         assert err.startswith("input error") and "(line 6)" in err, err
-    # an option the format does not have is reported with its line
+    # a section the format does not have is reported with its line
     bad.write_text(head + "\n[options]\npbw_bound = 6\n")
     capsys.readouterr()
     assert run_cli("analyze", "--scenario", str(bad)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error") and "pbw_bound" in err and "(line 9)" in err, err
+    assert err == "input error: unknown section [options] (line 8)\n", err
 
 
 def test_zero_denominator_in_a_bracket_is_input_error(tmp_path, capsys):
@@ -431,8 +433,6 @@ weight 1: b
 bracket [a, b] = {bracket}
 [action]
 b.y = {action}
-[options]
-degree_bound = {degree_bound}
 """
 FUZZ_DEFAULTS = {
     "weight": "-2",
@@ -440,7 +440,6 @@ FUZZ_DEFAULTS = {
     "block": "2: a",
     "bracket": "0",
     "action": "x",
-    "degree_bound": "8",
 }
 
 
@@ -505,38 +504,29 @@ def test_unknown_basis_vector_diagnostic_gives_its_line(entries, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("option", ["degree_bound"])
-def test_negative_count_option_is_input_error(tmp_path, capsys, option):
-    head = "[ring]\nvariables: x:0\n\n[options]\n"
-    assert getattr(parse_scenario(head + f"{option} = 0\n").options, option) == 0
-    bad = tmp_path / "bad.uhat"
-    bad.write_text(head + f"{option} = -3\n")
-    assert run_cli("analyze", "--scenario", str(bad)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("input error") and option in err and "(line 5)" in err, err
-
-
 @pytest.mark.parametrize(
-    "entries, message",
+    "entries",
     [
-        # a removed option is refused even at its old default value
-        ("reduced = true", "unknown option 'reduced' (line 12)"),
-        ("sample_count = 20", "unknown option 'sample_count' (line 12)"),
-        ("j_search_degree = 0", "unknown option 'j_search_degree' (line 12)"),
-        ("seed = 1", "unknown option 'seed' (line 12)"),
-        # an old scenario's repeated seed is unknown at its first line
-        ("seed = 1\nseed = 1", "unknown option 'seed' (line 12)"),
-        # a repeated key is refused even at the value it repeats
-        ("degree_bound = 8", "duplicate option 'degree_bound' (line 12)"),
+        "degree_bound = 8",
+        "degree_bound = -3",
+        "degree_bound = 8\ndegree_bound = 8",
+        "reduced = true",
+        "sample_count = 20",
+        "j_search_degree = 0",
+        "seed = 1",
+        "seed = 1\nseed = 1",
     ],
     ids=[
-        "reduced", "sample_count", "j_search_degree",
-        "seed", "repeated-seed", "repeated-degree_bound",
+        "degree_bound", "negative-degree_bound", "repeated-degree_bound",
+        "reduced", "sample_count", "j_search_degree", "seed", "repeated-seed",
     ],
 )
-def test_option_error_is_input_error_at_its_line(tmp_path, capsys, entries, message):
+def test_option_error_is_input_error_at_its_line(tmp_path, capsys, entries):
+    # the search bound is the --degree-bound flag alone: an [options]
+    # section, whatever it holds, is unknown at its header's line
     text = "[ring]\nvariables: x:0, y:-1\n\n[lie]\nweight 1: xi\n\n[action]\nxi.y = x\n"
-    text += f"\n[options]\ndegree_bound = 8\n{entries}\n"
+    text += f"\n[options]\n{entries}\n"
+    message = "unknown section [options] (line 10)"
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
     assert str(err.value) == message
@@ -546,18 +536,32 @@ def test_option_error_is_input_error_at_its_line(tmp_path, capsys, entries, mess
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
-def test_readme_scenario_example_sets_every_option():
-    # the documented format is the parsed one: README's example builds, and
-    # its [options] block gives each field of Options once, at its default
+@pytest.mark.parametrize(
+    "lie, message",
+    [
+        ("weight 0: a\n", "grading weights must be positive"),
+        ("weight 1: a\nweight 2: b\n", "grading weights must be strictly decreasing"),
+        ("weight 1: a, a\n", "basis names must be distinct"),
+    ],
+    ids=["weight-zero", "increasing-weights", "repeated-name"],
+)
+def test_lie_block_error_gives_its_header_line(tmp_path, capsys, lie, message):
+    text = "[ring]\nvariables: x:0, y:-1\n\n[lie]\n" + lie
+    message = f"bad lie block: {message} (line 4)"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == message
+    bad = tmp_path / "bad.uhat"
+    bad.write_text(text)
+    assert run_cli("analyze", "--scenario", str(bad)) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_readme_scenario_example_parses_and_builds():
+    # the documented format is the parsed one: README's one example builds
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert readme.count("```ini\n") == 1
-    example = readme.split("```ini\n")[1].split("```")[0]
-    scenario = parse_scenario(example)
-    scenario.build()
-    block = example.split("[options]\n")[1]
-    keys = [line.split("=")[0].strip() for line in block.splitlines() if "=" in line]
-    assert keys == [f.name for f in dataclasses.fields(Options)]
-    assert scenario.options == Options()
+    parse_scenario(readme.split("```ini\n")[1].split("```")[0]).build()
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch):
@@ -671,20 +675,19 @@ def test_reports_are_deterministic(tmp_path):
 
 
 def test_reports_are_identical_across_hash_seeds(tmp_path):
-    outs = []
-    for hash_seed in (0, 1):
-        out = tmp_path / f"seed{hash_seed}.json"
-        proc = run_cli_process(
-            "analyze",
-            "--scenario",
-            str(SCENARIOS / "heisenberg_free.uhat"),
-            "--json",
-            str(out),
-            hash_seed=hash_seed,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    # each command of the route, in fresh interpreters: stdout and JSON bytes
+    for argv in (
+        ["analyze", "--scenario", str(SCENARIOS / "heisenberg_free.uhat")],
+        ["quotient", "--scenario", str(SCENARIOS / "heisenberg_free.uhat")],
+        ["blowup", "--with-quotient", "--scenario", str(SCENARIOS / "heisenberg_scaled.uhat")],
+    ):
+        outs = []
+        for hash_seed in (0, 1):
+            out = tmp_path / f"seed{hash_seed}.json"
+            proc = run_cli_process(*argv, "--json", str(out), hash_seed=hash_seed)
+            assert proc.returncode == 0, (argv, proc.stderr)
+            outs.append((proc.stdout, out.read_bytes()))
+        assert outs[0] == outs[1], argv
 
 
 def test_each_relative_map_is_built_once(tmp_path, monkeypatch):
@@ -965,7 +968,7 @@ def test_shared_parser_carries_nothing_between_calls(monkeypatch, capsys):
     run_cli("blowup", "--scenario", path, "--degree-bound", "3", "--with-quotient")
     run_cli("blowup", "--scenario", path)
     assert (seen[0].degree_bound, seen[0].with_quotient) == (3, True)
-    assert (seen[1].degree_bound, seen[1].with_quotient) == (None, False)
+    assert (seen[1].degree_bound, seen[1].with_quotient) == (DEGREE_BOUND, False)
     capsys.readouterr()
     # a usage error between two identical calls leaves their reports equal
     analyze = ["analyze", "--scenario", str(SCENARIOS / "one_weight.uhat")]
@@ -991,22 +994,30 @@ VERDICTS = (
 )
 
 
-def route_verdicts(path, tmp_path):
-    """Exit code and `VERDICTS` fields (None where absent) of analyze, quotient
-    and blowup --with-quotient on one scenario file, run in-process."""
+def route_reports(path, tmp_path):
+    """Exit code and JSON report ({} when none is written) of analyze,
+    quotient and blowup --with-quotient on one scenario file, run in-process."""
     out = {}
     for command in (["analyze"], ["quotient"], ["blowup", "--with-quotient"]):
         report = tmp_path / "report.json"
         report.unlink(missing_ok=True)
         code = run_cli(*command, "--scenario", str(path), "--json", str(report))
-        data = json.loads(report.read_text()) if report.exists() else {}
+        out[command[0]] = (code, json.loads(report.read_text()) if report.exists() else {})
+    return out
+
+
+def route_verdicts(path, tmp_path):
+    """Exit code and `VERDICTS` fields (None where absent) of each command of
+    `route_reports`."""
+    out = {}
+    for command, (code, data) in route_reports(path, tmp_path).items():
         fields = []
         for keys in VERDICTS:
             value = data
             for key in keys:
                 value = value.get(key) if isinstance(value, dict) else None
             fields.append(value)
-        out[command[0]] = (code, fields)
+        out[command] = (code, fields)
     return out
 
 
@@ -1024,3 +1035,65 @@ def test_verdicts_do_not_depend_on_the_monomial_order(path, tmp_path, capsys):
         other.write_text(text.replace("order: degrevlex\n", f"order: {order}\n"))
         assert load_scenario(other).ring.order == order
         assert route_verdicts(other, tmp_path) == want, order
+
+
+def random_scenario_text(rng):
+    """A graded scenario text: 2-4 variables of weight 0, -1 or -2, one basis
+    vector for each of one to three Lie weights from 3, 2, 1, weight-homogeneous
+    action entries of at most two terms of degree <= 2, and sometimes one
+    relation.  It may still fail validation (the derivations need not commute)."""
+    names = [f"x{i}" for i in range(rng.randint(2, 4))]
+    weight = {v: rng.choice((0, -1, -2)) for v in names}
+    monomials = collections.defaultdict(list)  # weight -> its monomials of degree <= 2
+    for d in range(3):
+        for m in itertools.combinations_with_replacement(names, d):
+            monomials[sum(weight[v] for v in m)].append("*".join(m) or "1")
+
+    def combination(w):
+        terms = rng.sample(monomials[w], min(len(monomials[w]), rng.randint(1, 2)))
+        return " + ".join(f"{rng.choice((1, -1, 2, '1/2'))}*{t}" for t in terms)
+
+    lie = sorted(rng.sample((3, 2, 1), rng.randint(1, 3)), reverse=True)
+    lines = ["[ring]", "variables: " + ", ".join(f"{v}:{weight[v]}" for v in names)]
+    if rng.random() < 0.3:
+        lines += ["[relations]", combination(rng.choice((0, -1, -2)))]
+    lines += ["[lie]", *(f"weight {w}: v{w}" for w in lie), "[action]"]
+    for w in lie:
+        for v in names:
+            if monomials[weight[v] + w] and rng.random() < 0.6:
+                lines.append(f"v{w}.{v} = {combination(weight[v] + w)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_random_valid_scenarios_keep_the_route_consistent(tmp_path, capsys):
+    # every command runs on every valid text, and their verdicts agree: a
+    # quotient exactly where the constant-rank condition holds, and a
+    # verified blow-up chart exactly where it fails and the stratum
+    # condition holds
+    kinds = collections.Counter()
+    for seed in range(200):
+        text = random_scenario_text(random.Random(seed))
+        try:
+            parse_scenario(text).build()
+        except ScenarioError:
+            continue
+        path = tmp_path / "random.uhat"
+        path.write_text(text)
+        reports = route_reports(path, tmp_path)
+        (a_code, analyze), (q_code, _), (b_code, blowup) = reports.values()
+        cdrs, wuu = analyze["cdrs"]["holds"], analyze["wuu"]["holds"]
+        assert a_code == 0, text
+        assert q_code == (0 if cdrs else 1), text
+        assert b_code == (0 if wuu and not cdrs else 1), text
+        if b_code == 0:
+            assert blowup["chart_cdrs"]["holds"] and blowup["chart_cdrs"]["certificate_ok"], text
+            assert blowup["chart_quotient"]["verification_ok"], text
+            assert blowup["k_vector"] == analyze["k_vector"], text
+        kinds["relation" if "[relations]" in text else "free", cdrs, b_code] += 1
+    capsys.readouterr()
+    # the texts reach each branch: with and without a relation, quotients,
+    # repairs and blocked blow-ups
+    assert sum(kinds.values()) >= 150, kinds
+    assert kinds["free", True, 1] and kinds["relation", True, 1], kinds
+    assert kinds["free", False, 0] and kinds["relation", False, 0], kinds
+    assert kinds["free", False, 1] + kinds["relation", False, 1], kinds
