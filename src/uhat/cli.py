@@ -360,7 +360,13 @@ def _parser():
 
     def common(p):
         p.add_argument("--scenario", required=True, help="scenario file path")
-        p.add_argument("--degree-bound", type=int, default=qt.DEGREE_BOUND)
+        p.add_argument(
+            "--degree-bound",
+            type=int,
+            default=qt.DEGREE_BOUND,
+            help="highest degree searched for slice functions and witness minors "
+            "(default: %(default)s)",
+        )
         p.add_argument("--json", default=None, help="also write the report as JSON")
 
     p = sub.add_parser("analyze", help="validate and run every condition check")
@@ -384,8 +390,18 @@ def _parser():
     p.add_argument("--seed", type=int, default=1, help="seeds the random weight tuples")
     p.add_argument("--json", default=None, help="also write the report as JSON")
     p.add_argument("--max-total", type=int, default=4, help="bound on |k|")
-    p.add_argument("--letters", type=int, default=3)
-    p.add_argument("--comult-degree", type=int, default=4)
+    p.add_argument(
+        "--letters",
+        type=int,
+        default=3,
+        help="check the bracket identities on 1 to this many letters (default: %(default)s)",
+    )
+    p.add_argument(
+        "--comult-degree",
+        type=int,
+        default=4,
+        help="degree bound of the comultiplication tables (default: %(default)s)",
+    )
     p.set_defaults(func=cmd_identities)
     return parser
 

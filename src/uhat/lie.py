@@ -280,14 +280,6 @@ class GradedLieAlgebra:
                             "actual_weight": self.weight_of(k),
                         }
                     )
-            if target not in self.weights and combo:
-                out.append(
-                    {
-                        "kind": "bracket-weight",
-                        "pair": (self.basis_names[i], self.basis_names[j]),
-                        "detail": f"no weight space of weight {target}",
-                    }
-                )
         for a, b, c in itertools.combinations(range(self.dim), 3):
             total = {}
             for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):

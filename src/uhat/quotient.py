@@ -194,15 +194,15 @@ def _slice_sum(pieces, functions, sign, ring):
     return total
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuotientStage:
     """One stage of the chain: the slices of a level and the invariant ring they cut out.
 
     `values` gives, for each input generator, what its projection equals
     over the ring of `algebra_out`: a new generator (its own or an earlier
-    duplicate's) or a constant.  `reconstructed` memoises each generator's
-    evaluated reconstruction (see `_reconstructed`), so a stage is not
-    mutated after its first check.
+    duplicate's) or a constant.  `reconstructed` gives each generator's
+    reconstruction sum_n (1/n!) pi(xi^n . x) f^n, evaluated in the input
+    algebra; the slice theorem makes it equal the generator.
     """
 
     slices: SliceSet
@@ -210,8 +210,7 @@ class QuotientStage:
     algebra_out: PresentedAlgebra
     inclusion: dict  # new generator name -> representative polynomial in action_in.algebra
     values: dict  # input generator -> its projection over algebra_out.ring
-    reconstruction: dict  # original generator -> list of (multi-index, poly over algebra_out)
-    reconstructed: dict = field(default_factory=dict)  # generator -> evaluated reconstruction
+    reconstructed: dict  # input generator -> its evaluated reconstruction in action_in.algebra
 
     def rewrite(self, p):
         """p over the new generators if substituting back gives p (p is invariant), else None.
@@ -247,8 +246,8 @@ def invariant_presentation(action, slices):
 
     Generators are the projections of the ring generators (the projection is
     a ring homomorphism onto the invariants, so these always generate).
-    Reconstruction data writes every original generator as a polynomial in
-    the invariant generators and the slice functions.
+    Each generator's reconstruction, sum_n (1/n!) pi(xi^n . x) f^n, is
+    evaluated back in the input algebra while its derivative table is at hand.
 
     Relations are the image of the slice ideal.  The preconditions give
     commuting locally nilpotent xi_i with xi_i . f_j = delta_ij, so by the
@@ -289,26 +288,16 @@ def invariant_presentation(action, slices):
     )
 
     # pi is a ring homomorphism sending each generator to its value, so the
-    # projection of xi^n . x over the new generators is a substitution
-    reconstruction = {}
+    # projection of xi^n . x is the derivative over the new generators, read
+    # back through the images
+    reconstructed = {}
     for name in ring.names:
         table = _derivative_table(action, split, ring.var(name))
         pieces = ((n, deriv.substitute(values, out_ring)) for n, deriv in table.items())
-        reconstruction[name] = [(n, expr) for n, expr in pieces if not expr.is_zero()]
+        pieces = [(n, expr.substitute(images, ring)) for n, expr in pieces if not expr.is_zero()]
+        reconstructed[name] = algebra.nf(_slice_sum(pieces, functions, 1, ring))
     out = PresentedAlgebra(out_ring, Ideal.of_basis(out_ring, rels))
-    return QuotientStage(slices, action, out, images, values, reconstruction)
-
-
-def _reconstructed(stage, name):
-    """Evaluate the reconstruction of generator `name` back in the input algebra, once."""
-    if name not in stage.reconstructed:
-        algebra = stage.action_in.algebra
-        ring = algebra.ring
-        pieces = [
-            (n, expr.substitute(stage.inclusion, ring)) for n, expr in stage.reconstruction[name]
-        ]
-        stage.reconstructed[name] = algebra.nf(_slice_sum(pieces, stage.slices.functions, 1, ring))
-    return stage.reconstructed[name]
+    return QuotientStage(slices, action, out, images, values, reconstructed)
 
 
 def _induced_action(stage):
@@ -376,7 +365,7 @@ def staged_quotient(action, degree_bound=DEGREE_BOUND):
         violations = [
             name
             for name in current.ring.names
-            if not current.algebra.equal(_reconstructed(stage, name), current.ring.var(name))
+            if not current.algebra.equal(stage.reconstructed[name], current.ring.var(name))
         ]
         if violations:
             raise StageError(f"reconstruction failed at stage {stage_level} for {violations}")
@@ -423,6 +412,6 @@ def verify_quotient(chain):
             if det != algebra.ring.one():
                 failures.append({"stage": number, "kind": "slice-determinant", "det": str(det)})
         for name in action.ring.names:
-            if not algebra.equal(_reconstructed(stage, name), action.ring.var(name)):
+            if not algebra.equal(stage.reconstructed[name], action.ring.var(name)):
                 failures.append({"stage": number, "kind": "reconstruction", "generator": name})
     return {"ok": not failures, "failures": failures, "affine_dimension": chain.affine_dimension}

@@ -44,6 +44,21 @@ def test_bracket_weight_violation_reported():
     assert bad and bad[0]["kind"] == "bracket-weight"
 
 
+def test_bracket_into_a_missing_weight_is_reported_once():
+    # weights 3 and 1 have no weight 2, so [p, q] = c is reported through
+    # its one component, not again for the missing weight space
+    L = GradedLieAlgebra([3, 1], [["c"], ["p", "q"]], {("p", "q"): {"c": 1}})
+    assert L.structure_violations() == [
+        {
+            "kind": "bracket-weight",
+            "pair": ("p", "q"),
+            "component": "c",
+            "expected_weight": 2,
+            "actual_weight": 3,
+        }
+    ]
+
+
 def test_relations_preservation_checked():
     R = GradedRing(["x", "y"], [0, -1])
     A = PresentedAlgebra(R, Ideal(R, [R.var("x") ** 2]))

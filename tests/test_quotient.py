@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -246,18 +247,18 @@ def test_invariant_presentation_free_translation(ga_free):
     assert list(stage.inclusion) == ["x"]
     assert str(stage.inclusion["x"]) == "x"
     assert stage.algebra_out.relations.generators == ()
-    # reconstruction of y: only the first derivative survives, y = f1
-    pieces = stage.reconstruction["y"]
-    assert len(pieces) == 1 and pieces[0][0] == (1,)
-    # x is invariant and y is not, so only x rewrites over the invariants
+    # y = f1, so its reconstruction evaluates back to y
     R = ga_free.ring
+    assert stage.reconstructed["y"] == R.var("y")
+    # x is invariant and y is not, so only x rewrites over the invariants
     assert str(stage.rewrite(R.var("x") ** 2 - 3)) == "x^2 - 3"
     assert stage.rewrite(R.var("y")) is None
 
 
 def test_reconstruction_pieces_are_projected_derivatives():
-    # the piece for n, mapped back through the inclusion, is the Dixmier
-    # projection of xi^n . x, modulo the stage's input relations
+    # the piece for n, xi^n . x over the new generators mapped back through
+    # the inclusion, is the Dixmier projection of xi^n . x, modulo the
+    # stage's input relations
     chains = [
         staged_quotient(load_scenario(SCENARIOS / f"{name}.uhat").build())
         for name in ("heisenberg_free", "one_weight_free")
@@ -269,15 +270,13 @@ def test_reconstruction_pieces_are_projected_derivatives():
             action, split, fns = stage.action_in, stage.slices.split, stage.slices.functions
             ring = action.ring
             for name in ring.names:
-                pieces = dict(stage.reconstruction[name])
-                table = _derivative_table(action, split, ring.var(name))
-                assert set(pieces) <= {n for n, d in table.items() if not d.is_zero()}
-                for n, deriv in table.items():
+                for deriv in _derivative_table(action, split, ring.var(name)).values():
                     if deriv.is_zero():
                         continue
                     want = dixmier_project(action, split, fns, deriv)
-                    got = pieces.get(n, stage.algebra_out.ring.zero())
+                    got = deriv.substitute(stage.values, stage.algebra_out.ring)
                     assert action.algebra.equal(got.substitute(stage.inclusion, ring), want)
+                assert action.algebra.equal(stage.reconstructed[name], ring.var(name))
                 checked += 1
     assert checked == 120
 
@@ -327,10 +326,11 @@ def test_verify_quotient_detects_corruption(ga_free):
 
 
 def test_verify_quotient_detects_corrupted_reconstruction(ga_free):
-    # corrupted before anything evaluates it, so the verifier's evaluation
-    # is the first and sees the corruption
     stage = invariant_presentation(ga_free, find_slices(ga_free, 1, 4))
-    stage.reconstruction["y"] = []
+    # a stage's fields are fixed once it is built
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stage.reconstructed = {}
+    stage.reconstructed["y"] = ga_free.ring.zero()
     rep = verify_quotient(QuotientChain(ga_free, [stage]))
     assert rep["failures"] == [{"stage": 1, "kind": "reconstruction", "generator": "y"}]
 
@@ -341,7 +341,7 @@ def test_stage_tables_are_built_once(ga_free):
     split = stage.slices.split
     y = ga_free.ring.var("y")
     assert _derivative_table(ga_free, split, y) is _derivative_table(ga_free, split, y)
-    # the staged quotient's check filled the evaluations the verifier reads
+    # the stage carries every generator's evaluated reconstruction
     assert set(stage.reconstructed) == {"x", "y"}
     assert stage.reconstructed["y"] == y
     assert verify_quotient(chain)["ok"]

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import gc
 import itertools
@@ -952,6 +953,20 @@ def test_cli_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_every_option_has_help():
+    # walk the top-level parser and each subcommand's parser
+    parsers = [cli._parser()]
+    undocumented = []
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.option_strings and action.dest != "help" and not action.help:
+                undocumented.append((parser.prog, action.option_strings))
+    assert undocumented == []
 
 
 def test_shared_parser_carries_nothing_between_calls(monkeypatch, capsys):
