@@ -1,30 +1,8 @@
 """Symbolic toolkit for graded unipotent group actions on presented algebras.
 
-Subpackages cover exact polynomial arithmetic (`rings`), graded Lie algebras
+Modules cover exact polynomial arithmetic (`rings`), graded Lie algebras
 and their derivation actions (`lie`), the infinitesimal-action condition
 checks (`infinitesimal`), staged invariant-ring quotients (`quotient`), the
 one-step blow-up construction (`blowup`) and the scenario file format plus
 command line driver (`scenario`, `cli`).
 """
-
-from uhat.rings import (
-    GradedRing,
-    Polynomial,
-    Ideal,
-    PresentedAlgebra,
-    FreeModuleMap,
-    groebner_basis,
-    eliminate,
-    syzygy_kernel,
-)
-
-__all__ = [
-    "GradedRing",
-    "Polynomial",
-    "Ideal",
-    "PresentedAlgebra",
-    "FreeModuleMap",
-    "groebner_basis",
-    "eliminate",
-    "syzygy_kernel",
-]

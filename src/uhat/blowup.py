@@ -409,7 +409,8 @@ def build_chart(action, centre_data, elements):
 
     Chart generators are fractions g/a for the canonical sweep members (the
     witness product itself and the prefix-scaled level elements), closed
-    under the basis derivations.  Relations come from saturating the graph
+    under the basis derivations, and named t0, t1, ... in order, skipping
+    the base ring's names.  Relations come from saturating the graph
     ideal by `a` through an adjoined inverse: the ideal I + (a t_i - g_i) +
     (a @inv - 1) of k[x, t, @inv], with @inv eliminated.  A witness product
     that is zero or nilpotent modulo the relations raises
@@ -439,6 +440,7 @@ def build_chart(action, centre_data, elements):
 
     members = []
     lookup = {}  # monic numerator -> (member name, leading coefficient)
+    fresh = (f"t{k}" for k in itertools.count() if f"t{k}" not in ring._index)
 
     def push(g):
         """Register g/a as a chart generator; returns (name, scale) with
@@ -450,7 +452,7 @@ def build_chart(action, centre_data, elements):
         if key in lookup:
             name, lc = lookup[key]
             return name, g.lc() / lc
-        name = f"t{len(members)}"
+        name = next(fresh)
         members.append((name, g))
         lookup[key] = (name, g.lc())
         return name, Fraction(1)

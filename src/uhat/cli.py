@@ -6,8 +6,11 @@ bound).  Reports are printed as indented text and can additionally be
 written as JSON; a scenario subcommand's report depends on its scenario
 file and flags alone, and is byte-identical across runs.
 
-`main(argv)` returns the exit code and may be called repeatedly in one
-process: the argument parser is built on the first call and reused.
+`main(argv)` makes every exit decision: it checks the count flags before
+dispatch, and it turns an exhausted search into its report, an input
+error into exit 2 and a refusal raised before a report into exit 1.  It
+returns the exit code and may be called repeatedly in one process: the
+argument parser is built on the first call and reused.
 """
 
 from __future__ import annotations
@@ -55,8 +58,6 @@ def _render(node, indent=0):
                 lines.extend(_render(val, indent + 1))
             else:
                 lines.append(f"{pad}- {_scalar(val)}")
-    else:
-        lines.append(f"{pad}{_scalar(node)}")
     return lines
 
 
@@ -93,10 +94,7 @@ def emit(report, json_path):
 
 
 def _load(args):
-    scenario = load_scenario(args.scenario)
-    if args.degree_bound < 0:
-        raise ScenarioError(f"--degree-bound must be >= 0, got {args.degree_bound}")
-    return scenario.build()
+    return load_scenario(args.scenario).build()
 
 
 def _report(args, **fields):
@@ -107,11 +105,6 @@ def _report(args, **fields):
 def _refuse(args, reason, **details):
     emit(_report(args, refused=reason, **details), args.json)
     return EXIT_REFUSED
-
-
-def _exhausted(args, exc, **details):
-    emit(_report(args, bound_exhausted=str(exc), bound=exc.bound, **details), args.json)
-    return EXIT_BOUND
 
 
 def _chain_summary(chain):
@@ -161,10 +154,7 @@ def cmd_quotient(args):
             hint="run `uhat blowup` to produce a chart where it holds",
             cdrs=cdrs,
         )
-    try:
-        chain = qt.staged_quotient(action, args.degree_bound)
-    except qt.BoundExhausted as exc:
-        return _exhausted(args, exc, condition_ok=exc.condition_ok)
+    chain = qt.staged_quotient(action, args.degree_bound)
     verification = qt.verify_quotient(chain)
     stages = [
         {
@@ -193,12 +183,9 @@ def cmd_blowup(args):
     wuu, winfo = bl.check_wuu(action)
     if not wuu:
         return _refuse(args, "the weight-zero stratum misses the minimal-rank locus", wuu=winfo)
-    try:
-        cd = bl.centre(action, args.degree_bound)
-        elements = bl.construct_b(action, cd)
-        chart = bl.build_chart(action, cd, elements)
-    except qt.BoundExhausted as exc:
-        return _exhausted(args, exc)
+    cd = bl.centre(action, args.degree_bound)
+    elements = bl.construct_b(action, cd)
+    chart = bl.build_chart(action, cd, elements)
     chart_report = bl.verify_chart_cdrs(chart)
     report = _report(
         args,
@@ -232,10 +219,6 @@ def cmd_blowup(args):
 
 
 def cmd_identities(args):
-    for flag in ("letters", "max_total", "comult_degree"):
-        value = getattr(args, flag)
-        if value < 0:
-            raise ScenarioError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
     rng = random.Random(args.seed)
     report = {"command": "identities", "weighted_bracket": {}, "commutator": {}, "comult": {}}
     ok_all = True
@@ -359,6 +342,7 @@ def _parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        # quotient and blowup: analyze searches nothing, so takes no bound
         p.add_argument("--scenario", required=True, help="scenario file path")
         p.add_argument(
             "--degree-bound",
@@ -370,7 +354,8 @@ def _parser():
         p.add_argument("--json", default=None, help="also write the report as JSON")
 
     p = sub.add_parser("analyze", help="validate and run every condition check")
-    common(p)
+    p.add_argument("--scenario", required=True, help="scenario file path")
+    p.add_argument("--json", default=None, help="also write the report as JSON")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("quotient", help="staged invariant-ring quotient")
@@ -409,12 +394,21 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        for flag in ("degree_bound", "letters", "max_total", "comult_degree"):
+            value = getattr(args, flag, 0)
+            if value < 0:
+                raise ScenarioError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
         return args.func(args)
     except (ScenarioError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (qt.BoundExhausted, OverflowError) as exc:
-        # OverflowError: a computed exponent reached 2**EXP_BITS, the packing bound
+    except qt.BoundExhausted as exc:
+        # a slice search also reports whether its condition holds
+        found = {} if exc.condition_ok is None else {"condition_ok": exc.condition_ok}
+        emit(_report(args, bound_exhausted=str(exc), bound=exc.bound, **found), args.json)
+        return EXIT_BOUND
+    except OverflowError as exc:
+        # a computed exponent reached 2**EXP_BITS, the packing bound
         print(f"bound exhausted: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except (qt.StageError, bl.NoBlowupNeeded, bl.VerificationFailed) as exc:

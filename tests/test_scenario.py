@@ -652,6 +652,43 @@ def test_blowup_exits_1_when_the_chart_quotient_fails_verification(tmp_path, mon
     assert json.loads(out.read_text())["chart_quotient"]["verification_ok"] is False
 
 
+def test_exhausted_chart_quotient_reports_like_every_exhaustion(tmp_path, monkeypatch, capsys):
+    # blowup searches witness minors, not slices, so the one slice search
+    # is the chart quotient's, and it runs out
+    import uhat.quotient as qt
+
+    def exhausted(action, level, degree_bound):
+        raise qt.BoundExhausted(
+            f"no slice functions of degree <= {degree_bound} at level {level}",
+            degree_bound,
+            condition_ok=True,
+        )
+
+    monkeypatch.setattr(qt, "find_slices", exhausted)
+    out = tmp_path / "blow.json"
+    path = str(SCENARIOS / "one_weight.uhat")
+    assert run_cli("blowup", "--scenario", path, "--with-quotient", "--json", str(out)) == 3
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert "bound_exhausted: no slice functions of degree <= 8 at level 1" in printed.out
+    data = json.loads(out.read_text())
+    assert list(data) == ["command", "scenario", "bound_exhausted", "bound", "condition_ok"]
+    assert (data["bound"], data["condition_ok"]) == (DEGREE_BOUND, True)
+
+
+def test_chart_generators_skip_base_ring_names(tmp_path):
+    # a base variable named t0 pushes the chart's members to t1 and t2
+    text = (SCENARIOS / "one_weight.uhat").read_text(encoding="utf-8")
+    path = tmp_path / "t0.uhat"
+    path.write_text(text.replace("x:0", "t0:0").replace("xi.y = x", "xi.y = t0"))
+    out = tmp_path / "blow.json"
+    assert run_cli("blowup", "--scenario", str(path), "--with-quotient", "--json", str(out)) == 0
+    data = json.loads(out.read_text())
+    assert [g["name"] for g in data["chart_generators"]] == ["t1", "t2"]
+    assert data["chart_cdrs"]["holds"] and data["chart_cdrs"]["certificate_ok"]
+    assert data["chart_quotient"]["verification_ok"] is True
+
+
 def test_non_invariant_projection_exits_1(monkeypatch):
     # an induced image that does not descend to the invariant ring (the
     # induced action rewrites none) is a failed check, not an exhausted
@@ -907,6 +944,14 @@ def test_identities_rejects_scenario_bounds(flag):
     # and it draws a fixed number of weight tuples
     with pytest.raises(SystemExit) as exc:
         main(["identities", flag, "1"])
+    assert exc.value.code == 2
+
+
+def test_analyze_rejects_degree_bound():
+    # analyze searches for neither slices nor witness minors
+    path = str(SCENARIOS / "one_weight.uhat")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--scenario", path, "--degree-bound", "3"])
     assert exc.value.code == 2
 
 
