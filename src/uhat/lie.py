@@ -14,6 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from uhat import rings
 from uhat.rings import GradedRing, Polynomial, numerator_product, numerators
 
 
@@ -344,9 +345,12 @@ class DerivationAction:
     `table[name][var]` is the image of the ring generator `var` under the
     basis vector `name`; missing entries are zero.  Images are stored as
     normal forms modulo the relations, and everything the action returns is
-    reduced, so callers need not reduce it again.  The per-level analysis is
-    memoised on the action, so an action and its algebra are not mutated
-    after construction.
+    reduced, so callers need not reduce it again.  The per-level analysis
+    and every derivative `apply_basis` returns are memoised on the action,
+    so an action and its algebra are not mutated after construction, and a
+    returned polynomial, shared by every caller, is read only.  The
+    derivative memo is cleared at `rings.MEMO_BOUND` entries, like the ring
+    code memos.
     """
 
     def __init__(self, algebra, lie, table):
@@ -365,6 +369,7 @@ class DerivationAction:
             self.table[name] = row
         self._level_data = None  # filled once by infinitesimal.level_data
         self._derivative_tables = {}  # filled by quotient._derivative_table
+        self._derivatives = {}  # (i, p) -> apply_basis(i, p), filled by apply_basis
 
     @property
     def ring(self):
@@ -374,7 +379,11 @@ class DerivationAction:
         return self.table[self.lie.basis_names[i]].get(var, self.ring.zero())
 
     def apply_basis(self, i, p):
-        """Leibniz extension of basis vector i applied to a polynomial."""
+        """Leibniz extension of basis vector i applied to a polynomial, memoised under (i, p)."""
+        memo = self._derivatives
+        out = memo.get((i, p))
+        if out is not None:
+            return out
         ring = self.ring
         row = self.table[self.lie.basis_names[i]]
         used = [ring.index(v) for v in row]
@@ -386,7 +395,10 @@ class DerivationAction:
                     lowered = list(m)
                     lowered[vi] -= 1
                     out = out + row[ring.names[vi]].term_mul(c * e, tuple(lowered))
-        return self.algebra.nf(out)
+        if len(memo) >= rings.MEMO_BOUND:
+            memo.clear()
+        out = memo[(i, p)] = self.algebra.nf(out)
+        return out
 
     def apply_vector(self, vec, p):
         """Apply a Lie element {basis index: coefficient}; a sum of normal forms is reduced."""

@@ -258,11 +258,12 @@ class GradedRing:
 class Polynomial:
     """Sparse polynomial: map from exponent tuple to nonzero Fraction.
 
-    `_lm` memoises the leading monomial and `_entry` the `lead_entry`; both
-    rely on the terms never changing after construction.
+    `_lm` memoises the leading monomial, `_entry` the `lead_entry` and
+    `_hash` the hash; all three rely on the terms never changing after
+    construction.
     """
 
-    __slots__ = ("ring", "terms", "_lm", "_entry")
+    __slots__ = ("ring", "terms", "_lm", "_entry", "_hash")
 
     def __init__(self, ring, terms, prune=True):
         self.ring = ring
@@ -272,6 +273,7 @@ class Polynomial:
             self.terms = terms
         self._lm = None
         self._entry = None
+        self._hash = None
 
     # -- basic structure
 
@@ -287,7 +289,9 @@ class Polynomial:
         return isinstance(other, Polynomial) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     def lm(self):
         """Leading monomial under the ring order (None for zero)."""
@@ -548,13 +552,16 @@ def _scaled_entry(ring, lw, lk, lc, tail):
 
 
 MEMO_BOUND = 2**14
-"""Entries a `GradedRing`'s `key`, `pack` or `unpack` memo holds before it is cleared.
+"""Entries a memo holds before it is cleared.
 
-The three full memos of a 10-variable ring take about 6 MB together, most
-of it the tuples that `unpack` builds.  No ring's memo of the benchmark
-sweep's seven instances or of the 6 scenarios through analyze, quotient
-and blowup (with and without its quotient) holds more than 273 entries,
-so the bound only caps other inputs.
+It bounds a `GradedRing`'s `key`, `pack` and `unpack` memos and a
+`DerivationAction`'s derivative memo (`lie.DerivationAction.apply_basis`).
+The three full ring memos of a 10-variable ring take about 6 MB together,
+most of it the tuples that `unpack` builds.  No ring's memo of the
+benchmark sweep's seven instances or of the 6 scenarios through analyze,
+quotient and blowup (with and without its quotient) holds more than 273
+entries, and no action's derivative memo of the benchmark's scenarios or
+sweep batch more than 35, so the bound only caps other inputs.
 """
 
 
@@ -685,11 +692,21 @@ def normal_form_list(p, lead):
     position.  So the remainder depends on the basis order, unless the
     index holds a Groebner basis, when it is the unique normal form.
     p is packed into integer numerators over the lcm of its denominators
-    and reduced by `_reduce`; with no basis element, p is its own remainder.
+    and reduced by `_reduce`.  When p is zero, or no lead in the bucket of
+    a term's position divides that term's word (the test `_reduce`
+    applies), p is already reduced and is returned itself, so callers
+    must not mutate the result.
     """
     if not lead.buckets:
         return p
     ring = p.ring
+    guard, positions, buckets = ring.guard, ring.positions, lead.buckets
+    for m in p.terms:
+        w = ring.pack(m)
+        if any(not (w - entry[0]) & guard for entry in buckets.get(w & positions, ())):
+            break
+    else:
+        return p
     den, nums = numerators(p)
     work = {-ring.key(m): [a, ring.pack(m)] for m, a in nums.items()}
     return _reduce(ring, work, den, lead)

@@ -7,7 +7,8 @@ on bounded-degree coefficients, the exactness of the snake sequence by
 module membership, the nonzero minors of a matrix by reducing every
 minor, the relations of a quotient stage by graph-ideal elimination,
 the relations of a blow-up chart by the plain saturation, a
-substitution term by term, a lead entry from Fraction terms, a
+substitution term by term, a derivative by the Leibniz rule with no
+memo, a lead entry from Fraction terms, a
 reduced basis by interreducing monic copies and the comultiplication
 lemma failures by the plain loop over each row; `right_nullspace` is the
 exact linear algebra the kernel oracle solves with.  No command runs them, and the package
@@ -118,6 +119,23 @@ def substitute_per_term(p, values, ring):
                 part = part * (val if isinstance(val, Polynomial) else ring.const(val)) ** e
         total = total + part
     return total
+
+
+def leibniz_reference(action, i, p):
+    """`action.apply_basis(i, p)` with no memo: the Leibniz rule term by term, then nf.
+
+    The sum, over each term c x^m of p and each variable x_v with e = m_v
+    > 0, of c e x^(m - e_v) times the image of x_v under basis vector i.
+    """
+    ring = action.ring
+    total = ring.zero()
+    for m, c in p.terms.items():
+        for v, name in enumerate(ring.names):
+            e = m[v]
+            if e:
+                lowered = m[:v] + (e - 1,) + m[v + 1 :]
+                total = total + ring.monomial(lowered, c * e) * action.image_of_generator(i, name)
+    return action.algebra.nf(total)
 
 
 def integer_terms(p):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -5,7 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uhat.rings import GradedRing, Ideal, PresentedAlgebra
+from uhat import rings
+from uhat.blowup import build_chart, centre, construct_b, verify_chart_cdrs
+from uhat.quotient import staged_quotient, verify_quotient
+from uhat.rings import GradedRing, Ideal, Polynomial, PresentedAlgebra
 from uhat.lie import (
     DerivationAction,
     GradedLieAlgebra,
@@ -17,8 +21,14 @@ from uhat.lie import (
     verify_weighted_bracket_identity,
 )
 
-from conftest import heisenberg_free, one_weight_jump, two_weight_chain
-from oracles import coaction_expand, right_nullspace
+from conftest import (
+    heisenberg_free,
+    heisenberg_scaled,
+    one_weight_jump,
+    sweep_script,
+    two_weight_chain,
+)
+from oracles import coaction_expand, leibniz_reference, right_nullspace
 
 
 # -- validation
@@ -122,6 +132,81 @@ def test_apply_pbw_composes_with_single_steps(coeffs):
     via_pbw = act.apply_pbw((1, 1), p)
     stepped = act.apply_basis(0, act.apply_basis(1, p))
     assert via_pbw == stepped
+
+
+@pytest.mark.parametrize("bound", [4, rings.MEMO_BOUND], ids=["cleared", "full"])
+def test_memoised_derivatives_match_the_leibniz_rule(monkeypatch, bound):
+    # apply_basis on random polynomials, in two shuffled rounds so the second
+    # is answered by the action's memo where it still holds the entry; with
+    # room for 4 entries the memo is cleared many times and still answers
+    # exactly.  The heisenberg_scaled chart has relations, so its
+    # derivatives are reduced; the sweep actions are free
+    monkeypatch.setattr(rings, "MEMO_BOUND", bound)
+    rng = random.Random(bound)
+    base = heisenberg_scaled()
+    cd = centre(base)
+    actions = [build_chart(base, cd, construct_b(base, cd)).action]
+    seed = 1
+    for _ in range(3):
+        action, seed = sweep_script().sample(seed)
+        actions.append(action)
+    for action in actions:
+        ring = action.ring
+        monos = [m for d in range(4) for m in ring.monomials_of_degree(d)]
+        polys = [ring.zero()] + [ring.var(name) for name in ring.names]
+        for _ in range(12):
+            terms = rng.sample(monos, rng.randint(1, 4))
+            coeffs = [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) for _ in terms]
+            polys.append(Polynomial(ring, dict(zip(terms, coeffs))))
+        calls = [(i, p) for i in range(action.lie.dim) for p in polys]
+        for _ in range(2):
+            for i, p in rng.sample(calls, len(calls)):
+                got = action.apply_basis(i, p)
+                assert got == leibniz_reference(action, i, p), (i, p)
+                assert action.apply_basis(i, p) is got
+                # an equal copy of p is answered from the same entry
+                assert action.apply_basis(i, Polynomial(ring, dict(p.terms))) is got
+                assert len(action._derivatives) <= bound
+    # two actions built from one scenario file share no memo
+    a, b = heisenberg_scaled(), heisenberg_scaled()
+    assert a._derivatives is not b._derivatives
+    before = dict(b._derivatives)
+    p = a.ring.var(a.ring.names[-1]) ** 3
+    got = a.apply_basis(0, p)
+    assert a._derivatives[(0, p)] is got and b._derivatives == before
+
+
+def test_shared_derivatives_and_hashes_survive_the_blowup_route():
+    # every derivative the route memoises is shared by all its callers, and
+    # every hash is cached on its polynomial; after heisenberg_scaled's whole
+    # blow-up route each memo entry must still equal a fresh computation and
+    # each cached hash that of the current terms, so no caller mutated a
+    # shared result
+    base = heisenberg_scaled()
+    cd = centre(base)
+    chart = build_chart(base, cd, construct_b(base, cd))
+    rep = verify_chart_cdrs(chart)
+    assert rep["holds"] and rep["certificate_ok"]
+    chain = staged_quotient(chart.action)
+    assert verify_quotient(chain)["ok"]
+    actions = [base] + [stage.action_in for stage in chain.stages]
+    assert actions[1] is chart.action
+    polys = []
+    for action in actions:
+        assert action._derivatives
+        for (i, p), d in action._derivatives.items():
+            assert d == leibniz_reference(action, i, p), (i, p)
+            polys += [p, d]
+    route_rings = [action.ring for action in actions]
+    polys += [
+        o
+        for o in gc.get_objects()
+        if isinstance(o, Polynomial) and any(o.ring is r for r in route_rings)
+    ]
+    hashed = [p for p in polys if p._hash is not None]
+    assert hashed
+    for p in hashed:
+        assert p._hash == hash(frozenset(p.terms.items())), p
 
 
 # -- complete brackets

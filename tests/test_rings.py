@@ -244,12 +244,17 @@ def test_normal_form_list_matches_plain_reduction(order):
         got = normal_form_list(p, LeadIndex(basis))
         assert got == plain_normal_form(p, basis), (basis, p)
         order_matters += got != plain_normal_form(p, basis[::-1])
+        # a remainder, and zero, are irreducible: returned themselves
+        for r in (plain_normal_form(p, basis), ring.zero()):
+            assert normal_form_list(r, LeadIndex(basis)) is r
         for rank, mring in mrings.items():
             vbasis = [rand_vector(rank) for _ in range(rng.randint(2, 4))]
             v = rand_vector(rank) * rand_poly(2).map_ring(mring)
             got = normal_form_list(v, LeadIndex(vbasis))
             assert got == plain_normal_form(v, vbasis), (vbasis, v)
             order_matters += got != plain_normal_form(v, vbasis[::-1])
+            for r in (plain_normal_form(v, vbasis), mring.zero()):
+                assert normal_form_list(r, LeadIndex(vbasis)) is r
     assert order_matters > 40
 
 
