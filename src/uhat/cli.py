@@ -83,8 +83,7 @@ def _jsonable(node):
 
 def _write_json(report, json_path):
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(report), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(_jsonable(report), indent=2) + "\n")
 
 
 def emit(report, json_path):

@@ -208,12 +208,12 @@ class GradedRing:
         c = Fraction(c)
         if c == 0:
             return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return Polynomial(self, {(0,) * self.nvars: c}, False)
 
     def var(self, name):
         exp = [0] * self.nvars
         exp[self.index(name)] = 1
-        return Polynomial(self, {tuple(exp): Fraction(1)})
+        return Polynomial(self, {tuple(exp): Fraction(1)}, False)
 
     def monomial(self, exp, coeff=1):
         coeff = Fraction(coeff)
@@ -258,21 +258,27 @@ class GradedRing:
 class Polynomial:
     """Sparse polynomial: map from exponent tuple to nonzero Fraction.
 
-    `_lm` memoises the leading monomial, `_entry` the `lead_entry` and
-    `_hash` the hash; all three rely on the terms never changing after
-    construction.
+    With `prune` (the default) zero coefficients are dropped and every
+    other one that is not already a Fraction is converted; without it,
+    `terms` must already map to nonzero Fractions and is kept as given.
+    `_lm` memoises the leading monomial, `_entry` the `lead_entry`,
+    `_nums` the `numerators` pair and `_hash` the hash; all four rely on
+    the terms never changing after construction.
     """
 
-    __slots__ = ("ring", "terms", "_lm", "_entry", "_hash")
+    __slots__ = ("ring", "terms", "_lm", "_entry", "_nums", "_hash")
 
     def __init__(self, ring, terms, prune=True):
         self.ring = ring
         if prune:
-            self.terms = {m: Fraction(c) for m, c in terms.items() if c != 0}
+            self.terms = {
+                m: c if type(c) is Fraction else Fraction(c) for m, c in terms.items() if c
+            }
         else:
             self.terms = terms
         self._lm = None
         self._entry = None
+        self._nums = None
         self._hash = None
 
     # -- basic structure
@@ -316,7 +322,7 @@ class Polynomial:
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("polynomials from different rings")
             return other
         return self.ring.const(other)
@@ -350,6 +356,8 @@ class Polynomial:
                 return self.ring.zero()
             return Polynomial(self.ring, {m: v * c for m, v in self.terms.items()}, False)
         den, out = numerator_product(numerators(self), numerators(self._coerce(other)))
+        if den == 1:
+            return Polynomial(self.ring, {m: Fraction(c) for m, c in out.items()}, False)
         return Polynomial(self.ring, {m: Fraction(c, den) for m, c in out.items()}, False)
 
     __rmul__ = __mul__
@@ -527,7 +535,7 @@ def lead_entry(g):
         ring = g.ring
         key, pack = ring.key, ring.pack
         lm = g.lm()
-        nums = numerators(g)[1]
+        nums = dict(numerators(g)[1])  # the memoised dict is shared: pop from a copy
         lc = nums.pop(lm)
         tail = [(key(m), pack(m), c) for m, c in nums.items()]
         entry = g._entry = _scaled_entry(ring, pack(lm), key(lm), lc, tail)
@@ -751,9 +759,17 @@ def pair_normal_form(f, g, lead):
 
 
 def numerators(p):
-    """(den, {monomial: numerator}): p = sum(num x^m) / den, den the lcm of p's denominators."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return den, {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+    """(den, {monomial: numerator}): p = sum(num x^m) / den, den the lcm of p's denominators.
+
+    The pair is computed once and memoised on p in `_nums`, as p never
+    changes, so every caller shares one dict: it is read only, and a caller
+    that edits it, as `lead_entry` pops the lead, copies it first.
+    """
+    out = p._nums
+    if out is None:
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        out = p._nums = (den, {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()})
+    return out
 
 
 def numerator_product(a, b):
@@ -892,10 +908,15 @@ def reduce_groebner(G):
 def groebner_basis(gens):
     """Reduced Groebner basis of the ideal `gens` generate, canonically sorted.
 
-    Buchberger stops at the first nonzero constant it appends: the ideal is
-    then the unit ideal, whose reduced basis is [1].
+    An ideal with a nonzero constant is the unit ideal, whose reduced basis
+    is [1]: when some input is one, [1] is returned without running
+    Buchberger, which would stop at that input.  Otherwise Buchberger stops
+    at the first nonzero constant it appends, with the same result.
     """
-    G = buchberger([g for g in gens if g], stop=_is_constant)
+    gens = [g for g in gens if g]
+    if any(map(_is_constant, gens)):
+        return [gens[0].ring.one()]
+    G = buchberger(gens, stop=_is_constant)
     if G and _is_constant(G[-1]):
         return [G[-1].ring.one()]
     return reduce_groebner(G)

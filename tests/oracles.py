@@ -8,7 +8,8 @@ module membership, the nonzero minors of a matrix by reducing every
 minor, the relations of a quotient stage by graph-ideal elimination,
 the relations of a blow-up chart by the plain saturation, a
 substitution term by term, a derivative by the Leibniz rule with no
-memo, a lead entry from Fraction terms, a
+memo, an action's relation and bracket checks in the algebra, a lead
+entry from Fraction terms, a
 reduced basis by interreducing monic copies and the comultiplication
 lemma failures by the plain loop over each row; `right_nullspace` is the
 exact linear algebra the kernel oracle solves with.  No command runs them, and the package
@@ -136,6 +137,51 @@ def leibniz_reference(action, i, p):
                 lowered = m[:v] + (e - 1,) + m[v + 1 :]
                 total = total + ring.monomial(lowered, c * e) * action.image_of_generator(i, name)
     return action.algebra.nf(total)
+
+
+def validate_reference(action):
+    """`action.validate()` with its relation and bracket checks decided in the algebra.
+
+    Every derivative comes from `leibniz_reference`, and each check reduces
+    its difference again by `algebra.is_zero` or `algebra.equal`; the
+    structure and weight entries, which reduce nothing, are `validate`'s.
+    """
+    algebra, lie, ring = action.algebra, action.lie, action.ring
+    checked = ("relations-not-preserved", "bracket-compatibility")
+    report = [e for e in action.validate() if e["kind"] not in checked]
+
+    def apply(i, p):
+        return leibniz_reference(action, i, p)
+
+    for rel in algebra.relations.generators:
+        for i, name in enumerate(lie.basis_names):
+            img = apply(i, rel)
+            if not algebra.is_zero(img):
+                report.append(
+                    {
+                        "kind": "relations-not-preserved",
+                        "vector": name,
+                        "relation": str(rel),
+                        "image": str(img),
+                    }
+                )
+    for a in range(lie.dim):
+        for b in range(a + 1, lie.dim):
+            combo = lie.bracket_basis(a, b)
+            for var in ring.names:
+                g = ring.var(var)
+                lhs = apply(a, apply(b, g)) - apply(b, apply(a, g))
+                rhs = sum((apply(i, g) * c for i, c in combo.items() if c), ring.zero())
+                if not algebra.equal(lhs, rhs):
+                    report.append(
+                        {
+                            "kind": "bracket-compatibility",
+                            "pair": (lie.basis_names[a], lie.basis_names[b]),
+                            "generator": var,
+                            "difference": str(lhs - rhs),
+                        }
+                    )
+    return report
 
 
 def integer_terms(p):

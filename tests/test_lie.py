@@ -28,7 +28,7 @@ from conftest import (
     sweep_script,
     two_weight_chain,
 )
-from oracles import coaction_expand, leibniz_reference, right_nullspace
+from oracles import coaction_expand, leibniz_reference, right_nullspace, validate_reference
 
 
 # -- validation
@@ -92,6 +92,30 @@ def test_bracket_compatibility_violation():
     assert act.validate() == []
 
 
+def test_validate_compares_normal_forms_as_the_algebra_would():
+    # validate compares sums of normal forms as polynomials; it must report
+    # exactly what deciding each check in the algebra reports, on the
+    # heisenberg_scaled chart, the first 10 sweep actions and the chart
+    # with one table entry doubled
+    base = heisenberg_scaled()
+    cd = centre(base)
+    chart = build_chart(base, cd, construct_b(base, cd)).action
+    actions = [chart]
+    seed = 1
+    for _ in range(10):
+        action, seed = sweep_script().sample(seed)
+        actions.append(action)
+    table = {name: dict(row) for name, row in chart.table.items()}
+    table["e_p"]["p"] = table["e_p"]["p"] * 2
+    broken = DerivationAction(chart.algebra, chart.lie, table)
+    actions.append(broken)
+    for action in actions:
+        assert action.validate() == validate_reference(action)
+    kinds = {e["kind"] for e in broken.validate()}
+    assert kinds == {"relations-not-preserved", "bracket-compatibility"}
+    assert all(action.validate() == [] for action in actions[:-1])
+
+
 # -- derivations and PBW monomials
 
 
@@ -99,6 +123,18 @@ def test_apply_derivation_leibniz(ga_jump):
     R = ga_jump.ring
     assert ga_jump.apply_basis(0, R.var("y") ** 2) == 2 * R.var("x") * R.var("y")
     assert ga_jump.apply_basis(0, R.var("x")).is_zero()
+
+
+def test_leibniz_terms_that_cancel_leave_no_term():
+    # D(x - y) with Dx = Dy = z: the two Leibniz terms cancel in the sum
+    R = GradedRing(["x", "y", "z"], [-1, -1, 0])
+    x, y, z = R.var("x"), R.var("y"), R.var("z")
+    L = GradedLieAlgebra([1], [["d"]])
+    act = DerivationAction(PresentedAlgebra(R), L, {"d": {"x": z, "y": z}})
+    for p in (x - y, x * z - y * z, (x - y) ** 2):
+        got = act.apply_basis(0, p)
+        assert got.terms == {} and got == leibniz_reference(act, 0, p), p
+    assert act.apply_basis(0, x * y - y) == x * z + y * z - z
 
 
 def test_apply_derivation_fixture_invariant(chain3):

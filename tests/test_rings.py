@@ -1034,6 +1034,41 @@ def test_groebner_basis_matches_the_full_run_on_every_command_ideal(monkeypatch,
     assert seen["unit"] >= 20 and seen["proper"] >= 80, seen
 
 
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_groebner_basis_of_an_input_constant_runs_no_buchberger(monkeypatch, where):
+    # a nonzero constant among the inputs makes the unit ideal, whose
+    # reduced basis is [1]; groebner_basis answers without Buchberger, and
+    # is_unit, is_empty and the unit certificate agree.  The inputs are the
+    # heisenberg_scaled chart relations, a proper ideal, plus two random
+    # polynomials and the constant
+    from conftest import blowup_charts
+
+    chart = next(chart for label, _, chart in blowup_charts() if label == "heisenberg_scaled")
+    ring = chart.action.ring
+    relations = list(chart.algebra.relations.generators)
+    assert not Ideal(ring, relations).is_unit()
+    assert not PresentedAlgebra(ring, relations).is_empty()
+    assert unit_certificate(relations) is None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("buchberger ran on an ideal with a constant input")
+
+    rng = random.Random(f"constant {where}")
+    for _ in range(5):
+        gens = relations + random_ideal(rng, ring, 2, 2)[:2]
+        c = ring.const(Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7])))
+        gens.insert({"first": 0, "middle": len(gens) // 2, "last": len(gens)}[where], c)
+        with monkeypatch.context() as m:
+            m.setattr(rings, "buchberger", refuse)
+            assert groebner_basis(gens) == [ring.one()]
+            assert groebner_basis([ring.zero()] + gens) == [ring.one()]
+            assert Ideal(ring, gens).is_unit()
+            assert PresentedAlgebra(ring, gens).is_empty()
+        cert = unit_certificate(gens)
+        assert cert is not None
+        assert sum((q * g for q, g in zip(cert, gens)), ring.zero()) == ring.one()
+
+
 # -- products
 
 

@@ -9,19 +9,24 @@ after a deliberate change of a report:
 
     PYTHONPATH=src python tests/test_scenario_commands.py --record
 
-The same commands, with sweep-script instances, also drive two checks of
-the Groebner layer's memos over everything the program builds: each
+The same commands, with sweep-script instances, also drive three checks of
+the polynomial layer's memos over everything the program builds: each
 S-pair remainder's lead entry, which the charts of the nilpotent sweep
-family check as well, and that no polynomial changes after construction.
+family check as well; that no polynomial changes after construction; and
+that every coefficient is a nonzero Fraction and every memoised
+`numerators` pair still holds.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import sys
 import tempfile
+
+from fractions import Fraction
 
 import pytest
 
@@ -160,6 +165,48 @@ def test_no_polynomial_changes_after_construction(monkeypatch):
     run_sweep(10, quotients=True)
     changed = [str(p) for p, terms in made if p.terms != terms]
     assert changed == [] and len(made) > 10000
+
+
+def numerators_reference(p):
+    """`rings.numerators(p)` recomputed from p's terms."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return den, {m: int(c * den) for m, c in p.terms.items()}
+
+
+def test_every_coefficient_is_a_fraction_and_every_numerator_memo_holds(monkeypatch):
+    # the polynomial fast paths skip Fraction(c) and the zero test where the
+    # coefficients are already nonzero Fractions: every polynomial built by
+    # the 24 commands and by 10 sweep instances with their chart quotients
+    # has only nonzero coefficients of type exactly Fraction.  The
+    # `numerators` pair memoised on a polynomial is a dict its callers
+    # share: each call returns the pair recomputed from the terms, so a
+    # caller that edits it fails at the next call rather than corrupting
+    # the products after it, and at the end every memo still holds
+    made = []
+    real_init = Polynomial.__init__
+    real_numerators = rings.numerators
+
+    def init(self, ring, terms, prune=True):
+        real_init(self, ring, terms, prune)
+        made.append(self)
+        bad = {m: c for m, c in self.terms.items() if type(c) is not Fraction or not c}
+        assert not bad, bad
+
+    def numerators(p):
+        out = real_numerators(p)
+        assert out is p._nums and out == numerators_reference(p), p
+        return out
+
+    monkeypatch.setattr(Polynomial, "__init__", init)
+    monkeypatch.setattr(rings, "numerators", numerators)
+    for name in SCENARIOS:
+        for command in COMMANDS:
+            run(name, command)
+    run_sweep(10, quotients=True)
+    memoised = [p for p in made if p._nums is not None]
+    for p in memoised:
+        assert p._nums == numerators_reference(p), p
+    assert len(memoised) > 1000
 
 
 if __name__ == "__main__":
