@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from uhat.rings import (
+    GradedRing,
     Ideal,
     Polynomial,
     PresentedAlgebra,
@@ -498,7 +499,9 @@ def build_chart(action, centre_data, elements):
         raise VerificationFailed("chart weights must be nonpositive")
 
     inv = "@inv"
-    big = ring.extended(tuple(tnames) + (inv,), tuple(tweights) + (0,))
+    # plain degrevlex: the elimination maps every generator into its own
+    # block order, and its result ring is degrevlex, so nothing reads big's order
+    big = GradedRing(ring.names + (*tnames, inv), ring.weights + (*tweights, 0))
     gens = [g.map_ring(big) for g in algebra.relations.generators]
     a_big = a.map_ring(big)
     # members[0] is (t0, nf(a)): t0 - 1 stands for a*t0 - nf(a)

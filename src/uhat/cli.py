@@ -8,7 +8,9 @@ file and flags alone, and is byte-identical across runs.
 
 `main(argv)` makes every exit decision: it checks the count flags before
 dispatch, and it turns an exhausted search into its report, an input
-error into exit 2 and a refusal raised before a report into exit 1.  It
+error into exit 2 and a refusal raised before a report into exit 1.  The
+JSON is written before anything is printed, so an unwritable `--json`
+path is an input error on every path, with nothing on stdout.  `main`
 returns the exit code and may be called repeatedly in one process: the
 argument parser is built on the first call and reused.
 """
@@ -71,25 +73,17 @@ def _scalar(val):
     return str(val)
 
 
-def _jsonable(node):
-    if isinstance(node, dict):
-        return {str(k): _jsonable(v) for k, v in node.items()}
-    if isinstance(node, (list, tuple)):
-        return [_jsonable(v) for v in node]
-    if isinstance(node, bool) or node is None or isinstance(node, int):
-        return node
-    return str(node)
-
-
 def _write_json(report, json_path):
+    """Write the report as indented JSON: int keys become strings, tuples arrays."""
     with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_jsonable(report), indent=2) + "\n")
+        fh.write(json.dumps(report, indent=2) + "\n")
 
 
 def emit(report, json_path):
-    print("\n".join(_render(report)))
+    # the JSON first, so an unwritable path leaves stdout empty
     if json_path:
         _write_json(report, json_path)
+    print("\n".join(_render(report)))
 
 
 def _load(args):
@@ -397,26 +391,28 @@ def main(argv=None):
             value = getattr(args, flag, 0)
             if value < 0:
                 raise ScenarioError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
-        return args.func(args)
+        try:
+            return args.func(args)
+        except qt.BoundExhausted as exc:
+            # a slice search also reports whether its condition holds
+            found = {} if exc.condition_ok is None else {"condition_ok": exc.condition_ok}
+            emit(_report(args, bound_exhausted=str(exc), bound=exc.bound, **found), args.json)
+            return EXIT_BOUND
+        except OverflowError as exc:
+            # a computed exponent reached 2**EXP_BITS, the packing bound
+            print(f"bound exhausted: {exc}", file=sys.stderr)
+            return EXIT_BOUND
+        except (qt.StageError, bl.NoBlowupNeeded, bl.VerificationFailed) as exc:
+            # raised by a scenario subcommand before it emits a report: --json
+            # still gets a refusal report, and stdout stays empty
+            if args.json:
+                _write_json(_report(args, refused=str(exc)), args.json)
+            print(f"refused: {exc}", file=sys.stderr)
+            return EXIT_REFUSED
     except (ScenarioError, OSError) as exc:
+        # an unwritable --json path too, from any of the handlers above
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except qt.BoundExhausted as exc:
-        # a slice search also reports whether its condition holds
-        found = {} if exc.condition_ok is None else {"condition_ok": exc.condition_ok}
-        emit(_report(args, bound_exhausted=str(exc), bound=exc.bound, **found), args.json)
-        return EXIT_BOUND
-    except OverflowError as exc:
-        # a computed exponent reached 2**EXP_BITS, the packing bound
-        print(f"bound exhausted: {exc}", file=sys.stderr)
-        return EXIT_BOUND
-    except (qt.StageError, bl.NoBlowupNeeded, bl.VerificationFailed) as exc:
-        # raised by a scenario subcommand before it emits a report: --json
-        # still gets a refusal report, and stdout stays empty
-        print(f"refused: {exc}", file=sys.stderr)
-        if args.json:
-            _write_json(_report(args, refused=str(exc)), args.json)
-        return EXIT_REFUSED
 
 
 if __name__ == "__main__":

@@ -350,8 +350,9 @@ class DerivationAction:
     and every derivative `apply_basis` returns are memoised on the action,
     so an action and its algebra are not mutated after construction, and a
     returned polynomial, shared by every caller, is read only.  The
-    derivative memo is cleared at `rings.MEMO_BOUND` entries, like the ring
-    code memos.
+    derivative memo is the one cache of derivatives: the quotient's
+    derivative tables are rebuilt from it on each use.  It is cleared at
+    `rings.MEMO_BOUND` entries, like the ring code memos.
     """
 
     def __init__(self, algebra, lie, table):
@@ -369,7 +370,6 @@ class DerivationAction:
                     row[var] = img
             self.table[name] = row
         self._level_data = None  # filled once by infinitesimal.level_data
-        self._derivative_tables = {}  # filled by quotient._derivative_table
         self._derivatives = {}  # (i, p) -> apply_basis(i, p), filled by apply_basis
 
     @property

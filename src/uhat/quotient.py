@@ -141,12 +141,11 @@ def _check_projection_preconditions(action, split, functions):
 def _derivative_table(action, split, g):
     """All iterated derivatives xi^n . g over the split, indexed by n.
 
-    The table is memoised on the action under (split, g), as `level_data`
-    is, so callers must not mutate it.
+    The table is built breadth first by total degree until a whole degree
+    vanishes.  It is not memoised: each entry past n = 0 is the action's
+    memoised `apply_basis` of an earlier one, so a rebuilt table shares
+    its entries, which callers must not mutate.
     """
-    key = (tuple(split), g)
-    if key in action._derivative_tables:
-        return action._derivative_tables[key]
     table = {(0,) * len(split): action.algebra.nf(g)}
     d = 0
     while True:
@@ -166,7 +165,6 @@ def _derivative_table(action, split, g):
                 alive = True
         if not alive:
             break
-    action._derivative_tables[key] = table
     return table
 
 

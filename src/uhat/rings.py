@@ -224,24 +224,6 @@ class GradedRing:
     def monomial_weight(self, exp):
         return sum(w * e for w, e in zip(self.weights, exp))
 
-    def extended(self, names, weights):
-        """New ring with extra variables appended.
-
-        It keeps this ring's order, a weighted order giving the new
-        variables weight 0.  ValueError on a `pot{rank}:` ring, whose last
-        rank variables must stay its positions.
-        """
-        order = self.order
-        if order.startswith("pot"):
-            raise ValueError(f"cannot append variables after the positions of {order!r}")
-        if order.startswith("weighted:"):
-            order += ",0" * len(names)
-        return GradedRing(
-            self.names + tuple(names),
-            self.weights + tuple(int(w) for w in weights),
-            order,
-        )
-
     def monomials_of_degree(self, deg):
         """All exponent tuples of total degree exactly deg."""
         if self.nvars == 0:
@@ -374,15 +356,6 @@ class Polynomial:
             n >>= 1
         return out
 
-    def term_mul(self, coeff, exp):
-        if coeff == 0:
-            return self.ring.zero()
-        return Polynomial(
-            self.ring,
-            {tuple(a + b for a, b in zip(m, exp)): c * coeff for m, c in self.terms.items()},
-            False,
-        )
-
     # -- grading
 
     def weight_decompose(self):
@@ -406,12 +379,9 @@ class Polynomial:
             total += c * prod((v**e for v, e in zip(vec, m)), start=Fraction(1))
         return total
 
-    def map_ring(self, ring, name_map=None):
+    def map_ring(self, ring):
         """Reinterpret in another ring by variable name (injective on support)."""
-        idx = []
-        for i, n in enumerate(self.ring.names):
-            target = name_map.get(n, n) if name_map else n
-            idx.append(ring.index(target) if target in ring._index else None)
+        idx = [ring.index(n) if n in ring._index else None for n in self.ring.names]
         out = {}
         for m, c in self.terms.items():
             e = [0] * ring.nvars

@@ -12,9 +12,10 @@ memo, an action's relation and bracket checks in the algebra, a lead
 entry from Fraction terms, a
 reduced basis by interreducing monic copies and the comultiplication
 lemma failures by the plain loop over each row; `right_nullspace` is the
-exact linear algebra the kernel oracle solves with.  No command runs them, and the package
-checks each certificate where it emits it, so they live here rather than
-in `uhat`.
+exact linear algebra the kernel oracle solves with, and `term_mul` the
+product by one term that it and the reference reductions build.  No
+command runs them, and the package checks each certificate where it
+emits it, so they live here rather than in `uhat`.
 """
 
 import math
@@ -24,6 +25,7 @@ from math import gcd
 from uhat.blowup import E_operator
 from uhat.infinitesimal import infinitesimal_matrix, level_data, pair_coordinates
 from uhat.rings import (
+    GradedRing,
     Ideal,
     LeadIndex,
     Polynomial,
@@ -38,6 +40,17 @@ from uhat.rings import (
     rref,
     sparse_system,
 )
+
+
+def term_mul(p, coeff, exp):
+    """p times the term coeff x^exp."""
+    if coeff == 0:
+        return p.ring.zero()
+    return Polynomial(
+        p.ring,
+        {tuple(a + b for a, b in zip(m, exp)): c * coeff for m, c in p.terms.items()},
+        False,
+    )
 
 
 def column_span(rows, relations):
@@ -82,14 +95,16 @@ def graph_ideal_relations(stage):
     algebra = stage.action_in.algebra
     out_ring = stage.algebra_out.ring
     internal = [f"@{t}" for t in range(out_ring.nvars)]
-    big = algebra.ring.extended(internal, out_ring.weights)
+    ring = algebra.ring
+    big = GradedRing(ring.names + tuple(internal), ring.weights + out_ring.weights)
     graph = [g.map_ring(big) for g in algebra.relations.generators]
     graph += [
         big.var(iname) - stage.inclusion[name].map_ring(big)
         for iname, name in zip(internal, out_ring.names)
     ]
     kept = eliminate(Ideal(big, graph), internal).generators
-    return [g.map_ring(out_ring, dict(zip(internal, out_ring.names))) for g in kept]
+    rename = {iname: out_ring.var(name) for iname, name in zip(internal, out_ring.names)}
+    return [g.substitute(rename, out_ring) for g in kept]
 
 
 def saturation_relations(action, chart):
@@ -101,7 +116,7 @@ def saturation_relations(action, chart):
     itself and divides no generator by its monomial content.
     """
     ring = chart.algebra.ring
-    big = ring.extended(("@inv",), (0,))
+    big = GradedRing(ring.names + ("@inv",), ring.weights + (0,))
     a = chart.centre_data.a.map_ring(big)
     gens = [g.map_ring(big) for g in action.algebra.relations.generators]
     gens += [a * big.var(name) - g.map_ring(big) for name, g in chart.generators]
@@ -291,7 +306,7 @@ def enumerate_kernel_linear(action, upto_level, degree):
         [
             ((ri, mm), c)
             for ri, row in enumerate(mat)
-            for mm, c in algebra.nf(row[j].term_mul(Fraction(1), m)).terms.items()
+            for mm, c in algebra.nf(term_mul(row[j], Fraction(1), m)).terms.items()
         ]
         for j in range(ncols)
         for m in monos

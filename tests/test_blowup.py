@@ -12,7 +12,7 @@ from uhat.rings import GradedRing, Ideal, PresentedAlgebra, determinant
 from uhat.lie import DerivationAction, GradedLieAlgebra
 from uhat.infinitesimal import check_cdrs, kernel_generators
 from uhat.quotient import DEGREE_BOUND
-from uhat.scenario import load_scenario, parse_polynomial
+from uhat.scenario import load_scenario, parse_polynomial, parse_scenario
 from uhat.blowup import (
     BElements,
     NoBlowupNeeded,
@@ -483,12 +483,20 @@ def test_seeded_chart_elimination_matches_the_plain_saturation():
     # build_chart seeds its elimination with t0 - 1 for a*t0 - nf(a),
     # adjoins the inverse to a's reduced form and divides the other
     # generators by their monomial content in a's variables; the reduced
-    # basis must be that of the plain saturation, on the shipped charts and
-    # on the first 40 sweep-script instances from seed 1
+    # basis must be that of the plain saturation, on the shipped charts, on
+    # the same scenarios under lex and weighted orders, whose chart ring is
+    # still degrevlex, and on the first 40 sweep-script instances from seed 1
     charts = []
     for name in ("one_weight", "two_weight", "rank_drop_pair", "heisenberg_scaled"):
         path = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.uhat"
-        charts.append((name, load_scenario(path).build()))
+        scenario = load_scenario(path)
+        charts.append((name, scenario.build()))
+        text = path.read_text(encoding="utf-8")
+        assert "order: degrevlex\n" in text
+        for order in ("lex", "weighted:" + ",".join(["1"] * scenario.ring.nvars)):
+            action = parse_scenario(text.replace("order: degrevlex\n", f"order: {order}\n")).build()
+            assert action.ring.order == order
+            charts.append((f"{name} {order}", action))
     seed = 1
     for i in range(40):
         action, seed = sweep_script().sample(seed)
@@ -499,6 +507,7 @@ def test_seeded_chart_elimination_matches_the_plain_saturation():
         assert chart.generators[0] == ("t0", action.algebra.nf(cd.a)), label
         rels = list(chart.algebra.relations.generators)
         assert rels == saturation_relations(action, chart), label
+        assert chart.algebra.ring.order == "degrevlex", label
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
-"""Every module-level function in `src/uhat` is used by the program itself.
+"""Every function and method in `src/uhat` is used by the program itself.
 
-A function that only tests call belongs in `tests/oracles.py`, not in the
-package.  The program is `src/`, `scripts/` and `perfbench/`; a name that
-appears there only in its own `def` line is flagged.  Functions that
-`tests/test_acceptance.py` imports from the package are exempt.  Every
-span that `perfbench/tracing.py` wraps resolves in the package.
+A function or method that only tests call belongs in `tests/oracles.py`,
+not in the package.  The program is `src/`, `scripts/` and `perfbench/`;
+a name that appears there only in `def` lines is flagged.  Functions that
+`tests/test_acceptance.py` imports from the package are exempt, and so
+are dunder methods, which Python calls by protocol.  Every span that
+`perfbench/tracing.py` wraps resolves in the package.
 """
 
 import ast
@@ -31,12 +32,16 @@ def test_every_package_function_is_used_by_the_program():
     sources = [p for d in PROGRAM for p in sorted((ROOT / d).rglob("*.py"))]
     text = "\n".join(p.read_text(encoding="utf-8") for p in sources)
     uses = Counter(re.findall(r"\w+", text))
-    defs = Counter(re.findall(r"^def (\w+)\(", text, re.MULTILINE))
+    defs = Counter(re.findall(r"^\s*def (\w+)\(", text, re.MULTILINE))
     exempt = acceptance_imports()
     unused = []
     for path in sorted((ROOT / "src" / "uhat").glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+        body = ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+        methods = [n for c in body if isinstance(c, ast.ClassDef) for n in c.body]
+        for node in body + methods:
             if not isinstance(node, ast.FunctionDef) or node.name in exempt:
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
                 continue
             if uses[node.name] == defs[node.name]:
                 unused.append(f"{path.name}:{node.lineno}: {node.name}")

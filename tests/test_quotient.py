@@ -340,7 +340,16 @@ def test_stage_tables_are_built_once(ga_free):
     stage = chain.stages[0]
     split = stage.slices.split
     y = ga_free.ring.var("y")
-    assert _derivative_table(ga_free, split, y) is _derivative_table(ga_free, split, y)
+    # the table is rebuilt on each call, from the action's derivative memo:
+    # each entry past n = 0 is the object apply_basis memoised
+    table = _derivative_table(ga_free, split, y)
+    for n, deriv in table.items():
+        if any(n):
+            j = next(i for i, e in enumerate(n) if e)
+            prev = tuple(e - (i == j) for i, e in enumerate(n))
+            if not table[prev].is_zero():
+                assert deriv is ga_free.apply_basis(split[j], table[prev])
+    assert _derivative_table(ga_free, split, y) == table
     # the stage carries every generator's evaluated reconstruction
     assert set(stage.reconstructed) == {"x", "y"}
     assert stage.reconstructed["y"] == y

@@ -286,12 +286,65 @@ def test_non_utf8_scenario_is_input_error(tmp_path, capsys):
     [
         ("analyze", "--scenario", str(SCENARIOS / "one_weight_free.uhat")),
         ("identities", "--letters", "1", "--max-total", "1", "--comult-degree", "1"),
+        ("quotient", "--scenario", str(SCENARIOS / "one_weight_free.uhat"), "--degree-bound", "0"),
+        ("quotient", "--scenario", str(SCENARIOS / "one_weight.uhat")),
+        ("blowup", "--scenario", "{empty_chart}", "--with-quotient"),
     ],
-    ids=["analyze", "identities"],
+    ids=["analyze", "identities", "quotient-exhausted", "quotient-refused", "blowup-empty-chart"],
 )
 def test_json_path_that_is_a_directory_is_input_error(tmp_path, capsys, args):
+    # the JSON is written before anything is printed, on a report, an
+    # exhausted search and a refusal alike, so each ends in one input error
+    empty_chart = tmp_path / "nilpotent.uhat"
+    empty_chart.write_text(NILPOTENT_HEAD + "a1.z0 = x*u\na1.z1 = x\nb1.y0 = x*u\n")
+    args = [a.format(empty_chart=empty_chart) for a in args]
     assert run_cli(*args, "--json", str(tmp_path)) == 2
-    assert capsys.readouterr().err.startswith("input error")
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("input error: ") and out.err.count("\n") == 1, out.err
+
+
+def test_json_report_bytes_are_pinned(tmp_path):
+    # the report's shapes the commands write: int keys, tuples inside
+    # lists, empty containers, None, bools and a non-ASCII string
+    report = {
+        "command": "caf\u00e9",
+        1: [(1, 2), [(3,), []]],
+        "empty_list": [],
+        "empty_dict": {},
+        "witness": None,
+        "flags": {"holds": True, "ok": False},
+        2: {3: "three"},
+    }
+    expected = """{
+  "command": "caf\\u00e9",
+  "1": [
+    [
+      1,
+      2
+    ],
+    [
+      [
+        3
+      ],
+      []
+    ]
+  ],
+  "empty_list": [],
+  "empty_dict": {},
+  "witness": null,
+  "flags": {
+    "holds": true,
+    "ok": false
+  },
+  "2": {
+    "3": "three"
+  }
+}
+"""
+    out = tmp_path / "report.json"
+    cli._write_json(report, out)
+    assert out.read_bytes() == expected.encode("ascii")
 
 
 @pytest.mark.parametrize("combo", ["-c", "c"], ids=["antisymmetric", "conflicting"])
