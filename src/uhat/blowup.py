@@ -417,12 +417,6 @@ def build_chart(action, centre_data, elements):
     that is zero or nilpotent modulo the relations raises
     VerificationFailed: its chart is empty and repairs nothing.
 
-    The first member is t0 = nf(a)/a, and its generator a t0 - nf(a) is
-    replaced by t0 - 1, which spans the same ideal: a t0 - nf(a) =
-    a (t0 - 1) + (a - nf(a)) with a - nf(a) in I, and t0 - 1 =
-    @inv (a t0 - a) - (t0 - 1)(a @inv - 1).  So the eliminated ideal and
-    its reduced basis are unchanged, and t0 stays a chart generator.
-
     Eliminating @inv from J + (b @inv - 1) gives the saturation J : b^oo,
     and two cheaper inputs give the same one.  The inverse is adjoined to
     a_red = (a / m) * v_1 ... v_s instead of a, m the largest monomial
@@ -504,9 +498,7 @@ def build_chart(action, centre_data, elements):
     big = GradedRing(ring.names + (*tnames, inv), ring.weights + (*tweights, 0))
     gens = [g.map_ring(big) for g in algebra.relations.generators]
     a_big = a.map_ring(big)
-    # members[0] is (t0, nf(a)): t0 - 1 stands for a*t0 - nf(a)
-    gens.append(big.var(members[0][0]) - big.one())
-    for name, g in members[1:]:
+    for name, g in members:
         gens.append(a_big * big.var(name) - g.map_ring(big))
     cont = _content(a_big)
     gens = [_divided(g, [e if c else 0 for c, e in zip(cont, _content(g))]) for g in gens]

@@ -29,7 +29,6 @@ from uhat import quotient as qt
 from uhat.lie import (
     GradedLieAlgebra,
     comult_coefficients,
-    multi_range,
     verify_commutator_identity,
     verify_weighted_bracket_identity,
 )
@@ -48,14 +47,14 @@ def _render(node, indent=0):
     lines = []
     if isinstance(node, dict):
         for key, val in node.items():
-            if isinstance(val, (dict, list)) and val:
+            if isinstance(val, (dict, list, tuple)) and val:
                 lines.append(f"{pad}{key}:")
                 lines.extend(_render(val, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {_scalar(val)}")
-    elif isinstance(node, list):
+    elif isinstance(node, (list, tuple)):
         for val in node:
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list, tuple)):
                 lines.append(f"{pad}-")
                 lines.extend(_render(val, indent + 1))
             else:
@@ -68,8 +67,8 @@ def _scalar(val):
         return "true" if val else "false"
     if val is None:
         return "none"
-    if isinstance(val, (list, dict)) and not val:
-        return "[]" if isinstance(val, list) else "{}"
+    if isinstance(val, (list, tuple, dict)) and not val:
+        return "{}" if isinstance(val, dict) else "[]"
     return str(val)
 
 
@@ -220,9 +219,7 @@ def cmd_identities(args):
         tuples = [tuple(rng.randint(1, 9) for _ in range(n)) for _ in range(WEIGHT_SAMPLES)]
         checked = 0
         failed = []
-        for k in multi_range((args.max_total,) * n):
-            if not 0 < sum(k) <= args.max_total:
-                continue
+        for k in _indices(n, args.max_total):
             for w in tuples:
                 ok, info = verify_weighted_bracket_identity(n, w, k, args.max_total, brackets)
                 checked += 1
@@ -254,12 +251,14 @@ def cmd_identities(args):
     return EXIT_OK if ok_all else EXIT_REFUSED
 
 
-class _Degrees(dict):
-    """Index tuple -> its total degree, each worked out on first use."""
-
-    def __missing__(self, index):
-        self[index] = d = sum(index)
-        return d
+def _indices(n, total):
+    """Every k in N^n with 0 < |k| <= total, in lexicographic order, built
+    prefix by prefix instead of filtered from the (total + 1)^n cube.
+    """
+    ks = [()]
+    for _ in range(n):
+        ks = [k + (v,) for k in ks for v in range(total - sum(k) + 1)]
+    return ks[1:]  # ks[0] is k = 0
 
 
 def _comult_lemma_failures(table, n):
@@ -272,14 +271,13 @@ def _comult_lemma_failures(table, n):
     """
     failures = []
     zero = (0,) * n
-    degrees = _Degrees()
     units = [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
     for alpha, entry in table.items():
-        top = degrees[alpha]
+        top = sum(alpha)
         counit = []
         for (beta, gamma), c in entry.items():
             # the degree test first: a Fraction's truth value is a Python-level call
-            if top > degrees[beta] + degrees[gamma] and c:
+            if top > sum(beta) + sum(gamma) and c:
                 failures.append({"kind": "degree-bound", "alpha": alpha, "beta": beta, "gamma": gamma})
             # counits: c^alpha_{0,gamma} = delta(gamma, alpha) and
             # c^alpha_{beta,0} = delta(beta, alpha), each failure naming its index
@@ -298,8 +296,8 @@ def _comult_lemma_failures(table, n):
     for alpha, entry in table.items():
         # the betas one below alpha, in the order of the set of all of them,
         # then each step alpha - e_j (alpha_j > 0) the row lacks
-        below = degrees[alpha] - 1
-        betas = [beta for beta in {bg[0] for bg in entry} if degrees[beta] == below]
+        below = sum(alpha) - 1
+        betas = [beta for beta in {bg[0] for bg in entry} if sum(beta) == below]
         steps = [alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :] for j in range(n)]
         betas += [step for a, step in zip(alpha, steps) if a and step not in betas]
         for j, ej in enumerate(units):

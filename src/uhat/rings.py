@@ -881,15 +881,13 @@ def groebner_basis(gens):
     An ideal with a nonzero constant is the unit ideal, whose reduced basis
     is [1]: when some input is one, [1] is returned without running
     Buchberger, which would stop at that input.  Otherwise Buchberger stops
-    at the first nonzero constant it appends, with the same result.
+    at the first nonzero constant it appends, and `reduce_groebner` turns
+    that basis into [1], as the constant's lead divides every other lead.
     """
     gens = [g for g in gens if g]
     if any(map(_is_constant, gens)):
         return [gens[0].ring.one()]
-    G = buchberger(gens, stop=_is_constant)
-    if G and _is_constant(G[-1]):
-        return [G[-1].ring.one()]
-    return reduce_groebner(G)
+    return reduce_groebner(buchberger(gens, stop=_is_constant))
 
 
 def _is_constant(g):
@@ -1171,9 +1169,8 @@ def syzygy_kernel(fmap, relations=None):
 
     Over R/relations the kernel omits every generator led in the dead
     position p = r + j: j is the last column with a nonzero entry, and some
-    entry of column j is a nonzero constant c (one term of exponent zero;
-    a `weighted:` order need not put constants last, so this is not read
-    off a lead).  A vector led at p has no image part and no earlier
+    entry of column j is a nonzero constant c, found as an entry of
+    total degree 0.  A vector led at p has no image part and no earlier
     cofactor, so its cofactor a of column j has c*a, hence a, in the
     relations, and the unit vectors e_{r+j'} of the zero columns j' > j
     clear every later position: it is zero modulo the relations.  Each

@@ -1010,6 +1010,27 @@ def test_groebner_basis_stopped_at_one_is_the_full_reduced_basis(order):
     assert units >= 25 and proper >= 10, (units, proper)
 
 
+@pytest.mark.parametrize("order", ["degrevlex", "lex", "weighted:3,1,2", "elim:1", "elim:2"])
+def test_reduce_groebner_owns_the_unit_ideal(order):
+    # a list with a nonzero constant, Groebner basis or not, reduces to [1],
+    # so a Buchberger run stopped at its first constant needs no exit of its own
+    ring = GradedRing(["x", "y", "z"], [0, 0, 0], order)
+    x, y, z = (ring.var(v) for v in ring.names)
+    rng = random.Random(f"unit {order}")
+    for _ in range(20):
+        gens = random_ideal(rng, ring, 4, 2)
+        c = ring.const(Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7])))
+        gens.insert(rng.randint(0, len(gens)), c)
+        assert reduce_groebner(gens) == [ring.one()], gens
+        assert groebner_basis(gens) == [ring.one()], gens
+    # ideals that reach a constant only inside Buchberger
+    for gens in ([x * y - 1, x], [x * z - 1, y * z, y - 1], [x**2 - y, y**2 - x, x * y - 2]):
+        stopped = buchberger(gens, stop=rings._is_constant)
+        assert not any(stopped[-1].lm()), gens
+        assert groebner_basis(gens) == reduce_groebner(stopped) == [ring.one()], gens
+        assert groebner_basis(gens) == reduce_groebner(buchberger(gens)), gens
+
+
 def test_groebner_basis_matches_the_full_run_on_every_command_ideal(monkeypatch, capsys):
     # every ideal that the 24 scenario commands build, unit and proper
     from uhat import quotient

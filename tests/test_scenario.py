@@ -186,12 +186,16 @@ def run_cli(*args):
     return main(list(args))
 
 
-def run_cli_process(*args, hash_seed=0):
+def run_cli_process(*args, hash_seed=0, timeout=None):
     """Run `python -m uhat.cli` in a fresh interpreter with the source tree importable."""
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(hash_seed))
     return subprocess.run(
-        [sys.executable, "-m", "uhat.cli", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "uhat.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
     )
 
 
@@ -345,6 +349,13 @@ def test_json_report_bytes_are_pinned(tmp_path):
     out = tmp_path / "report.json"
     cli._write_json(report, out)
     assert out.read_bytes() == expected.encode("ascii")
+
+
+def test_printed_tuples_render_as_the_lists_the_json_writes():
+    with_tuples = {"k_vector": (0, 1), "nested": [(1, (2, 3)), ()], "empty": (), "pairs": ((),)}
+    with_lists = {"k_vector": [0, 1], "nested": [[1, [2, 3]], []], "empty": [], "pairs": [[]]}
+    assert cli._render(with_tuples) == cli._render(with_lists)
+    assert cli._render(with_tuples)[:3] == ["k_vector:", "  - 0", "  - 1"]
 
 
 @pytest.mark.parametrize("combo", ["-c", "c"], ids=["antisymmetric", "conflicting"])
@@ -890,6 +901,20 @@ def test_identities_checks_every_k_once_per_weight_tuple(tmp_path):
     checked = {n: v["checked"] for n, v in data["weighted_bracket"].items()}
     assert checked == {f"letters_{n}": 5 * (math.comb(5 + n, n) - 1) for n in range(1, 5)}
     assert data["ok"] is True
+
+
+def test_identity_indices_are_the_filtered_cube_in_order():
+    for n in range(6):
+        for total in range(7):
+            cube = itertools.product(range(total + 1), repeat=n)
+            assert cli._indices(n, total) == [k for k in cube if 0 < sum(k) <= total], (n, total)
+
+
+def test_identities_on_twelve_letters_enumerate_only_the_checked_k():
+    # 1819 k are checked; walking the 5^12 cube around them takes over a minute
+    args = ("identities", "--letters", "12", "--max-total", "4", "--comult-degree", "0")
+    proc = run_cli_process(*args, timeout=5)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_comult_lemma_failures_name_each_broken_law():
